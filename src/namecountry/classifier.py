@@ -5,13 +5,15 @@ ReLU -> masked mean pooling over non-pad positions -> linear head over the
 taxonomy, trained with AdamW under linear warmup then linear decay, early
 stopping on validation macro-F1, and best-epoch checkpointing.
 
-Inference deliberately avoids batch-shaped matrix products: the convolution
-is evaluated through per-character lookup tables (embedding @ tap weight,
-a batch-independent product) followed by gathers, adds, and fixed-axis
-reductions. BLAS products over a batch dimension change low-order bits as
-the batch shape changes; this path keeps predict(name) bit-identical to any
-batched evaluation containing the same name. Training gradients are free to
-use ordinary matmuls.
+Inference keeps predict(name) bit-identical to any batched evaluation
+containing the same name. A BLAS product's low-order bits depend on its
+shape, so scoring runs exactly one BLAS product per block of
+SCORE_BLOCK_ROWS rows, the head, on a block zero-padded to that constant
+shape. Everything else is elementwise or a per-row sum over that row's own
+tokens in position order: the convolution is read from per-character tap
+tables (embedding @ tap weight, computed once per model) gathered at the
+non-pad positions only. Memory is bounded by the block, not the batch.
+Training gradients are free to use ordinary matmuls.
 """
 from __future__ import annotations
 
@@ -35,6 +37,11 @@ DEFAULT_MAX_LEN = 40
 CHECKPOINT_MAGIC = b"NCCLF001"
 
 PARAM_ORDER = ("embedding", "conv_w", "conv_b", "head_w", "head_b")
+
+# Rows per scoring block. The head product always has this many rows, so its
+# bits do not depend on the batch. With one BLAS thread, 64 rows scored one
+# name about 3x faster than 256 and batch 10000 no slower.
+SCORE_BLOCK_ROWS = 64
 
 
 class TrainingError(RuntimeError):
@@ -152,26 +159,56 @@ def _shifted_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return prev, x, nxt
 
 
-def score_batch(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+def tap_tables(params: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Per-character convolution terms, embedding @ conv_w[t] for each tap."""
+    return tuple(params["embedding"] @ params["conv_w"][t] for t in range(3))
+
+
+def score_batch(params: dict[str, np.ndarray], x: np.ndarray, *,
+                taps: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Probability rows for encoded names; bit-identical across batch shapes.
 
-    Only gathers, elementwise ops, and fixed-axis reductions touch the batch
-    dimension (see module docstring). An all-pad row (empty name) pools to
-    zeros and scores as softmax of the head bias.
+    Rows are scored in blocks of SCORE_BLOCK_ROWS (see module docstring).
+    `taps` are the model's cached `tap_tables(params)`; they are computed
+    here when not given. An all-pad row (empty name) pools to zeros and
+    scores as softmax of the head bias.
     """
+    if taps is None:
+        taps = tap_tables(params)
     dtype = params["embedding"].dtype
-    taps = [params["embedding"] @ params["conv_w"][t] for t in range(3)]
-    prev, cur, nxt = _shifted_indices(x)
-    hidden = taps[0][prev] + taps[1][cur] + taps[2][nxt] + params["conv_b"]
+    pooled = np.empty((SCORE_BLOCK_ROWS, params["conv_b"].shape[0]), dtype=dtype)
+    probs = np.empty((x.shape[0], params["head_b"].shape[0]), dtype=dtype)
+    for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
+        block = x[start:start + SCORE_BLOCK_ROWS]
+        _pool_block(block, taps, params["conv_b"], pooled)
+        logits = (pooled @ params["head_w"])[:len(block)] + params["head_b"]
+        peak = logits.max(axis=1, keepdims=True)
+        exps = np.exp(logits - peak)
+        probs[start:start + len(block)] = exps / exps.sum(axis=1, keepdims=True)
+    return probs
+
+
+def _pool_block(block: np.ndarray, taps: Sequence[np.ndarray],
+                conv_b: np.ndarray, pooled: np.ndarray) -> None:
+    """Mean of ReLU(conv) over each row's non-pad positions, into `pooled`.
+
+    Rows of `pooled` past the block, and rows with no tokens, are zeroed.
+    """
+    rows, cols = np.nonzero(block != PAD)
+    prev, cur, nxt = _shifted_indices(block)
+    hidden = taps[0][prev[rows, cols]]
+    hidden += taps[1][cur[rows, cols]]
+    hidden += taps[2][nxt[rows, cols]]
+    hidden += conv_b
     np.maximum(hidden, 0, out=hidden)
-    mask = (x != PAD)
-    counts = np.maximum(mask.sum(axis=1), 1).astype(dtype)
-    pooled = (hidden * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    logits = ((pooled[:, :, None] * params["head_w"][None, :, :]).sum(axis=1)
-              + params["head_b"])
-    peak = logits.max(axis=1, keepdims=True)
-    exps = np.exp(logits - peak)
-    return exps / exps.sum(axis=1, keepdims=True)
+    # `rows` is sorted, so each row's tokens are one run, in position order.
+    counts = np.bincount(rows, minlength=len(block))
+    filled = np.flatnonzero(counts)
+    pooled.fill(0)
+    if filled.size:
+        starts = (np.cumsum(counts) - counts)[filled]
+        sums = np.add.reduceat(hidden, starts, axis=0)
+        pooled[filled] = sums / counts[filled, None].astype(pooled.dtype)
 
 
 def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
@@ -300,9 +337,16 @@ class TrainLog:
 
 @dataclass
 class ClassifierModel:
+    """A trained classifier. Its tap tables are computed from `params` at
+    construction, so build a new model after changing the parameters."""
+
     tokenizer: Tokenizer
     taxonomy: Taxonomy
     params: dict[str, np.ndarray]
+    _taps: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._taps = tap_tables(self.params)
 
     def predict(self, name: str) -> np.ndarray:
         return self.predict_batch([name])[0]
@@ -311,7 +355,8 @@ class ClassifierModel:
         if not names:
             return np.zeros((0, len(self.taxonomy)),
                             dtype=self.params["embedding"].dtype)
-        return score_batch(self.params, self.tokenizer.encode_batch(names))
+        return score_batch(self.params, self.tokenizer.encode_batch(names),
+                           taps=self._taps)
 
     def predict_label(self, name: str) -> str:
         return self.predict_labels([name])[0]
@@ -457,29 +502,61 @@ def load_model(path: str | Path) -> ClassifierModel:
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"{path}: bad magic {blob[:8]!r}, expected {CHECKPOINT_MAGIC!r}")
+    if len(blob) < 12:
+        raise CheckpointError(f"{path}: truncated header")
     (header_len,) = struct.unpack("<I", blob[8:12])
     try:
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-    dtype = np.dtype(header["dtype"])
+    try:
+        dtype = np.dtype(header["dtype"])
+        shapes = [(entry["name"], tuple(int(d) for d in entry["shape"]))
+                  for entry in header["params"]]
+        if not isinstance(header["max_len"], int):
+            raise TypeError(f"max_len {header['max_len']!r} is not an integer")
+        tokenizer = Tokenizer(tuple(header["chars"]), header["max_len"])
+        taxonomy = Taxonomy(header["taxonomy"]["name"],
+                            tuple(header["taxonomy"]["labels"]))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    if dtype.kind != "f":
+        raise CheckpointError(f"{path}: parameter dtype {dtype} is not floating")
+    if [name for name, _ in shapes] != list(PARAM_ORDER):
+        raise CheckpointError(f"{path}: parameters "
+                              f"{[name for name, _ in shapes]} are not "
+                              f"{list(PARAM_ORDER)}")
     little = dtype.newbyteorder("<")
     params: dict[str, np.ndarray] = {}
     offset = 12 + header_len
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        if offset + nbytes > len(blob):
+    for name, shape in shapes:
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: negative dimension in {name} {shape}")
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(blob):
             raise CheckpointError(f"{path}: truncated parameter data")
-        raw = np.frombuffer(blob, dtype=little, count=int(np.prod(shape)),
-                            offset=offset)
-        params[entry["name"]] = raw.astype(dtype).reshape(shape).copy()
-        offset += nbytes
+        raw = np.frombuffer(blob, dtype=little, count=count, offset=offset)
+        params[name] = raw.astype(dtype).reshape(shape).copy()
+        offset += count * dtype.itemsize
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after parameter data")
-    if set(params) != set(PARAM_ORDER):
-        raise CheckpointError(f"{path}: unexpected parameter set {sorted(params)}")
-    tokenizer = Tokenizer(tuple(header["chars"]), header["max_len"])
-    taxonomy = Taxonomy(header["taxonomy"]["name"],
-                        tuple(header["taxonomy"]["labels"]))
+    _check_shapes(path, params, tokenizer.vocab_size, len(taxonomy))
     return ClassifierModel(tokenizer, taxonomy, params)
+
+
+def _check_shapes(path: str | Path, params: dict[str, np.ndarray],
+                  vocab_size: int, n_classes: int) -> None:
+    """Parameter shapes must agree with each other and with the header:
+    scoring indexes the tap tables by token id and the head by label."""
+    e = (params["embedding"].shape or (0,))[-1]
+    h = (params["conv_b"].shape or (0,))[-1]
+    expected = {"embedding": (vocab_size, e), "conv_w": (3, e, h),
+                "conv_b": (h,), "head_w": (h, n_classes), "head_b": (n_classes,)}
+    for name in PARAM_ORDER:
+        if params[name].shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: {name} has shape {params[name].shape}; the header "
+                f"({vocab_size} token ids, {n_classes} labels) and the other "
+                f"parameters imply {expected[name]}")

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from namecountry.core import NameRecord, UnknownLabelError, register_taxonomy
 from namecountry.classifier import (
     PAD,
+    SCORE_BLOCK_ROWS,
     UNK,
     AdamW,
     CheckpointError,
@@ -91,17 +94,25 @@ def test_score_batch_rows_are_distributions():
 
 
 def test_score_batch_bitwise_batch_invariance():
-    """The same encoded name must score bit-identically in any batch."""
+    """The same encoded name must score bit-identically in any batch, at any
+    position, in whichever scoring block it lands."""
     rng = np.random.default_rng(7)
     params = init_params(30, 5, ModelConfig(8, 12), seed=2)
-    target = rng.integers(0, 30, size=(1, 10)).astype(np.int32)
+    b0 = SCORE_BLOCK_ROWS
+    target = rng.integers(2, 30, size=(1, 10)).astype(np.int32)
+    target[0, 4] = PAD  # a pad inside the name
     alone = score_batch(params, target)[0]
-    for batch_size in (2, 17, 64, 301):
+    empty = score_batch(params, np.zeros((1, 10), dtype=np.int32))[0]
+    for batch_size in sorted({2, 17, 64, 301, b0 - 1, b0, b0 + 1, 2 * b0 + 1}):
         filler = rng.integers(0, 30, size=(batch_size - 1, 10)).astype(np.int32)
-        for position in (0, batch_size // 2, batch_size - 1):
+        filler[-1] = PAD  # an all-pad row
+        edges = {0, b0 - 1, b0, 2 * b0, batch_size // 2, batch_size - 1}
+        for position in sorted(p for p in edges if p < batch_size):
             batch = np.insert(filler, position, target[0], axis=0)
-            got = score_batch(params, batch)[position]
-            assert np.array_equal(got, alone), (batch_size, position)
+            scores = score_batch(params, batch)
+            assert np.array_equal(scores[position], alone), (batch_size, position)
+            for row in np.flatnonzero(~batch.any(axis=1)):
+                assert np.array_equal(scores[row], empty), (batch_size, row)
 
 
 def test_score_batch_all_pad_row_uses_head_bias():
@@ -112,6 +123,27 @@ def test_score_batch_all_pad_row_uses_head_bias():
     expected = np.exp(bias - bias.max())
     expected /= expected.sum()
     assert np.array_equal(probs, expected)
+
+
+def test_scoring_memory_is_flat_in_batch_size():
+    """Peak traced memory per name at a large batch leaves room for the
+    encoded input and the (batch, classes) output, and for no temporary that
+    grows with batch x positions x hidden."""
+    taxonomy = register_taxonomy("k99", [f"c{i:02d}" for i in range(99)])
+    tokenizer = Tokenizer(tuple("abcdefghijklmnopqrstuvwxyz "))
+    model = ClassifierModel(tokenizer, taxonomy,
+                            init_params(tokenizer.vocab_size, 99, seed=0))
+    rng = np.random.default_rng(0)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    names = ["".join(rng.choice(letters, size=n)) + " x"
+             for n in rng.integers(3, 20, size=20_000)]
+    tracemalloc.start()
+    try:
+        model.predict_batch(names)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(names) < 2048, peak
 
 
 # --- gradients ---
@@ -410,6 +442,35 @@ def test_checkpoint_rejects_corruption(tmp_path):
     garbled.write_bytes(blob[:12] + b"\xff" * 20 + blob[32:])
     with pytest.raises(CheckpointError):
         load_model(garbled)
+
+    no_length = tmp_path / "no_length.bin"
+    no_length.write_bytes(blob[:10])  # right magic, under 12 bytes
+    with pytest.raises(CheckpointError):
+        load_model(no_length)
+
+    header_len = int.from_bytes(blob[8:12], "little")
+    data = blob[12 + header_len:]
+
+    def with_header(edit):
+        header = json.loads(blob[12:12 + header_len])
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "header.bin"
+        bad.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + data)
+        return bad
+
+    for key in ("params", "chars", "taxonomy", "max_len", "dtype"):
+        with pytest.raises(CheckpointError, match=key):
+            load_model(with_header(lambda h: h.pop(key)))
+
+    # Shapes that disagree with the header or with each other; the byte
+    # count still matches, so only the shape check can catch them.
+    e, h = model.params["conv_w"].shape[1:]
+    for edit in (lambda hd: hd["chars"].pop(),  # embedding rows != vocab
+                 lambda hd: hd["taxonomy"]["labels"].append("charlie"),
+                 lambda hd: hd["params"][1].update(shape=[3, h, e])):
+        with pytest.raises(CheckpointError, match="shape"):
+            load_model(with_header(edit))
 
 
 # --- prediction API ---

@@ -233,6 +233,34 @@ def test_evaluate_unknown_gold_label_exits_2(chain, tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_evaluate_malformed_checkpoint_exits_2(chain, tmp_path, capsys):
+    blob = (chain.out / "model.bin").read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    data = blob[12 + header_len:]
+
+    def with_header(edit):
+        header = json.loads(blob[12:12 + header_len])
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        return blob[:8] + len(raw).to_bytes(4, "little") + raw + data
+
+    cases = {
+        "short": blob[:10],
+        "wrong_vocab": with_header(lambda h: h["chars"].pop()),
+        "no_dtype": with_header(lambda h: h.pop("dtype")),
+    }
+    for name, content in cases.items():
+        bad = tmp_path / f"{name}.bin"
+        bad.write_bytes(content)
+        code = chain.run("evaluate", "--model", str(bad),
+                         "--input", str(chain.out / "splits" / "test_gold.jsonl"),
+                         "--output", str(tmp_path / "report.json"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2, name
+        assert len(err) == 1 and err[0].startswith("error:"), (name, err)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_evaluate_incomplete_mapping_exits_2(chain, tmp_path, capsys):
     partial = tmp_path / "partial.tsv"
     partial.write_text("arcadia\tgroup-west\n", encoding="utf-8")
