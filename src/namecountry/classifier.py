@@ -13,7 +13,14 @@ shape. Everything else is elementwise or a per-row sum over that row's own
 tokens in position order: the convolution is read from per-character tap
 tables (embedding @ tap weight, computed once per model) gathered at the
 non-pad positions only. Memory is bounded by the block, not the batch.
-Training gradients are free to use ordinary matmuls.
+
+Training works in token space: the batch's non-pad tokens, each with its
+two neighbours' embeddings, form one im2col matrix that a single matmul by
+the flattened convolution weight turns into hidden units, and the embedding
+gradient is a segment sum over the token ids in sorted order. Padding adds
+no work, and the vocabulary only sizes the gradient array. A training step
+is not bit-identical across batch shapes, and need not be: only scoring
+carries that contract.
 """
 from __future__ import annotations
 
@@ -213,29 +220,47 @@ def _pool_block(block: np.ndarray, taps: Sequence[np.ndarray],
 
 def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
                    y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch and its analytic gradients."""
-    dtype = params["embedding"].dtype
+    """Mean cross-entropy over the batch and its analytic gradients.
+
+    Works only at the batch's non-pad tokens (see module docstring), so its
+    time and memory scale with the number of tokens times
+    (3 * embedding_dim + hidden_dim), not with `max_len` padding, and the
+    vocabulary size enters only through the zeroed embedding gradient. An
+    all-pad row pools to zeros.
+    """
+    embedding = params["embedding"]
+    dtype = embedding.dtype
     n = x.shape[0]
-    shifts = _shifted_indices(x)
-    embedded = [params["embedding"][s] for s in shifts]
-    pre = (embedded[0] @ params["conv_w"][0]
-           + embedded[1] @ params["conv_w"][1]
-           + embedded[2] @ params["conv_w"][2]
-           + params["conv_b"])
-    hidden = np.maximum(pre, 0)
-    mask = (x != PAD).astype(dtype)
-    counts = np.maximum(mask.sum(axis=1), 1)
-    pooled = (hidden * mask[:, :, None]).sum(axis=1) / counts[:, None]
+    e = embedding.shape[1]
+    h = params["conv_b"].shape[0]
+    conv_w = params["conv_w"].reshape(3 * e, h)
+
+    # im2col: token i's row is [emb(prev), emb(cur), emb(next)].
+    rows, cols = np.nonzero(x != PAD)
+    ids = np.stack([s[rows, cols] for s in _shifted_indices(x)], axis=1)
+    x3 = embedding[ids].reshape(-1, 3 * e)
+    hidden = x3 @ conv_w
+    hidden += params["conv_b"]
+    np.maximum(hidden, 0, out=hidden)
+    # `rows` is sorted, so each row's tokens are one run.
+    counts = np.bincount(rows, minlength=n)
+    filled = np.flatnonzero(counts)
+    scale = np.maximum(counts, 1).astype(dtype)[:, None]
+    pooled = np.zeros((n, h), dtype=dtype)
+    if filled.size:
+        starts = (np.cumsum(counts) - counts)[filled]
+        pooled[filled] = np.add.reduceat(hidden, starts, axis=0)
+        pooled /= scale
     logits = pooled @ params["head_w"] + params["head_b"]
 
     peak = logits.max(axis=1, keepdims=True)
     shifted = logits - peak
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(n)
-    loss = float(-log_probs[rows, y].mean())
+    batch_rows = np.arange(n)
+    loss = float(-log_probs[batch_rows, y].mean())
 
     d_logits = np.exp(log_probs)
-    d_logits[rows, y] -= 1
+    d_logits[batch_rows, y] -= 1
     d_logits /= n
 
     grads: dict[str, np.ndarray] = {
@@ -243,20 +268,23 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
         "head_b": d_logits.sum(axis=0),
     }
     d_pooled = d_logits @ params["head_w"].T
-    d_hidden = (d_pooled / counts[:, None])[:, None, :] * mask[:, :, None]
-    d_hidden *= pre > 0
-    grads["conv_b"] = d_hidden.sum(axis=(0, 1))
+    # ReLU passes gradient where its output is positive; the hidden
+    # activations are not needed past this point, so d_hidden takes their
+    # buffer, and d_x3 takes x3's once the conv_w gradient is formed.
+    d_hidden = np.multiply((d_pooled / scale)[rows], hidden > 0, out=hidden)
+    grads["conv_b"] = d_hidden.sum(axis=0)
+    grads["conv_w"] = (x3.T @ d_hidden).reshape(3, e, h)
+    d_x3 = np.matmul(d_hidden, conv_w.T, out=x3).reshape(-1, e)
 
-    e = params["embedding"].shape[1]
-    h = params["conv_b"].shape[0]
-    flat_hidden = d_hidden.reshape(-1, h)
-    conv_w_grad = np.empty_like(params["conv_w"])
-    embedding_grad = np.zeros_like(params["embedding"])
-    for t in range(3):
-        conv_w_grad[t] = embedded[t].reshape(-1, e).T @ flat_hidden
-        d_embedded = d_hidden @ params["conv_w"][t].transpose()
-        np.add.at(embedding_grad, shifts[t], d_embedded)
-    grads["conv_w"] = conv_w_grad
+    # Embedding gradient: sum each token id's rows of d_x3 as one sorted run.
+    flat_ids = ids.reshape(-1)
+    order = np.argsort(flat_ids, kind="stable")
+    sorted_ids = flat_ids[order]
+    embedding_grad = np.zeros_like(embedding)
+    if sorted_ids.size:
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        embedding_grad[sorted_ids[starts]] = np.add.reduceat(
+            d_x3[order], starts, axis=0)
     grads["embedding"] = embedding_grad
     return loss, grads
 

@@ -275,6 +275,7 @@ def read_records(path: str | Path) -> list[NameRecord]:
             try:
                 obj = json.loads(line)
                 records.append(record_from_dict(obj))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            # TypeError: the line is not an object, or a field is not a string.
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"bad record ({exc})", path=path, line=lineno) from exc
     return records

@@ -168,9 +168,10 @@ def numeric_grads(params, x, y, eps=1e-6):
 def test_gradients_match_central_differences():
     params = init_params(9, 3, ModelConfig(5, 7), seed=0, dtype=np.float64)
     rng = np.random.default_rng(42)
-    x = rng.integers(0, 9, size=(4, 6)).astype(np.int32)
+    x = rng.integers(0, 9, size=(5, 6)).astype(np.int32)
     x[0, 4:] = PAD  # exercise masked pooling
-    y = np.array([0, 1, 2, 0])
+    x[4] = PAD  # an all-pad row pools to zeros
+    y = np.array([0, 1, 2, 0, 1])
     _, analytic = loss_and_grads(params, x, y)
     numeric = numeric_grads(params, x, y)
     for key in params:
@@ -178,6 +179,94 @@ def test_gradients_match_central_differences():
         rel = np.linalg.norm(a - n) / max(np.linalg.norm(a) + np.linalg.norm(n),
                                           1e-12)
         assert rel <= 1e-3, (key, rel)
+
+
+def dense_loss_and_grads(params, x, y):
+    """Reference gradients over every (row, position), padding included:
+    three (B, L, E) gathers, per-tap matmuls and an np.add.at scatter."""
+    n = x.shape[0]
+    pad_col = np.full((n, 1), PAD, dtype=x.dtype)
+    shifts = (np.concatenate([pad_col, x[:, :-1]], axis=1), x,
+              np.concatenate([x[:, 1:], pad_col], axis=1))
+    embedded = [params["embedding"][s] for s in shifts]
+    pre = sum(embedded[t] @ params["conv_w"][t] for t in range(3))
+    pre = pre + params["conv_b"]
+    hidden = np.maximum(pre, 0)
+    mask = (x != PAD).astype(np.float64)
+    counts = np.maximum(mask.sum(axis=1), 1)
+    pooled = (hidden * mask[:, :, None]).sum(axis=1) / counts[:, None]
+    logits = pooled @ params["head_w"] + params["head_b"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(n), y].mean())
+
+    d_logits = np.exp(log_probs)
+    d_logits[np.arange(n), y] -= 1
+    d_logits /= n
+    grads = {"head_w": pooled.T @ d_logits, "head_b": d_logits.sum(axis=0)}
+    d_pooled = d_logits @ params["head_w"].T
+    d_hidden = (d_pooled / counts[:, None])[:, None, :] * mask[:, :, None]
+    d_hidden *= pre > 0
+    grads["conv_b"] = d_hidden.sum(axis=(0, 1))
+    e, h = params["conv_w"].shape[1:]
+    grads["conv_w"] = np.stack([embedded[t].reshape(-1, e).T
+                                @ d_hidden.reshape(-1, h) for t in range(3)])
+    grads["embedding"] = np.zeros_like(params["embedding"])
+    for t in range(3):
+        np.add.at(grads["embedding"], shifts[t],
+                  d_hidden @ params["conv_w"][t].T)
+    return loss, grads
+
+
+def mixed_batch(rng, vocab, rows, max_len):
+    """Random names over PAD/UNK/characters with every edge case present:
+    an all-pad row, a length-1 name, a full-length name, and one with UNK
+    at its start and a PAD in its middle."""
+    x = rng.integers(UNK, vocab, size=(rows, max_len)).astype(np.int32)
+    lengths = rng.integers(1, max_len + 1, size=rows)
+    x[np.arange(max_len) >= lengths[:, None]] = PAD
+    x[0] = PAD
+    x[1, 1:] = PAD
+    x[2] = rng.integers(2, vocab, size=max_len)
+    x[3] = rng.integers(UNK, vocab, size=max_len)
+    x[3, 0], x[3, max_len // 2] = UNK, PAD
+    return x
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradients_match_dense_reference(seed):
+    rng = np.random.default_rng(seed)
+    vocab, classes = 11, 4
+    params = init_params(vocab, classes, ModelConfig(6, 9), seed=seed,
+                         dtype=np.float64)
+    for key in ("conv_b", "head_b"):
+        params[key] = rng.normal(0.0, 0.1, params[key].shape)
+    x = mixed_batch(rng, vocab, rows=int(rng.integers(6, 40)), max_len=9)
+    y = rng.integers(0, classes, size=len(x))
+    loss, grads = loss_and_grads(params, x, y)
+    ref_loss, ref = dense_loss_and_grads(params, x, y)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads.keys() == ref.keys()
+    for key, expected in ref.items():
+        assert grads[key].shape == expected.shape, key
+        rel = np.linalg.norm(grads[key] - expected) / np.linalg.norm(expected)
+        assert rel <= 1e-12, (key, rel)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_and_grads_ignore_trailing_padding(dtype):
+    """Extra trailing PAD columns change nothing, bit for bit: the step reads
+    only the tokens and their neighbours, whatever max_len is."""
+    rng = np.random.default_rng(5)
+    params = init_params(13, 5, ModelConfig(8, 12), seed=1, dtype=dtype)
+    x = mixed_batch(rng, 13, rows=33, max_len=10)
+    y = rng.integers(0, 5, size=len(x))
+    wide = np.pad(x, ((0, 0), (0, 20)), constant_values=PAD)
+    loss, grads = loss_and_grads(params, x, y)
+    wide_loss, wide_grads = loss_and_grads(params, wide, y)
+    assert loss == wide_loss
+    for key in params:
+        assert np.array_equal(grads[key], wide_grads[key]), key
 
 
 def test_loss_decreases_under_adamw():

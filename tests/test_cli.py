@@ -4,14 +4,18 @@ The happy path runs once per module (extract -> split -> augment -> train ->
 evaluate -> bench -> bias -> audit) against the generated fixture tree;
 individual tests then assert on the artifacts.
 """
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from namecountry import fixtures
 from namecountry.cli import main
@@ -188,6 +192,59 @@ def test_unknown_oracle_kind_exits_2(chain, tmp_path, capsys):
                  "split", "--input", str(corpus)])
     assert code == 2
     assert "psychic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    '[1, 2]', '"abc"', 'null', '{"name": 5, "label": "france"}',
+    '{"name": "A B", "label": 7}'])
+def test_split_bad_record_exits_2(tmp_path, capsys, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    code = main(["--out-dir", str(tmp_path / "out"), "split",
+                 "--input", str(bad)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: {bad}:1: bad record ("), err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+RECORD_LIKE = st.fixed_dictionaries(
+    {"name": st.sampled_from(["Ana Silva", "Li Wei"]) | st.text(max_size=8)
+     | JSON_VALUES,
+     "label": st.sampled_from(["alfa", "bravo"]) | JSON_VALUES},
+    optional={"provenance": st.sampled_from(["extracted", "synthetic"])
+              | JSON_VALUES,
+              "source_id": JSON_VALUES})
+
+
+# Exit 1 is the audit's: a record tagged synthetic in `split` input lands in
+# an OAG split, which the audit rejects. Anything else is success or bad input.
+@settings(max_examples=60, deadline=None)
+@given(st.lists(JSON_VALUES | RECORD_LIKE, min_size=1, max_size=6))
+def test_split_fuzzed_jsonl_exits_cleanly(values):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.jsonl"
+        path.write_text("".join(json.dumps(v) + "\n" for v in values),
+                        encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["--out-dir", str(Path(tmp) / "out"), "split",
+                         "--input", str(path)])
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("audit violations:\n"), err
+    elif code == 2:
+        assert sum(l.startswith("error:") for l in err.splitlines()) == 1, err
+    else:
+        assert code == 0, err
 
 
 def test_split_no_filter_skips_test_filter(chain, tmp_path):
