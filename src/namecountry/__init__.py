@@ -1,5 +1,7 @@
 """Proxy-nationality corpus construction and char-level name classification."""
 
+import importlib
+
 from .core import (
     DuplicateLabelError,
     InputFormatError,
@@ -30,16 +32,6 @@ from .corpus import (
     enforce_no_leakage,
     split_corpus,
 )
-from .classifier import (
-    ClassifierModel,
-    ModelConfig,
-    TrainConfig,
-    TrainLog,
-    fit_tokenizer,
-    load_model,
-    save_model,
-    train,
-)
 from .enrichment import (
     AugmentBudget,
     StubNameGenerator,
@@ -48,15 +40,6 @@ from .enrichment import (
     compute_budgets,
     screen_pairs,
 )
-from .evaluation import (
-    EvalReport,
-    bias_report,
-    bucket_report,
-    evaluate,
-    evaluate_mapped,
-    wilson_interval,
-)
-from .engine import BenchConfig, ThroughputReport, benchmark
 from .extraction import (
     AffiliationRecord,
     NormalizationTable,
@@ -64,6 +47,28 @@ from .extraction import (
     label_author,
     normalize_country,
 )
+
+# Re-exports from the numpy-backed modules, imported on first access (PEP 562)
+# so that the data stages never load numpy.
+_LAZY = {
+    **dict.fromkeys(
+        ("ClassifierModel", "ModelConfig", "TrainConfig", "TrainLog",
+         "fit_tokenizer", "load_model", "save_model", "train"), "classifier"),
+    **dict.fromkeys(
+        ("EvalReport", "bias_report", "bucket_report", "evaluate",
+         "evaluate_mapped", "wilson_interval"), "evaluation"),
+    **dict.fromkeys(("BenchConfig", "ThroughputReport", "benchmark"), "engine"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

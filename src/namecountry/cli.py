@@ -18,7 +18,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-from . import classifier, engine, enrichment, evaluation, extraction
+# classifier, engine and evaluation (and with them numpy) are imported by the
+# handlers that use them, so the data stages start without numpy.
+from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
     InputFormatError, RecordError, TaxonomyError, UnknownLabelError,
@@ -193,7 +195,7 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
     cap = args.filter_cap or split_cfg["filter_cap"]
     split_dir = args.output_dir or out_dir / "splits"
 
-    records = read_records(args.input)
+    records = read_records(args.input, real_only=True)
     train, val, test = corpus_mod.split_corpus(
         records, corpus_mod.SplitConfig(ratios=ratios, seed=seed))
     train, removed = corpus_mod.enforce_no_leakage(train, val, test)
@@ -286,6 +288,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
 
 
 def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
+    from . import classifier
     train_cfg = config["train"]
     splits_dir = args.splits_dir or out_dir / "splits"
     model_out = args.model_out or out_dir / "model.bin"
@@ -327,6 +330,7 @@ def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
 
 
 def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
+    from . import classifier, evaluation
     output = args.output or out_dir / "eval_report.json"
     model = classifier.load_model(args.model)
     records = read_records(args.input)
@@ -367,6 +371,7 @@ def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
 
 
 def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
+    from . import classifier, engine
     bench_cfg = config["bench"]
     output = args.output or out_dir / "bench_report.json"
     model = classifier.load_model(args.model)
@@ -395,6 +400,7 @@ def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
 
 
 def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
+    from . import classifier, evaluation
     output = args.output or out_dir / "bias_report.json"
     model = classifier.load_model(args.model)
     target = load_taxonomy(args.target_taxonomy)
@@ -541,6 +547,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_2_errors() -> tuple[type[BaseException], ...]:
+    """The exceptions `main` turns into one `error:` line and exit 2.
+
+    Called only while an exception is being matched. CheckpointError and
+    InsufficientNamesError are ValueErrors; TrainingError is looked up in
+    `sys.modules`, as only a handler that has imported the classifier can
+    raise it.
+    """
+    errors = (CommandError, InputFormatError, TaxonomyError, UnknownLabelError,
+              RecordError, enrichment.OracleTransportError, FileNotFoundError,
+              IsADirectoryError, NotADirectoryError, PermissionError,
+              ValueError)
+    classifier = sys.modules.get(f"{__package__}.classifier")
+    return errors + (classifier.TrainingError,) if classifier else errors
+
+
 def _error_text(exc: BaseException) -> str:
     if isinstance(exc, KeyError) and exc.args:
         return str(exc.args[0])
@@ -562,11 +584,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except corpus_mod.LeakageError as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
-    except (CommandError, InputFormatError, TaxonomyError, UnknownLabelError,
-            RecordError, classifier.TrainingError, classifier.CheckpointError,
-            engine.InsufficientNamesError, enrichment.OracleTransportError,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, ValueError) as exc:
+    except _exit_2_errors() as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, CommandError) else 2
 

@@ -235,12 +235,16 @@ def record_to_dict(record: NameRecord) -> dict:
 
 
 def record_from_dict(obj: dict) -> NameRecord:
-    return NameRecord(
+    record = NameRecord(
         full_name=obj["name"],
         label=obj["label"],
         provenance=Provenance(obj.get("provenance", "extracted")),
         source_id=obj.get("source_id"),
     )
+    if record.source_id is not None and not isinstance(record.source_id, str):
+        raise TypeError(f"source_id must be a string, not "
+                        f"{type(record.source_id).__name__}")
+    return record
 
 
 def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
@@ -264,8 +268,11 @@ def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
     return count
 
 
-def read_records(path: str | Path) -> list[NameRecord]:
-    """Read a NameRecord JSONL file. Malformed lines raise InputFormatError."""
+def read_records(path: str | Path, *, real_only: bool = False) -> list[NameRecord]:
+    """Read a NameRecord JSONL file. Malformed lines raise InputFormatError.
+
+    With `real_only`, a record tagged synthetic raises InputFormatError too.
+    """
     path = Path(path)
     records = []
     with path.open("r", encoding="utf-8") as fh:
@@ -274,8 +281,12 @@ def read_records(path: str | Path) -> list[NameRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(record_from_dict(obj))
+                record = record_from_dict(obj)
             # TypeError: the line is not an object, or a field is not a string.
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"bad record ({exc})", path=path, line=lineno) from exc
+            if real_only and record.provenance is Provenance.SYNTHETIC:
+                raise InputFormatError("record is tagged synthetic; this input "
+                                       "takes real names only", path=path, line=lineno)
+            records.append(record)
     return records

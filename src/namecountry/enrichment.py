@@ -20,7 +20,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
-from .core import NameRecord, Provenance, RecordError, name_key
+from .core import NameRecord, Provenance, name_key
 
 log = logging.getLogger(__name__)
 
@@ -94,11 +94,6 @@ def render_prompt(country: str, n: int) -> str:
     return PROMPT_TEMPLATE.format(n=n, country=country)
 
 
-def _name_tokens(name: str) -> tuple[str, str]:
-    tokens = name_key(name).split()
-    return tokens[0], tokens[-1]
-
-
 def collect_synthetic(
     budgets: Sequence[AugmentBudget],
     generator: GeneratorOracle,
@@ -117,6 +112,10 @@ def collect_synthetic(
     retries are exhausted the country is left partially filled and collection
     moves on. Countries are processed in sorted order so the result is
     deterministic for deterministic generators.
+
+    Per candidate the cost is one `name_key` call: every check above runs on
+    that key (first and last token from its split), and a NameRecord is built
+    only for a name that is kept.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -140,46 +139,43 @@ def _collect_for_country(
     backoff_seconds: float,
     max_stalled_chunks: int,
 ) -> list[NameRecord]:
-    country = budget.country
+    country, requested = budget.country, budget.requested
     kept: list[NameRecord] = []
     seen: set[str] = set()
     first_counts: dict[str, int] = {}
     last_counts: dict[str, int] = {}
     stalled = 0
-    while len(kept) < budget.requested and stalled < max_stalled_chunks:
-        want = min(chunk_size, budget.requested - len(kept))
+    while len(kept) < requested and stalled < max_stalled_chunks:
+        want = min(chunk_size, requested - len(kept))
         candidates = _generate_with_retry(
             generator, country, want, max_retries, backoff_seconds)
         if candidates is None:
             log.warning("generator gave up on %r after %d retries; "
                         "keeping %d of %d", country, max_retries,
-                        len(kept), budget.requested)
+                        len(kept), requested)
             break
         progress = 0
         for raw in candidates:
-            if len(kept) >= budget.requested:
+            if len(kept) >= requested:
                 break
-            try:
-                record = NameRecord(full_name=raw, label=country,
-                                    provenance=Provenance.SYNTHETIC)
-            except RecordError:
+            key = name_key(raw)
+            if not key or key in seen or key in existing:
                 continue
-            key = record.key
-            if key in seen or key in existing:
-                continue
-            first, last = _name_tokens(record.full_name)
+            tokens = key.split()
+            first, last = tokens[0], tokens[-1]
             if (first_counts.get(first, 0) >= MAX_TOKEN_REPEATS
                     or last_counts.get(last, 0) >= MAX_TOKEN_REPEATS):
                 continue
             seen.add(key)
             first_counts[first] = first_counts.get(first, 0) + 1
             last_counts[last] = last_counts.get(last, 0) + 1
-            kept.append(record)
+            kept.append(NameRecord(full_name=raw, label=country,
+                                   provenance=Provenance.SYNTHETIC))
             progress += 1
         stalled = 0 if progress else stalled + 1
-    if len(kept) < budget.requested:
+    if len(kept) < requested:
         log.info("country %r filled %d of %d requested synthetic names",
-                 country, len(kept), budget.requested)
+                 country, len(kept), requested)
     return kept
 
 
@@ -269,14 +265,31 @@ def country_letters(country: str) -> frozenset[str]:
 
 
 def synth_name(rng: random.Random, country: str) -> str:
-    """Draw one two-token full name from the country's syllable inventory."""
+    """Draw one two-token full name from the country's syllable inventory.
+
+    Each token is 2 or 3 syllables, each drawn uniformly. The draws are the
+    rejection sampling `Random.choice` does, written inline over
+    `rng.getrandbits`, so the names and the generator state afterwards are
+    those of `rng.choice((2, 3))` then `rng.choice(syllables)` per syllable;
+    `test_synth_name_matches_random_choice_stream` pins this.
+    """
     syllables = country_syllables(country)
-
-    def token() -> str:
-        k = rng.choice((2, 3))
-        return "".join(rng.choice(syllables) for _ in range(k)).capitalize()
-
-    return f"{token()} {token()}"
+    n = len(syllables)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    name = ""
+    for separator in ("", " "):
+        extra = getrandbits(2)  # choice((2, 3)): 2 + extra syllables
+        while extra >= 2:
+            extra = getrandbits(2)
+        token = ""
+        for _ in range(2 + extra):
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            token += syllables[i]
+        name += separator + token.capitalize()
+    return name
 
 
 class StubNameGenerator:

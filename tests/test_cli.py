@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -196,7 +197,8 @@ def test_unknown_oracle_kind_exits_2(chain, tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     '[1, 2]', '"abc"', 'null', '{"name": 5, "label": "france"}',
-    '{"name": "A B", "label": 7}'])
+    '{"name": "A B", "label": 7}',
+    '{"name": "A B", "label": "x", "source_id": {}}'])
 def test_split_bad_record_exits_2(tmp_path, capsys, line):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(line + "\n", encoding="utf-8")
@@ -206,6 +208,21 @@ def test_split_bad_record_exits_2(tmp_path, capsys, line):
     assert code == 2
     assert len(err) == 1, err
     assert err[0].startswith(f"error: {bad}:1: bad record ("), err
+
+
+def test_split_rejects_synthetic_input_with_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"name": "Li Wei", "label": "alfa"}\n\n'
+        '{"name": "Ana Silva", "label": "alfa", "provenance": "synthetic"}\n',
+        encoding="utf-8")
+    code = main(["--out-dir", str(tmp_path / "out"), "split",
+                 "--input", str(corpus)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: {corpus}:3: record is tagged synthetic"), err
+    assert not (tmp_path / "out" / "splits").exists()
 
 
 JSON_VALUES = st.recursive(
@@ -223,8 +240,8 @@ RECORD_LIKE = st.fixed_dictionaries(
               "source_id": JSON_VALUES})
 
 
-# Exit 1 is the audit's: a record tagged synthetic in `split` input lands in
-# an OAG split, which the audit rejects. Anything else is success or bad input.
+# Success or bad input, never the audit's exit 1: a record tagged synthetic
+# is bad `split` input, not an audit violation.
 @settings(max_examples=60, deadline=None)
 @given(st.lists(JSON_VALUES | RECORD_LIKE, min_size=1, max_size=6))
 def test_split_fuzzed_jsonl_exits_cleanly(values):
@@ -239,9 +256,7 @@ def test_split_fuzzed_jsonl_exits_cleanly(values):
                          "--input", str(path)])
     err = stderr.getvalue()
     assert "Traceback" not in err
-    if code == 1:
-        assert err.startswith("audit violations:\n"), err
-    elif code == 2:
+    if code == 2:
         assert sum(l.startswith("error:") for l in err.splitlines()) == 1, err
     else:
         assert code == 0, err
@@ -374,3 +389,32 @@ def test_console_script_help():
     for command in ("extract", "split", "augment", "train", "evaluate",
                     "bench", "bias", "audit"):
         assert command in result.stdout
+
+
+def test_data_stages_import_without_numpy():
+    script = (
+        "import sys, namecountry.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "from namecountry import train, ClassifierModel, benchmark\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert callable(train) and callable(benchmark)\n"
+        "assert ClassifierModel.__module__ == 'namecountry.classifier'\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_train_divergence_exits_2(chain, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {
+        "learning_rate": 1e30, "max_epochs": 2, "batch_size": 8,
+        "embedding_dim": 4, "hidden_dim": 6}}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["--config", str(config), "--out-dir", str(tmp_path),
+                     "train", "--splits-dir", str(chain.out / "splits"),
+                     "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: non-finite training loss"), err
+    assert not (tmp_path / "model.bin").exists()

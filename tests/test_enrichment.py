@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from namecountry.core import NameRecord, Provenance
+from namecountry import enrichment
+from namecountry.core import NameRecord, Provenance, RecordError, name_key
 from namecountry.enrichment import (
     MAX_TOKEN_REPEATS,
     AugmentBudget,
@@ -207,6 +208,131 @@ def test_collect_respects_budget_and_repetition_invariants(requested,
     assert all(v <= MAX_TOKEN_REPEATS for v in lasts.values())
 
 
+# The filter loop as it was before candidates were keyed once: a NameRecord
+# per candidate, then its key, then the key's tokens. Kept here as the
+# reference `collect_synthetic` must match.
+def reference_collect(budgets, generator, existing_names, chunk_size):
+    existing = {name_key(n) for n in existing_names}
+    result = {}
+    for budget in sorted(budgets, key=lambda b: b.country):
+        if budget.requested == 0:
+            continue
+        kept, seen, first_counts, last_counts = [], set(), {}, {}
+        stalled = 0
+        while len(kept) < budget.requested and stalled < 3:
+            want = min(chunk_size, budget.requested - len(kept))
+            progress = 0
+            for raw in generator.generate(budget.country, want):
+                if len(kept) >= budget.requested:
+                    break
+                try:
+                    record = NameRecord(full_name=raw, label=budget.country,
+                                        provenance=Provenance.SYNTHETIC)
+                except RecordError:
+                    continue
+                key = record.key
+                if key in seen or key in existing:
+                    continue
+                tokens = name_key(record.full_name).split()
+                first, last = tokens[0], tokens[-1]
+                if (first_counts.get(first, 0) >= MAX_TOKEN_REPEATS
+                        or last_counts.get(last, 0) >= MAX_TOKEN_REPEATS):
+                    continue
+                seen.add(key)
+                first_counts[first] = first_counts.get(first, 0) + 1
+                last_counts[last] = last_counts.get(last, 0) + 1
+                kept.append(record)
+                progress += 1
+            stalled = 0 if progress else stalled + 1
+        result[budget.country] = kept
+    return result
+
+
+EDGE_NAMES = [
+    "", "   ", "\t\n", "\u00a0\u2003",                 # empty after normalizing
+    "Ana Silva", "ana  silva", "ANA SILVA", " Ana\tSilva ",  # case, whitespace
+    "Jos\u00e9 Lima", "Jose\u0301 Lima", "JOS\u00c9 LIMA",  # NFC / NFD / case
+    "Stra\u00dfe M\u00fcller", "STRASSE M\u00dcLLER",         # casefold
+    "Existing Name", "existing  NAME",                   # in existing_names
+    "Bea Tran", "Bea Le", "Bea Vo", "Bea Pham", "bea Hoang",  # first-token cap
+    "Chi Nguyen", "Duc Nguyen", "Em nguyen", "Gia NGUYEN",    # last-token cap
+    "Mononym", "mononym", "Mononym Mononym",             # one token: first is last
+    "Kim Ly", "Kim Ly Ha", "Ha  Kim",
+    "Lan Mai Hoa", "Tuan Van Hoa", "Son Ngoc Hoa", "Vu Duc Hoa",  # 3 tokens
+]
+
+
+class EdgeGenerator:
+    """EDGE_NAMES, shuffled per country; then one name forever, so it stalls."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.queues = {}
+        self.calls = 0
+
+    def generate(self, country, n):
+        self.calls += 1
+        queue = self.queues.get(country)
+        if queue is None:
+            queue = list(EDGE_NAMES) * 2
+            random.Random(f"{self.seed}:{country}").shuffle(queue)
+            self.queues[country] = queue
+        out = queue[:n]
+        del queue[:n]
+        return out + ["Ana Silva"] * (n - len(out))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("chunk_size", [1, 3, 7, 200])
+def test_collect_matches_reference_filter_loop(seed, chunk_size):
+    budgets = [AugmentBudget("brazil", 0, 40), AugmentBudget("vietnam", 0, 9),
+               AugmentBudget("chile", 0, 0)]
+    existing = ["EXISTING name", "Kim  Ly Ha"]
+    expected_gen, actual_gen = EdgeGenerator(seed), EdgeGenerator(seed)
+    expected = reference_collect(budgets, expected_gen, existing, chunk_size)
+    actual = collect_synthetic(budgets, actual_gen, existing,
+                               chunk_size=chunk_size)
+    assert actual == expected
+    assert actual_gen.calls == expected_gen.calls
+    assert set(actual) == {"brazil", "vietnam"}
+    assert len(actual["brazil"]) < 40  # the run ended in stalled chunks
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_collect_matches_reference_on_stub_generator(seed):
+    budgets = [AugmentBudget(c, 0, 300) for c in ("brazil", "x", "vietnam")]
+    existing = StubNameGenerator(seed=seed + 1).generate("brazil", 50)
+    expected = reference_collect(budgets, StubNameGenerator(seed), existing, 40)
+    actual = collect_synthetic(budgets, StubNameGenerator(seed), existing,
+                               chunk_size=40)
+    assert actual == expected
+
+
+def test_collect_builds_one_record_per_kept_name(monkeypatch):
+    built = []
+
+    class CountingRecord(NameRecord):
+        def __post_init__(self):
+            built.append(self.full_name)
+            super().__post_init__()
+
+    generated = []
+
+    class CountingGenerator(StubNameGenerator):
+        def generate(self, country, n):
+            names = super().generate(country, n)
+            generated.extend(names)
+            return names
+
+    monkeypatch.setattr(enrichment, "NameRecord", CountingRecord)
+    out = collect_synthetic([AugmentBudget(c, 0, 500) for c in ("a", "b")],
+                            CountingGenerator(seed=5), existing_names=[],
+                            chunk_size=100)
+    kept = [r.full_name for country in sorted(out) for r in out[country]]
+    assert len(generated) > len(kept)  # some candidates were dropped
+    assert built == kept
+
+
 # --- screening ---
 
 def test_screen_pairs_three_of_four():
@@ -262,6 +388,30 @@ def test_synth_name_uses_inventory_only():
         for token in (first, last):
             assert token[0].isupper()
             assert set(token.lower()) <= country_letters("vietnam")
+
+
+def reference_synth_name(rng, country):
+    """synth_name as written over `Random.choice`."""
+    syllables = country_syllables(country)
+
+    def token():
+        k = rng.choice((2, 3))
+        return "".join(rng.choice(syllables) for _ in range(k)).capitalize()
+
+    return f"{token()} {token()}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, "stubgen:0:vietnam", 2**40])
+def test_synth_name_matches_random_choice_stream(seed):
+    draws = 0
+    for country in ("vietnam", "brazil", "x", "Côte d'Ivoire"):
+        expected, actual = random.Random(seed), random.Random(seed)
+        for _ in range(2500):
+            assert synth_name(actual, country) == reference_synth_name(
+                expected, country)
+            draws += 1
+        assert actual.getstate() == expected.getstate()
+    assert draws == 10_000
 
 
 def test_stub_generator_deterministic_and_streaming():
