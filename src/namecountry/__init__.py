@@ -38,7 +38,6 @@ from .enrichment import (
     StubNameValidator,
     collect_synthetic,
     compute_budgets,
-    screen_pairs,
 )
 from .extraction import (
     AffiliationRecord,
@@ -122,7 +121,6 @@ __all__ = [
     "read_records",
     "register_taxonomy",
     "save_model",
-    "screen_pairs",
     "split_corpus",
     "train",
     "wilson_interval",

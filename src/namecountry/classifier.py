@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import NameRecord, Taxonomy, normalize_name
+from .core import NameRecord, Taxonomy, atomic_open, normalize_name
 from .evaluation import evaluate
 
 PAD = 0
@@ -351,17 +350,6 @@ class TrainLog:
     def to_jsonl(self) -> str:
         return "".join(json.dumps(e.to_dict()) + "\n" for e in self.epochs)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
-
-    @staticmethod
-    def load(path: str | Path) -> "TrainLog":
-        log = TrainLog()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                log.epochs.append(EpochStats(**json.loads(line)))
-        return log
-
 
 @dataclass
 class ClassifierModel:
@@ -509,20 +497,14 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     }
     header_bytes = json.dumps(header, ensure_ascii=False,
                               sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            little = dtype.newbyteorder("<")
-            for name in PARAM_ORDER:
-                fh.write(np.ascontiguousarray(model.params[name],
-                                              dtype=little).tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
+        little = dtype.newbyteorder("<")
+        for name in PARAM_ORDER:
+            fh.write(np.ascontiguousarray(model.params[name],
+                                          dtype=little).tobytes())
 
 
 def load_model(path: str | Path) -> ClassifierModel:

@@ -24,7 +24,8 @@ from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
     InputFormatError, RecordError, TaxonomyError, UnknownLabelError,
-    load_mapping, load_taxonomy, read_records, write_records,
+    atomic_open, load_mapping, load_taxonomy, read_records, write_json,
+    write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -66,6 +67,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | Path | None) -> dict:
+    """DEFAULT_CONFIG overlaid with the JSON object in `path`.
+
+    A key that has a default keeps its JSON type: a section stays an object
+    and a leaf keeps its type, except that an integer may stand for a float.
+    Anything else raises CommandError naming the dotted key.
+    """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     text = Path(path).read_text(encoding="utf-8")
@@ -75,7 +82,31 @@ def load_config(path: str | Path | None) -> dict:
         raise CommandError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(loaded, dict):
         raise CommandError(f"config {path}: top level must be an object")
+    _check_types(DEFAULT_CONFIG, loaded, f"config {path}: ")
     return _deep_merge(DEFAULT_CONFIG, loaded)
+
+
+def _json_type(value) -> str:
+    # bool before int: True is an int to Python but not a number to JSON.
+    for kind, name in ((bool, "a boolean"), (int, "an integer"),
+                       (float, "a number"), (str, "a string"),
+                       (list, "an array"), (dict, "an object")):
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+def _check_types(defaults: dict, loaded: dict, where: str,
+                 prefix: str = "") -> None:
+    for key, value in loaded.items():
+        if key not in defaults:
+            continue
+        expected, got = _json_type(defaults[key]), _json_type(value)
+        if expected != got and (expected, got) != ("a number", "an integer"):
+            raise CommandError(
+                f"{where}{prefix}{key} must be {expected}, not {got}")
+        if got == "an object":
+            _check_types(defaults[key], value, where, f"{prefix}{key}.")
 
 
 def config_hash(config: dict) -> str:
@@ -89,21 +120,6 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_json(path: Path, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
-                                        ensure_ascii=False) + "\n")
 
 
 def _manifest_key(path: Path, out_dir: Path) -> str:
@@ -126,7 +142,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
                     for p in outputs},
     }
     path = out_dir / "manifests" / f"{command}.json"
-    _write_json(path, manifest)
+    write_json(path, manifest)
     return path
 
 
@@ -177,9 +193,8 @@ def cmd_extract(args, config: dict, seed: int, out_dir: Path) -> int:
     table = _load_alias_table(args.aliases)
     records = extraction.read_affiliations(args.input)
     labeled, stats = extraction.build_labeled_corpus(records, table, taxonomy)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_records(output, labeled)
-    extraction.write_stats(stats_path, stats)
+    write_json(stats_path, stats.to_dict())
     _write_manifest(out_dir, "extract", config, seed,
                     [args.input, args.taxonomy, args.aliases],
                     [output, stats_path])
@@ -315,9 +330,9 @@ def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
             embedding_dim=train_cfg["embedding_dim"],
             hidden_dim=train_cfg["hidden_dim"]),
         tokenizer=tokenizer)
-    out_dir.mkdir(parents=True, exist_ok=True)
     classifier.save_model(model, model_out)
-    _atomic_write_text(log_out, train_log.to_jsonl())
+    with atomic_open(log_out) as fh:
+        fh.write(train_log.to_jsonl())
     _write_manifest(out_dir, "train", config, seed,
                     [train_path, val_path, args.taxonomy],
                     [model_out, log_out])
@@ -354,11 +369,12 @@ def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
         buckets = evaluation.bucket_report(pairs, model.taxonomy, counts,
                                            threshold=args.bucket_threshold)
         payload["buckets"] = buckets.to_dict()
-    _write_json(output, payload)
+    write_json(output, payload)
     outputs = [output]
     if args.table:
-        _atomic_write_text(args.table, evaluation.render_eval_table(
-            [(args.model_name, taxonomy_name, report)]))
+        with atomic_open(args.table) as fh:
+            fh.write(evaluation.render_eval_table(
+                [(args.model_name, taxonomy_name, report)]))
         outputs.append(args.table)
     _write_manifest(out_dir, f"evaluate_{taxonomy_name}", config, seed,
                     [args.model, args.input, args.mapping,
@@ -385,10 +401,11 @@ def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
         names, model_name=bench_cfg["model_name"],
         model_type=bench_cfg["model_type"],
         cost_per_million=bench_cfg["cost_per_million"])
-    _write_json(output, report.to_dict())
+    write_json(output, report.to_dict())
     outputs = [output]
     if args.table:
-        _atomic_write_text(args.table, engine.render_throughput_table(report))
+        with atomic_open(args.table) as fh:
+            fh.write(engine.render_throughput_table(report))
         outputs.append(args.table)
     _write_manifest(out_dir, "bench", config, seed,
                     [args.model, args.names], outputs)
@@ -407,7 +424,7 @@ def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
     mapping = load_mapping(args.mapping, model.taxonomy, target)
     records = _read_bias_records(args.records)
     report = evaluation.bias_report(records, model, mapping)
-    _write_json(output, report.to_dict())
+    write_json(output, report.to_dict())
     _write_manifest(out_dir, "bias", config, seed,
                     [args.model, args.records, args.mapping,
                      args.target_taxonomy],
@@ -441,7 +458,7 @@ def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:
     splits = corpus_mod.CorpusSplits.load(splits_dir)
     violations = corpus_mod.audit_splits(splits)
     clean = corpus_mod.audit_is_clean(violations)
-    _write_json(output, {"clean": clean, "violations": violations,
+    write_json(output, {"clean": clean, "violations": violations,
                          "sizes": splits.sizes()})
     inputs = [splits_dir / f"{name}.jsonl" for name in corpus_mod.SPLIT_NAMES]
     _write_manifest(out_dir, "audit", config, seed, inputs, [output])

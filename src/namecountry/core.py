@@ -6,13 +6,14 @@ the concrete label set is configuration, loaded from a taxonomy file.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import os
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 
 class TaxonomyError(ValueError):
@@ -247,24 +248,41 @@ def record_from_dict(obj: dict) -> NameRecord:
     return record
 
 
-def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
-    """Write records as JSONL; returns the number written.
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open `<path>.tmp` for writing and move it onto `path` on a clean exit.
 
-    Writes to a temp file and renames, so a failure never leaves a partial
-    output behind.
+    The one way this package writes a file. The parent directory is created;
+    text mode is UTF-8 with LF newlines. If the block raises, the temp file is
+    removed and a previous file at `path` is left as it was.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    count = 0
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(json.dumps(record_to_dict(record), ensure_ascii=False))
-                fh.write("\n")
-                count += 1
+        with tmp.open(mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write `obj` atomically as indented, key-sorted UTF-8 JSON plus a newline."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False))
+        fh.write("\n")
+
+
+def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
+    """Write records as JSONL through `atomic_open`; returns the number written."""
+    count = 0
+    with atomic_open(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record_to_dict(record), ensure_ascii=False))
+            fh.write("\n")
+            count += 1
     return count
 
 

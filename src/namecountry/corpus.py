@@ -10,14 +10,16 @@ byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .core import NameRecord, Provenance, name_key, read_records, write_records
+from .core import (
+    NameRecord, Provenance, name_key, read_records, write_json, write_records,
+)
 
 log = logging.getLogger(__name__)
 
@@ -53,8 +55,10 @@ class SplitConfig:
     def __post_init__(self) -> None:
         if len(self.ratios) != 3:
             raise ValueError("ratios must have exactly three entries")
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("ratios must be non-negative")
+        # Ratios may come straight from a JSON config, so check their type.
+        if any(isinstance(r, bool) or not isinstance(r, (int, float))
+               or not 0 <= r < math.inf for r in self.ratios):
+            raise ValueError("ratios must be finite non-negative numbers")
         if sum(self.ratios) <= 0:
             raise ValueError("ratios must sum to a positive value")
         if self.per_country_cap is not None and self.per_country_cap < 1:
@@ -199,7 +203,6 @@ class CorpusSplits:
     def save(self, out_dir: str | Path) -> dict[str, int]:
         """Write each non-empty split as `<name>.jsonl` under out_dir."""
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         written = {}
         for split in SPLIT_NAMES:
             records = self[split]
@@ -330,6 +333,5 @@ def write_split_manifest(out_dir: str | Path, *, seed: int,
         "audit_clean": audit_is_clean(audit),
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(path, manifest)
     return path

@@ -7,7 +7,6 @@ prediction, so benchmarked outputs are bit-identical to unbenchmarked ones.
 """
 from __future__ import annotations
 
-import json
 import random
 import statistics
 import time
@@ -20,6 +19,7 @@ import numpy as np
 
 from .core import read_records
 from .classifier import ClassifierModel
+from .evaluation import _render_table
 
 
 class InsufficientNamesError(ValueError):
@@ -97,10 +97,6 @@ class ThroughputReport:
             "rows": [row.to_dict() for row in self.rows],
         }
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n",
-                              encoding="utf-8")
-
 
 def benchmark(model: ClassifierModel, config: BenchConfig,
               name_source: Sequence[str], model_name: str = "namecountry",
@@ -160,23 +156,14 @@ def _timed_run(model: ClassifierModel, names: Sequence[str],
 
 def render_throughput_table(report: ThroughputReport) -> str:
     """Plain-text table: Model, Type, Batch, Throughput, Latency, $/1M."""
-    header = ("Model", "Type", "Batch", "Throughput (names/s)",
-              "Latency (ms/name)", "$/1M")
-    body = [
-        (report.model_name, report.model_type, str(row.batch_size),
-         f"{row.throughput_names_per_second:.1f}",
-         f"{row.latency_ms_per_name:.4f}",
-         f"{report.cost_per_million:.2f}")
-        for row in report.rows
-    ]
-    widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return _render_table(
+        ("Model", "Type", "Batch", "Throughput (names/s)",
+         "Latency (ms/name)", "$/1M"),
+        [(report.model_name, report.model_type, str(row.batch_size),
+          f"{row.throughput_names_per_second:.1f}",
+          f"{row.latency_ms_per_name:.4f}",
+          f"{report.cost_per_million:.2f}")
+         for row in report.rows])
 
 
 def read_name_file(path: str | Path) -> list[str]:

@@ -15,8 +15,6 @@ import logging
 import os
 import random
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -36,6 +34,8 @@ PROMPT_TEMPLATE = (
     "Avoid repeating the same first or last names more than 3 times."
 )
 MAX_TOKEN_REPEATS = 3
+# A country is given up after this many chunks in a row add no name.
+MAX_STALLED_CHUNKS = 3
 
 
 @runtime_checkable
@@ -99,19 +99,17 @@ def collect_synthetic(
     generator: GeneratorOracle,
     existing_names: Iterable[str],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    max_retries: int = 3,
-    backoff_seconds: float = 0.5,
-    max_stalled_chunks: int = 3,
 ) -> dict[str, list[NameRecord]]:
     """Gather synthetic NameRecords per country, respecting each budget.
 
     Names are requested in chunks and filtered: duplicates within the
     country, names already in `existing_names`, empty names, and names whose
     first or last token has already been used MAX_TOKEN_REPEATS times are all
-    dropped. Generator exceptions are retried with exponential backoff; once
-    retries are exhausted the country is left partially filled and collection
-    moves on. Countries are processed in sorted order so the result is
-    deterministic for deterministic generators.
+    dropped. A country stops early after MAX_STALLED_CHUNKS chunks in a row
+    add nothing. A generator exception is not retried here (an oracle that
+    retries does so itself): it is logged, the country is left partly filled
+    and collection moves on. Countries are processed in sorted order so the
+    result is deterministic for deterministic generators.
 
     Per candidate the cost is one `name_key` call: every check above runs on
     that key (first and last token from its split), and a NameRecord is built
@@ -125,8 +123,7 @@ def collect_synthetic(
         if budget.requested == 0:
             continue
         result[budget.country] = _collect_for_country(
-            budget, generator, existing, chunk_size,
-            max_retries, backoff_seconds, max_stalled_chunks)
+            budget, generator, existing, chunk_size)
     return result
 
 
@@ -135,9 +132,6 @@ def _collect_for_country(
     generator: GeneratorOracle,
     existing: set[str],
     chunk_size: int,
-    max_retries: int,
-    backoff_seconds: float,
-    max_stalled_chunks: int,
 ) -> list[NameRecord]:
     country, requested = budget.country, budget.requested
     kept: list[NameRecord] = []
@@ -145,14 +139,13 @@ def _collect_for_country(
     first_counts: dict[str, int] = {}
     last_counts: dict[str, int] = {}
     stalled = 0
-    while len(kept) < requested and stalled < max_stalled_chunks:
+    while len(kept) < requested and stalled < MAX_STALLED_CHUNKS:
         want = min(chunk_size, requested - len(kept))
-        candidates = _generate_with_retry(
-            generator, country, want, max_retries, backoff_seconds)
-        if candidates is None:
-            log.warning("generator gave up on %r after %d retries; "
-                        "keeping %d of %d", country, max_retries,
-                        len(kept), requested)
+        try:
+            candidates = generator.generate(country, want)
+        except Exception:
+            log.warning("generator failed for %r; keeping %d of %d",
+                        country, len(kept), requested, exc_info=True)
             break
         progress = 0
         for raw in candidates:
@@ -177,66 +170,6 @@ def _collect_for_country(
         log.info("country %r filled %d of %d requested synthetic names",
                  country, len(kept), requested)
     return kept
-
-
-def _generate_with_retry(
-    generator: GeneratorOracle, country: str, n: int,
-    max_retries: int, backoff_seconds: float,
-) -> list[str] | None:
-    for attempt in range(max_retries + 1):
-        try:
-            return generator.generate(country, n)
-        except Exception:
-            if attempt == max_retries:
-                return None
-            delay = backoff_seconds * (2 ** attempt)
-            log.warning("generator error for %r (attempt %d/%d), retrying "
-                        "in %.1fs", country, attempt + 1, max_retries, delay,
-                        exc_info=True)
-            if delay > 0:
-                time.sleep(delay)
-    return None
-
-
-@dataclass
-class ScreenResult:
-    accepted: list[NameRecord]
-    rejected: list[NameRecord]
-    rate_by_country: dict[str, float]
-    overall_rate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "accepted": len(self.accepted),
-            "rejected": len(self.rejected),
-            "rate_by_country": dict(sorted(self.rate_by_country.items())),
-            "overall_rate": self.overall_rate,
-        }
-
-
-def screen_pairs(records: Sequence[NameRecord],
-                 validator: ValidationOracle) -> ScreenResult:
-    """Partition records by oracle verdict; failures count as rejections."""
-    accepted: list[NameRecord] = []
-    rejected: list[NameRecord] = []
-    totals: dict[str, int] = {}
-    hits: dict[str, int] = {}
-    for record in records:
-        totals[record.label] = totals.get(record.label, 0) + 1
-        try:
-            verdict = validator.judge(record.full_name, record.label)
-        except Exception:
-            log.warning("validator failed on %r (%s); counting as rejection",
-                        record.full_name, record.label, exc_info=True)
-            verdict = False
-        if verdict:
-            hits[record.label] = hits.get(record.label, 0) + 1
-            accepted.append(record)
-        else:
-            rejected.append(record)
-    rates = {c: hits.get(c, 0) / n for c, n in totals.items()}
-    overall = len(accepted) / len(records) if records else 0.0
-    return ScreenResult(accepted, rejected, rates, overall)
 
 
 # --- deterministic stub oracles -------------------------------------------
@@ -397,6 +330,8 @@ class HttpChatOracle:
         api_key = os.environ.get(self.config.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        # Imported here so that the stages on the stub oracles never load it.
+        import urllib.request
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             request = urllib.request.Request(
@@ -406,9 +341,15 @@ class HttpChatOracle:
                 with urllib.request.urlopen(
                         request, timeout=self.config.timeout_seconds) as resp:
                     body = json.loads(resp.read().decode("utf-8"))
-                return body["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, TimeoutError, OSError,
-                    KeyError, IndexError, json.JSONDecodeError) as exc:
+                content = body["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"reply content is "
+                                    f"{type(content).__name__}, not a string")
+                return content
+            # OSError covers URLError and timeouts; ValueError covers bad JSON
+            # and bad UTF-8; KeyError, IndexError and TypeError a reply of the
+            # wrong shape.
+            except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = exc
                 if attempt == self.config.max_retries:
                     break

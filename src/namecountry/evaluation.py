@@ -374,18 +374,24 @@ def bias_report(
     return BiasReport(groups, gold_dist, hall_dist, n, n_incorrect)
 
 
-def render_eval_table(rows: Sequence[tuple[str, str, EvalReport]]) -> str:
-    """Plain-text metrics table: one row per (model, taxonomy, report)."""
-    header = ("Model", "Taxonomy", "Acc", "W-F1", "M-F1")
-    body = [(model, taxonomy, f"{r.accuracy:.4f}",
-             f"{r.weighted_f1:.4f}", f"{r.macro_f1:.4f}")
-            for model, taxonomy, r in rows]
-    widths = [max(len(row[i]) for row in [header, *body])
+def _render_table(header: Sequence[str],
+                 rows: Sequence[Sequence[str]]) -> str:
+    """Plain-text table: left-aligned columns two spaces apart, a dashed rule
+    under the header, no trailing spaces."""
+    widths = [max(len(row[i]) for row in [header, *rows])
               for i in range(len(header))]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
         "  ".join("-" * w for w in widths),
     ]
-    for row in body:
+    for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def render_eval_table(rows: Sequence[tuple[str, str, EvalReport]]) -> str:
+    """Plain-text metrics table: one row per (model, taxonomy, report)."""
+    return _render_table(
+        ("Model", "Taxonomy", "Acc", "W-F1", "M-F1"),
+        [(model, taxonomy, f"{r.accuracy:.4f}", f"{r.weighted_f1:.4f}",
+          f"{r.macro_f1:.4f}") for model, taxonomy, r in rows])

@@ -235,8 +235,3 @@ def read_affiliations(path: str | Path) -> Iterator[AffiliationRecord]:
                 full_name=str(obj["name"]),
                 affiliations=tuple(str(a) for a in affiliations),
             )
-
-
-def write_stats(path: str | Path, stats: ExtractionStats) -> None:
-    Path(path).write_text(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")

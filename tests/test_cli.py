@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from namecountry import fixtures
-from namecountry.cli import main
+from namecountry.cli import DEFAULT_CONFIG, load_config, main
 from namecountry.core import NameRecord, write_records
 
 
@@ -262,6 +262,71 @@ def test_split_fuzzed_jsonl_exits_cleanly(values):
         assert code == 0, err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"split": 5}, "split"),
+    ({"split": {"ratios": "abc"}}, "split.ratios"),
+    ({"split": {"filter_cap": "a"}}, "split.filter_cap"),
+    ({"seed": True}, "seed"),
+    ({"train": {"batch_size": 6.5}}, "train.batch_size"),
+    ({"oracle": {"http": {"max_retries": None}}}, "oracle.http.max_retries")])
+def test_mistyped_config_exits_2(tmp_path, capsys, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
+                 "split", "--input", str(tmp_path / "corpus.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(
+        f"error: config {path}: {key} must be "), err
+
+
+def test_config_accepts_integer_for_float(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"train": {"weight_decay": 0},
+                                "new_key": "free"}), encoding="utf-8")
+    config = load_config(path)
+    assert config["train"]["weight_decay"] == 0
+    assert config["new_key"] == "free"
+
+
+def _default_paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _default_paths(value, prefix + (key,))
+
+
+DEFAULT_PATHS = sorted(_default_paths(DEFAULT_CONFIG))
+
+
+# One default leaf or section swapped for an arbitrary JSON value: split
+# either runs or rejects the config with one `error:` line, never a traceback.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DEFAULT_PATHS), JSON_VALUES)
+def test_split_fuzzed_config_exits_cleanly(path, value):
+    config = value
+    for key in reversed(path):
+        config = {key: config}
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        corpus = Path(tmp) / "corpus.jsonl"
+        write_records(corpus, [NameRecord(f"Name{i} Alfa", "alfa")
+                               for i in range(12)])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["--config", str(cfg), "--out-dir",
+                         str(Path(tmp) / "out"), "split", "--input",
+                         str(corpus), "--no-filter"])
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum(l.startswith("error:") for l in err.splitlines()) == 1, err
+    else:
+        assert code == 0, err
+
+
 def test_split_no_filter_skips_test_filter(chain, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_records(corpus, [NameRecord(f"Name{i} Alfa", "alfa")
@@ -395,6 +460,7 @@ def test_data_stages_import_without_numpy():
     script = (
         "import sys, namecountry.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "assert 'urllib.request' not in sys.modules, 'urllib imported'\n"
         "from namecountry import train, ClassifierModel, benchmark\n"
         "assert 'numpy' in sys.modules\n"
         "assert callable(train) and callable(benchmark)\n"

@@ -12,6 +12,7 @@ from namecountry.core import (
     RecordError,
     TaxonomyError,
     UnknownLabelError,
+    atomic_open,
     identity_mapping,
     load_mapping,
     load_taxonomy,
@@ -23,6 +24,7 @@ from namecountry.core import (
     record_from_dict,
     record_to_dict,
     register_taxonomy,
+    write_json,
     write_records,
 )
 
@@ -202,3 +204,51 @@ def test_read_records_rejects_missing_fields(tmp_path):
     path.write_text(json.dumps({"name": "A B"}) + "\n", encoding="utf-8")
     with pytest.raises(InputFormatError):
         read_records(path)
+
+
+# --- the atomic writer ---
+
+@pytest.mark.parametrize("mode, old, new", [
+    ("w", "old text\n", "new text"), ("wb", b"old bytes", b"new bytes")])
+def test_atomic_open_failed_write_keeps_previous_file(tmp_path, mode, old, new):
+    path = tmp_path / "out.dat"
+    with atomic_open(path, mode) as fh:
+        fh.write(old)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_open(path, mode) as fh:
+            fh.write(new)
+            fh.flush()
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no *.tmp left behind
+
+
+def test_atomic_open_creates_missing_parent(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    with atomic_open(path) as fh:
+        fh.write("Jörg\n")
+    assert path.read_bytes() == "Jörg\n".encode("utf-8")
+    assert list(path.parent.iterdir()) == [path]
+
+
+def test_write_json_format(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"b": 1, "a": ["Jörg"]})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": [\n    "Jörg"\n  ],\n  "b": 1\n}\n')
+
+
+def test_write_records_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, [NameRecord("Wei Zhang", "china")])
+    before = path.read_bytes()
+
+    def records():
+        yield NameRecord("Ana Souza", "brazil")
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError):
+        write_records(path, records())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

@@ -129,6 +129,11 @@ def test_split_config_validation():
         SplitConfig(ratios=(0, 0, 0))
     with pytest.raises(ValueError):
         SplitConfig(per_country_cap=0)
+    # Ratios can come from a JSON config: only finite numbers pass.
+    for bad in (None, "8", True, [8], float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite non-negative numbers"):
+            SplitConfig(ratios=(bad, 1, 1))
+    SplitConfig(ratios=(0.8, 0, 1))
 
 
 @settings(deadline=None, max_examples=30)

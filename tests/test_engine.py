@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from namecountry.core import NameRecord, register_taxonomy, write_records
+from namecountry.core import (
+    NameRecord, register_taxonomy, write_json, write_records,
+)
 from namecountry.classifier import ClassifierModel, ModelConfig, Tokenizer, init_params
 from namecountry.engine import (
     BenchConfig,
@@ -137,7 +139,7 @@ def test_report_round_trip_and_table(tmp_path):
     report = benchmark(model, config, name_pool(8), model_name="m1",
                        model_type="local", cost_per_million=1.5)
     path = tmp_path / "bench.json"
-    report.save(path)
+    write_json(path, report.to_dict())
     payload = json.loads(path.read_text())
     assert payload["model_name"] == "m1"
     assert payload["rows"][0]["batch_size"] == 2

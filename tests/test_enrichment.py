@@ -15,7 +15,6 @@ from namecountry.enrichment import (
     country_letters,
     country_syllables,
     render_prompt,
-    screen_pairs,
     synth_name,
 )
 
@@ -23,15 +22,15 @@ from namecountry.enrichment import (
 class ScriptedGenerator:
     """Feeds a fixed name sequence in chunks; raises when told to."""
 
-    def __init__(self, names, fail_first=0):
+    def __init__(self, names, fail_calls=()):
         self.names = list(names)
-        self.fail_first = fail_first
+        self.fail_calls = set(fail_calls)
         self.calls = 0
 
     def generate(self, country, n):
         self.calls += 1
-        if self.calls <= self.fail_first:
-            raise ConnectionError("transient")
+        if self.calls in self.fail_calls:
+            raise ConnectionError("down")
         out = self.names[:n]
         del self.names[:n]
         return out
@@ -153,28 +152,33 @@ def test_collect_stops_after_stalled_chunks():
 
     generator = Repeater()
     out = collect_synthetic([AugmentBudget("x", 0, 5)], generator,
-                            existing_names=[], chunk_size=2,
-                            max_stalled_chunks=3)
+                            existing_names=[], chunk_size=2)
     assert [r.full_name for r in out["x"]] == ["Same Name"]
-    assert generator.calls == 4  # 1 productive + 3 stalled
+    # 1 productive + MAX_STALLED_CHUNKS stalled
+    assert generator.calls == 1 + enrichment.MAX_STALLED_CHUNKS == 4
 
 
-def test_collect_retries_transient_failures():
-    generator = ScriptedGenerator(["Ana Silva", "Bea Costa"], fail_first=2)
-    out = collect_synthetic([AugmentBudget("brazil", 0, 2)], generator,
-                            existing_names=[], chunk_size=10,
-                            max_retries=3, backoff_seconds=0.0)
-    assert len(out["brazil"]) == 2
+def test_collect_generator_failure_moves_to_next_country():
+    # One failure ends the country's collection, with no retry here: the
+    # first country keeps its first chunk and the next is still collected.
+    generator = ScriptedGenerator(["Ana Silva", "Bea Costa", "Caio Lima",
+                                   "Duda Reis"], fail_calls={2})
+    out = collect_synthetic([AugmentBudget("brazil", 0, 3),
+                             AugmentBudget("chile", 0, 2)], generator,
+                            existing_names=[], chunk_size=2)
+    assert [r.full_name for r in out["brazil"]] == ["Ana Silva", "Bea Costa"]
+    assert [r.full_name for r in out["chile"]] == ["Caio Lima", "Duda Reis"]
+    assert generator.calls == 3
 
 
 def test_collect_partial_fill_after_retry_exhaustion():
+    # An oracle that has used up its own retries leaves the country unfilled.
     class AlwaysDown:
         def generate(self, country, n):
-            raise ConnectionError("down")
+            raise enrichment.OracleTransportError("down after 3 retries")
 
     out = collect_synthetic([AugmentBudget("brazil", 0, 5)], AlwaysDown(),
-                            existing_names=[], chunk_size=10,
-                            max_retries=1, backoff_seconds=0.0)
+                            existing_names=[], chunk_size=10)
     assert out["brazil"] == []  # left unfilled, no exception
 
 
@@ -331,39 +335,6 @@ def test_collect_builds_one_record_per_kept_name(monkeypatch):
     kept = [r.full_name for country in sorted(out) for r in out[country]]
     assert len(generated) > len(kept)  # some candidates were dropped
     assert built == kept
-
-
-# --- screening ---
-
-def test_screen_pairs_three_of_four():
-    records = [NameRecord(f"Name{i} Test", "alfa") for i in range(4)]
-
-    class RejectLast:
-        def judge(self, name, country):
-            return name != "Name3 Test"
-
-    result = screen_pairs(records, RejectLast())
-    assert len(result.accepted) == 3
-    assert len(result.rejected) == 1
-    assert result.overall_rate == 0.75
-    assert result.rate_by_country == {"alfa": 0.75}
-
-
-def test_screen_pairs_failure_counts_as_rejection():
-    records = [NameRecord("A B", "alfa")]
-
-    class Broken:
-        def judge(self, name, country):
-            raise TimeoutError("down")
-
-    result = screen_pairs(records, Broken())
-    assert result.accepted == [] and len(result.rejected) == 1
-    assert result.overall_rate == 0.0
-
-
-def test_screen_pairs_empty_input():
-    result = screen_pairs([], StubNameValidator())
-    assert result.overall_rate == 0.0 and result.to_dict()["accepted"] == 0
 
 
 # --- stub oracles ---

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 import pytest
 
 from namecountry.enrichment import (
+    AugmentBudget,
     HttpChatOracle,
     HttpOracleConfig,
     OracleTransportError,
     _strip_list_marker,
+    collect_synthetic,
     render_prompt,
 )
 
@@ -48,7 +50,9 @@ def oracle_server():
             pass
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from adding 0.5 s per test.
+    thread = threading.Thread(target=server.serve_forever, daemon=True,
+                              kwargs={"poll_interval": 0.01})
     thread.start()
     yield SimpleNamespace(
         url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
@@ -130,6 +134,36 @@ def test_raises_after_retry_exhaustion(oracle_server):
     with pytest.raises(OracleTransportError):
         oracle.generate("x", 1)
     assert oracle.calls == 3  # initial try + 2 retries
+
+
+@pytest.mark.parametrize("call", [
+    lambda oracle: oracle.generate("x", 1),
+    lambda oracle: oracle.judge("A One", "x")], ids=["generate", "judge"])
+@pytest.mark.parametrize("reply", [
+    {"choices": "x"}, chat_payload(5), chat_payload(None), [1]],
+    ids=["choices_string", "content_int", "content_null", "array"])
+def test_malformed_reply_is_retried_then_raises(oracle_server, reply, call):
+    for _ in range(3):
+        oracle_server.responses.append((200, reply))
+    oracle = make_oracle(oracle_server, max_retries=2)
+    with pytest.raises(OracleTransportError):
+        call(oracle)
+    assert oracle.calls == 3
+
+
+def test_collect_against_down_oracle_sends_one_retry_loop(oracle_server):
+    # The oracle's loop is the only retry policy: a country whose first
+    # chunk fails costs max_retries + 1 requests, then the next country runs.
+    for _ in range(3):
+        oracle_server.responses.append((500, {"error": "down"}))
+    oracle_server.responses.append((200, chat_payload("Ana Silva")))
+    oracle = make_oracle(oracle_server, max_retries=2)
+    out = collect_synthetic([AugmentBudget("brazil", 0, 5),
+                             AugmentBudget("chile", 0, 1)], oracle,
+                            existing_names=[], chunk_size=5)
+    assert out["brazil"] == []
+    assert [r.full_name for r in out["chile"]] == ["Ana Silva"]
+    assert oracle.calls == len(oracle_server.requests) == 4
 
 
 def test_strip_list_marker():
