@@ -5,6 +5,13 @@ ReLU -> masked mean pooling over non-pad positions -> linear head over the
 taxonomy, trained with AdamW under linear warmup then linear decay, early
 stopping on validation macro-F1, and best-epoch checkpointing.
 
+Encoding runs no Python code per character: chunks of ENCODE_CHUNK_ROWS
+names are translated through a code page and read back as UTF-32 into the
+output (see Tokenizer.encode_batch), so its memory besides the output does
+not grow with the batch. AdamW updates in place, in work arrays allocated
+once, one operation at a time in the order Python evaluates its update
+expression, so each step rounds exactly as that expression does.
+
 Inference keeps predict(name) bit-identical to any batched evaluation
 containing the same name. A BLAS product's low-order bits depend on its
 shape, so scoring runs exactly one BLAS product per block of
@@ -24,6 +31,7 @@ carries that contract.
 """
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import struct
@@ -39,6 +47,17 @@ from .evaluation import evaluate
 PAD = 0
 UNK = 1
 DEFAULT_MAX_LEN = 40
+_PAD_CHAR = chr(PAD)
+_UNK_CHAR = chr(UNK)
+# The codec's own function: str.encode looks the codec up on every call.
+_encode_utf32le = codecs.getencoder("utf-32-le")
+# int32 in the byte order of those UTF-32 code units.
+_TOKEN_DTYPE = np.dtype("<i4")
+
+# Names per encoding chunk. The chunk's joined text and its UTF-32 bytes are
+# the only allocations besides the output, so this bounds them (a few
+# hundred KB at max_len 40); larger chunks were no faster.
+ENCODE_CHUNK_ROWS = 1024
 
 CHECKPOINT_MAGIC = b"NCCLF001"
 
@@ -66,24 +85,41 @@ class CheckpointError(ValueError):
     pass
 
 
+class _CodePage(dict):
+    """str.translate table from a character's ordinal to its token id as a
+    character; a character outside the vocabulary becomes UNK."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> str:
+        return _UNK_CHAR
+
+
 @dataclass(frozen=True)
 class Tokenizer:
     """Character vocabulary with reserved PAD=0 and UNK=1 indices.
 
-    encode() always yields exactly max_len indices (truncate or pad).
+    encode() always yields exactly max_len indices (truncate or pad). Only
+    single characters are ever matched: an entry of `chars` that is longer
+    than one character keeps its index but never occurs in an encoding.
     """
 
     chars: tuple[str, ...]
     max_len: int = DEFAULT_MAX_LEN
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _page: _CodePage = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_len, int) or isinstance(self.max_len, bool):
+            raise ValueError(f"max_len {self.max_len!r} is not an integer")
         if self.max_len <= 0:
             raise ValueError("max_len must be positive")
-        index = {c: i + 2 for i, c in enumerate(self.chars)}
-        if len(index) != len(self.chars):
+        if not all(isinstance(c, str) for c in self.chars):
+            raise ValueError("tokenizer characters must be strings")
+        if len(set(self.chars)) != len(self.chars):
             raise ValueError("tokenizer characters must be unique")
-        object.__setattr__(self, "_index", index)
+        page = _CodePage({ord(c): chr(i + 2)
+                          for i, c in enumerate(self.chars) if len(c) == 1})
+        object.__setattr__(self, "_page", page)
 
     @property
     def vocab_size(self) -> int:
@@ -93,12 +129,25 @@ class Tokenizer:
         return self.encode_batch([name])[0]
 
     def encode_batch(self, names: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(names), self.max_len), dtype=np.int32)
-        index = self._index
-        for row, name in enumerate(names):
-            text = normalize_name(name)[: self.max_len]
-            for col, char in enumerate(text):
-                out[row, col] = index.get(char, UNK)
+        """Token ids, shape (len(names), max_len), int32.
+
+        Each name is normalized and truncated, then translated to one
+        character per token id and right-padded with PAD. A chunk of rows is
+        joined, encoded as UTF-32, and its bytes copied into the output:
+        every token id is one code unit, and surrogatepass lets the ids that
+        are surrogate code points through. PAD is added after translation,
+        so a U+0000 in a name is UNK.
+        """
+        width = self.max_len
+        page = self._page
+        out = np.empty((len(names), width), dtype=_TOKEN_DTYPE)
+        for start in range(0, len(names), ENCODE_CHUNK_ROWS):
+            chunk = names[start:start + ENCODE_CHUNK_ROWS]
+            text = "".join([normalize_name(name)[:width].translate(page)
+                            .ljust(width, _PAD_CHAR) for name in chunk])
+            rows = out[start:start + len(chunk)]
+            memoryview(rows).cast("B")[:] = _encode_utf32le(
+                text, "surrogatepass")[0]
         return out
 
 
@@ -289,7 +338,11 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
 
 
 class AdamW:
-    """Adam with decoupled weight decay; state arrays follow the param dtype."""
+    """Adam with decoupled weight decay; state arrays follow the param dtype.
+
+    Each parameter has two work arrays, allocated once, so a step
+    allocates nothing. Grads must share their parameter's dtype.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -300,9 +353,18 @@ class AdamW:
         self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._work = {k: (np.empty_like(v), np.empty_like(v))
+                         for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray], lr: float) -> None:
+        """One update, evaluated as these expressions would be:
+
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            param -= lr * ((m / bias1) / (sqrt(v / bias2) + eps)
+                           + weight_decay * param)
+        """
         self.step_count += 1
         bias1 = 1.0 - self.beta1 ** self.step_count
         bias2 = 1.0 - self.beta2 ** self.step_count
@@ -310,14 +372,21 @@ class AdamW:
             grad = grads[key]
             m = self._m[key]
             v = self._v[key]
+            update, denom = self._work[key]
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=update)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            np.multiply(1.0 - self.beta2, grad, out=update)
+            v += np.multiply(update, grad, out=update)
+            np.divide(m, bias1, out=update)
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
             if self.weight_decay:
-                update = update + self.weight_decay * param
-            param -= lr * update
+                update += np.multiply(self.weight_decay, param, out=denom)
+            update *= lr
+            param -= update
 
 
 def lr_at_step(step: int, total_steps: int, warmup_steps: int,
@@ -523,8 +592,6 @@ def load_model(path: str | Path) -> ClassifierModel:
         dtype = np.dtype(header["dtype"])
         shapes = [(entry["name"], tuple(int(d) for d in entry["shape"]))
                   for entry in header["params"]]
-        if not isinstance(header["max_len"], int):
-            raise TypeError(f"max_len {header['max_len']!r} is not an integer")
         tokenizer = Tokenizer(tuple(header["chars"]), header["max_len"])
         taxonomy = Taxonomy(header["taxonomy"]["name"],
                             tuple(header["taxonomy"]["labels"]))

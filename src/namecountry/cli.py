@@ -24,8 +24,8 @@ from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
     InputFormatError, RecordError, TaxonomyError, UnknownLabelError,
-    atomic_open, load_mapping, load_taxonomy, read_records, write_json,
-    write_records,
+    atomic_open, load_mapping, load_taxonomy, open_text, read_records,
+    read_text, write_json, write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -40,7 +40,7 @@ DEFAULT_CONFIG: dict = {
               "warmup_fraction": 0.10, "patience": 5, "weight_decay": 0.0,
               "embedding_dim": 64, "hidden_dim": 128, "max_len": 40},
     "bench": {"batch_sizes": [1, 100, 1000, 10000], "warmup_batches": 3,
-              "repetitions": 5, "streams": 1, "cost_per_million": 0.0,
+              "repetitions": 5, "cost_per_million": 0.0,
               "model_name": "namecountry", "model_type": "local"},
     "oracle": {"kind": "stub", "strict_fraction": 0.8,
                "lenient_fraction": 0.5, "strictness": {},
@@ -48,6 +48,12 @@ DEFAULT_CONFIG: dict = {
                         "api_key_env": "NAMECOUNTRY_API_KEY",
                         "timeout_seconds": 30.0, "max_retries": 3}},
 }
+
+# What each array, and each free-form object's values, in DEFAULT_CONFIG hold.
+CONFIG_ELEMENTS = {"split.ratios": "a number", "augment.ratios": "a number",
+                   "augment.overrides": "an integer",
+                   "bench.batch_sizes": "an integer",
+                   "oracle.strictness": "a string"}
 
 
 class CommandError(Exception):
@@ -71,13 +77,13 @@ def load_config(path: str | Path | None) -> dict:
 
     A key that has a default keeps its JSON type: a section stays an object
     and a leaf keeps its type, except that an integer may stand for a float.
-    Anything else raises CommandError naming the dotted key.
+    The elements of the arrays and objects in CONFIG_ELEMENTS are checked
+    the same way. Anything else raises CommandError naming the dotted key.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        loaded = json.loads(text)
+        loaded = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CommandError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(loaded, dict):
@@ -96,17 +102,28 @@ def _json_type(value) -> str:
     return "null"
 
 
+def _check_type(name: str, expected: str, value) -> None:
+    got = _json_type(value)
+    if expected != got and (expected, got) != ("a number", "an integer"):
+        raise CommandError(f"{name} must be {expected}, not {got}")
+
+
 def _check_types(defaults: dict, loaded: dict, where: str,
                  prefix: str = "") -> None:
     for key, value in loaded.items():
         if key not in defaults:
             continue
-        expected, got = _json_type(defaults[key]), _json_type(value)
-        if expected != got and (expected, got) != ("a number", "an integer"):
-            raise CommandError(
-                f"{where}{prefix}{key} must be {expected}, not {got}")
-        if got == "an object":
-            _check_types(defaults[key], value, where, f"{prefix}{key}.")
+        dotted = f"{prefix}{key}"
+        _check_type(where + dotted, _json_type(defaults[key]), value)
+        element = CONFIG_ELEMENTS.get(dotted)
+        if element and isinstance(value, list):
+            for i, item in enumerate(value):
+                _check_type(f"{where}{dotted}[{i}]", element, item)
+        elif element:
+            for name, item in value.items():
+                _check_type(f"{where}{dotted}.{name}", element, item)
+        elif isinstance(value, dict):
+            _check_types(defaults[key], value, where, f"{dotted}.")
 
 
 def config_hash(config: dict) -> str:
@@ -397,7 +414,7 @@ def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
         engine.BenchConfig(batch_sizes=tuple(bench_cfg["batch_sizes"]),
                            warmup_batches=bench_cfg["warmup_batches"],
                            repetitions=bench_cfg["repetitions"],
-                           seed=seed, streams=bench_cfg["streams"]),
+                           seed=seed),
         names, model_name=bench_cfg["model_name"],
         model_type=bench_cfg["model_type"],
         cost_per_million=bench_cfg["cost_per_million"])
@@ -436,7 +453,7 @@ def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
 
 def _read_bias_records(path: Path) -> list[tuple[str, str, bool]]:
     records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -43,6 +43,24 @@ class InputFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+@contextlib.contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8, met
+    while the block reads, raise InputFormatError naming the file."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text ({exc.reason})",
+                               path=path) from None
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 text file, as `open_text` reads it."""
+    with open_text(path) as fh:
+        return fh.read()
+
+
 def normalize_name(name: str) -> str:
     """Canonicalize a person or candidate string: NFC, trim, collapse whitespace."""
     name = unicodedata.normalize("NFC", name)
@@ -150,7 +168,7 @@ def load_taxonomy(path: str | Path, name: str | None = None) -> Taxonomy:
     """
     path = Path(path)
     labels = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             labels.append(line)
@@ -209,7 +227,7 @@ def load_mapping(path: str | Path, from_taxonomy: Taxonomy,
     """Load a mapping from a TSV file: `source<TAB>target` per line, UTF-8, LF."""
     path = Path(path)
     table: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -293,7 +311,7 @@ def read_records(path: str | Path, *, real_only: bool = False) -> list[NameRecor
     """
     path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

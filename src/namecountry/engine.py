@@ -10,14 +10,13 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import read_records
+from .core import read_records, read_text
 from .classifier import ClassifierModel
 from .evaluation import _render_table
 
@@ -32,11 +31,13 @@ class BenchConfig:
     warmup_batches: int = 3
     repetitions: int = 5
     seed: int = 0
-    streams: int = 1
 
     def __post_init__(self) -> None:
         if not self.batch_sizes:
             raise ValueError("batch_sizes must be non-empty")
+        for size in self.batch_sizes:
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValueError(f"batch size {size!r} is not an integer")
         if any(b <= 0 for b in self.batch_sizes):
             raise ValueError("batch sizes must be positive")
         if list(self.batch_sizes) != sorted(set(self.batch_sizes)):
@@ -45,8 +46,6 @@ class BenchConfig:
             raise ValueError("warmup_batches must be non-negative")
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        if self.streams <= 0:
-            raise ValueError("streams must be positive")
 
 
 def run_batch(model: ClassifierModel,
@@ -63,7 +62,6 @@ def run_batch(model: ClassifierModel,
 @dataclass(frozen=True)
 class BenchRow:
     batch_size: int
-    streams: int
     names_per_run: int
     mean_runtime_seconds: float
     throughput_names_per_second: float
@@ -73,7 +71,6 @@ class BenchRow:
     def to_dict(self) -> dict:
         return {
             "batch_size": self.batch_size,
-            "streams": self.streams,
             "names_per_run": self.names_per_run,
             "mean_runtime_seconds": self.mean_runtime_seconds,
             "throughput_names_per_second": self.throughput_names_per_second,
@@ -106,52 +103,32 @@ def benchmark(model: ClassifierModel, config: BenchConfig,
 
     For each batch size the pool is shuffled with a per-size seed and cut
     into `repetitions` disjoint fresh batches; warmup batches run untimed
-    first. With streams > 1, each repetition scores that many batches
-    concurrently and the row reports aggregate throughput.
+    first.
     """
     pool = list(name_source)
-    need = max(config.batch_sizes) * config.repetitions * config.streams
+    need = max(config.batch_sizes) * config.repetitions
     if len(pool) < need:
         raise InsufficientNamesError(
-            f"need at least {need} names (largest batch x repetitions x "
-            f"streams), got {len(pool)}")
+            f"need at least {need} names (largest batch x repetitions), "
+            f"got {len(pool)}")
 
     rows = []
     for batch_size in config.batch_sizes:
         rng = random.Random(f"bench:{config.seed}:{batch_size}")
         shuffled = pool[:]
         rng.shuffle(shuffled)
-        per_run = batch_size * config.streams
-        runs = [shuffled[i * per_run:(i + 1) * per_run]
+        runs = [shuffled[i * batch_size:(i + 1) * batch_size]
                 for i in range(config.repetitions)]
         for i in range(config.warmup_batches):
-            model.predict_batch(runs[i % len(runs)][:batch_size])
-        samples = []
-        for run_names in runs:
-            samples.append(_timed_run(model, run_names, batch_size,
-                                      config.streams))
+            model.predict_batch(runs[i % len(runs)])
+        samples = [run_batch(model, run_names)[1] for run_names in runs]
         mean_runtime = statistics.fmean(samples)
-        throughput = per_run / mean_runtime
-        latency_ms = mean_runtime / per_run * 1000.0
-        rows.append(BenchRow(batch_size, config.streams, per_run,
-                             mean_runtime, throughput, latency_ms,
-                             tuple(samples)))
+        throughput = batch_size / mean_runtime
+        latency_ms = mean_runtime / batch_size * 1000.0
+        rows.append(BenchRow(batch_size, batch_size, mean_runtime,
+                             throughput, latency_ms, tuple(samples)))
     return ThroughputReport(model_name, model_type, tuple(rows),
                             cost_per_million)
-
-
-def _timed_run(model: ClassifierModel, names: Sequence[str],
-               batch_size: int, streams: int) -> float:
-    if streams == 1:
-        return run_batch(model, names)[1]
-    batches = [names[i * batch_size:(i + 1) * batch_size]
-               for i in range(streams)]
-    with ThreadPoolExecutor(max_workers=streams) as pool:
-        start = time.perf_counter()
-        futures = [pool.submit(model.predict_batch, b) for b in batches]
-        for future in futures:
-            future.result()
-        return time.perf_counter() - start
 
 
 def render_throughput_table(report: ThroughputReport) -> str:
@@ -172,4 +149,4 @@ def read_name_file(path: str | Path) -> list[str]:
     if path.suffix == ".jsonl":
         return [record.full_name for record in read_records(path)]
     return [line.strip() for line in
-            path.read_text(encoding="utf-8").splitlines() if line.strip()]
+            read_text(path).splitlines() if line.strip()]

@@ -77,6 +77,10 @@ def compute_budgets(
     if budget <= 0:
         raise ValueError("budget must be positive")
     overrides = overrides or {}
+    for country, amount in overrides.items():
+        if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
+            raise ValueError(f"budget override for {country!r} must be a "
+                             f"non-negative integer, not {amount!r}")
     budgets = []
     for country in sorted(counts):
         count = counts[country]
@@ -261,6 +265,12 @@ class StubNameValidator:
     lenient_fraction: float = 0.5
     _warned: set[str] = field(default_factory=set, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        for country, mode in self.strictness.items():
+            if mode not in ("strict", "lenient"):
+                raise ValueError(f"unknown strictness {mode!r} for {country!r};"
+                                 f" expected 'strict' or 'lenient'")
+
     def judge(self, name: str, country: str) -> bool:
         mode = self.strictness.get(country)
         if mode is None:
@@ -269,8 +279,6 @@ class StubNameValidator:
                 log.warning("no validator strictness configured for %r; "
                             "defaulting to strict", country)
             mode = "strict"
-        if mode not in ("strict", "lenient"):
-            raise ValueError(f"unknown strictness {mode!r} for {country!r}")
         required = (self.strict_fraction if mode == "strict"
                     else self.lenient_fraction)
         letters = [c for c in name_key(name) if c.isalpha()]

@@ -22,6 +22,8 @@ from .core import (
     RecordError,
     Taxonomy,
     normalize_name,
+    open_text,
+    read_text,
 )
 
 log = logging.getLogger(__name__)
@@ -65,7 +67,7 @@ class NormalizationTable:
         """Load `alias<TAB>label` lines; '#' comments and blanks are skipped."""
         path = Path(path)
         pairs = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -217,7 +219,7 @@ def read_affiliations(path: str | Path) -> Iterator[AffiliationRecord]:
     Malformed lines raise InputFormatError carrying the line number.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -250,7 +250,7 @@ PIPELINE_CONFIG = {
               "warmup_fraction": 0.1, "patience": 5, "weight_decay": 0.0,
               "embedding_dim": 32, "hidden_dim": 64, "max_len": 40},
     "bench": {"batch_sizes": [1, 16, 64], "warmup_batches": 1,
-              "repetitions": 2, "streams": 1, "cost_per_million": 0.0},
+              "repetitions": 2, "cost_per_million": 0.0},
     "oracle": {"kind": "stub", "lenient_fraction": 0.2,
                "strictness": {c: "lenient" for c in sorted(PIPELINE_SIZES)}},
 }

@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from namecountry.core import NameRecord, UnknownLabelError, register_taxonomy
+from namecountry.core import (
+    NameRecord, UnknownLabelError, normalize_name, register_taxonomy,
+)
 from namecountry.classifier import (
+    ENCODE_CHUNK_ROWS,
     PAD,
     SCORE_BLOCK_ROWS,
     UNK,
@@ -59,6 +63,86 @@ def test_tokenizer_validation():
         Tokenizer(("a", "a"), max_len=4)
     with pytest.raises(ValueError):
         Tokenizer(("a",), max_len=0)
+    for max_len in (2.0, True, "4", None):
+        with pytest.raises(ValueError, match="max_len"):
+            Tokenizer(("a",), max_len=max_len)
+    with pytest.raises(ValueError, match="strings"):
+        Tokenizer(("a", 5), max_len=4)
+
+
+def reference_encode(tokenizer, names):
+    """The per-character loop encode_batch replaced; the token contract."""
+    index = {c: i + 2 for i, c in enumerate(tokenizer.chars)}
+    out = np.zeros((len(names), tokenizer.max_len), dtype=np.int32)
+    for row, name in enumerate(names):
+        text = normalize_name(name)[: tokenizer.max_len]
+        for col, char in enumerate(text):
+            out[row, col] = index.get(char, UNK)
+    return out
+
+
+# Token ids of the large tokenizer run past 0xD800, so its last entries have
+# ids that are surrogate code points; its filler sits in a plane no name uses.
+ENCODE_TOKENIZERS = (
+    Tokenizer(("a", "b", " ", "ab", "\u00e9", "e", "\u0301", "\u00c5",
+               "\U0001d49c", "\uac00", "\x03"), max_len=6),
+    Tokenizer(tuple(chr(c) for c in range(0x20000, 0x20000 + 0xD800))
+              + ("a", "b", " ", "ab", "\u00e9", "\U0001d49c", "\uac00"),
+              max_len=5),
+)
+# NFC/NFD pairs (e + U+0301, A + ring, Angstrom sign, Hangul jamo), outside
+# the BMP, whitespace that normalization collapses, U+0000 and other control
+# characters below every vocab_size, a lone surrogate, and unknown letters.
+ENCODE_ALPHABET = ("a", "b", "e", "\u0301", "\u00e9", "A", "\u030a",
+                   "\u00c5", "\u212b", "\u1100", "\u1161", "\uac00",
+                   "\U0001d49c", "\U0001f600", " ", "\t", "\u3000", "\x00",
+                   "\x01", "\x02", "\x03", "\ud800", "z", "q")
+NAMES = st.lists(
+    st.text(st.sampled_from(ENCODE_ALPHABET), max_size=14)
+    | st.text(max_size=8), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ENCODE_TOKENIZERS), NAMES)
+def test_encode_batch_matches_reference_loop(tokenizer, names):
+    encoded = tokenizer.encode_batch(names)
+    assert encoded.dtype == np.int32
+    assert encoded.shape == (len(names), tokenizer.max_len)
+    assert encoded.flags.writeable
+    assert np.array_equal(encoded, reference_encode(tokenizer, names))
+
+
+def test_encode_batch_across_chunks():
+    tokenizer = ENCODE_TOKENIZERS[0]
+    rng = np.random.default_rng(0)
+    names = ["".join(rng.choice(ENCODE_ALPHABET, size=n))
+             for n in rng.integers(0, 12, size=2 * ENCODE_CHUNK_ROWS + 5)]
+    assert np.array_equal(tokenizer.encode_batch(names),
+                          reference_encode(tokenizer, names))
+    assert np.array_equal(tokenizer.encode_batch(names[:0]),
+                          np.zeros((0, tokenizer.max_len), dtype=np.int32))
+
+
+def test_encode_batch_memory_is_flat_in_batch_size():
+    """Besides its output, encode_batch holds one chunk's text at a time."""
+    tokenizer = Tokenizer(tuple("abcdefghijklmnopqrstuvwxyz "))
+    rng = np.random.default_rng(0)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    names = ["".join(rng.choice(letters, size=n)) + " x"
+             for n in rng.integers(3, 40, size=20 * ENCODE_CHUNK_ROWS)]
+
+    def extra_bytes(batch):
+        tracemalloc.start()
+        try:
+            out = tokenizer.encode_batch(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    small = extra_bytes(names[:ENCODE_CHUNK_ROWS])
+    large = extra_bytes(names)
+    assert large < 1.25 * small + 4096, (small, large)
 
 
 def test_fit_tokenizer_sorted_by_codepoint():
@@ -281,6 +365,56 @@ def test_loss_decreases_under_adamw():
         loss, grads = loss_and_grads(params, x, y)
         optimizer.step(params, grads, 0.01)
     assert loss < first * 0.5
+
+
+class ReferenceAdamW:
+    """The allocating AdamW step; AdamW must match it bit for bit."""
+
+    def __init__(self, params, weight_decay):
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
+        self.step_count = 0
+        self._m = {k: np.zeros_like(v) for k, v in params.items()}
+        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads, lr):
+        self.step_count += 1
+        bias1 = 1.0 - self.beta1 ** self.step_count
+        bias2 = 1.0 - self.beta2 ** self.step_count
+        for key, param in params.items():
+            grad = grads[key]
+            m = self._m[key]
+            v = self._v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * param
+            param -= lr * update
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_matches_reference_bitwise(dtype, weight_decay):
+    params = init_params(9, 3, ModelConfig(5, 7), seed=2, dtype=dtype)
+    reference = {k: v.copy() for k, v in params.items()}
+    optimizer = AdamW(params, weight_decay=weight_decay)
+    expected = ReferenceAdamW(reference, weight_decay)
+    rng = np.random.default_rng(4)
+    for step in range(1, 21):
+        grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), v.shape)
+                 .astype(dtype) for k, v in params.items()}
+        lr = lr_at_step(step, 20, 3, 0.01)
+        optimizer.step(params, grads, lr)
+        expected.step(reference, grads, lr)
+    for key in params:
+        assert params[key].dtype == dtype
+        for got, want in ((params[key], reference[key]),
+                          (optimizer._m[key], expected._m[key]),
+                          (optimizer._v[key], expected._v[key])):
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), key
 
 
 def test_adamw_weight_decay_shrinks_unused_weights():

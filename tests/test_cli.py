@@ -19,8 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from namecountry import fixtures
+from namecountry.classifier import (
+    ClassifierModel, ModelConfig, Tokenizer, init_params, save_model,
+)
 from namecountry.cli import DEFAULT_CONFIG, load_config, main
-from namecountry.core import NameRecord, write_records
+from namecountry.core import NameRecord, register_taxonomy, write_records
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +271,10 @@ def test_split_fuzzed_jsonl_exits_cleanly(values):
     ({"split": {"filter_cap": "a"}}, "split.filter_cap"),
     ({"seed": True}, "seed"),
     ({"train": {"batch_size": 6.5}}, "train.batch_size"),
-    ({"oracle": {"http": {"max_retries": None}}}, "oracle.http.max_retries")])
+    ({"oracle": {"http": {"max_retries": None}}}, "oracle.http.max_retries"),
+    ({"augment": {"overrides": {"arcadia": "x"}, "threshold": 100000}},
+     "augment.overrides.arcadia"),
+    ({"bench": {"batch_sizes": [1.5]}}, "bench.batch_sizes[0]")])
 def test_mistyped_config_exits_2(tmp_path, capsys, config, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -278,6 +284,43 @@ def test_mistyped_config_exits_2(tmp_path, capsys, config, key):
     assert code == 2
     assert len(err) == 1 and err[0].startswith(
         f"error: config {path}: {key} must be "), err
+
+
+def test_unknown_strictness_exits_2(chain, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": {"strictness": {"arcadia": "medium"}}}),
+                   encoding="utf-8")
+    code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                 "split", "--input", str(chain.out / "corpus.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown strictness 'medium' for 'arcadia'; expected 'strict' "
+        "or 'lenient'"]
+
+
+# Each file kind a command reads whole, plus a JSONL file, which is streamed.
+@pytest.mark.parametrize("kind", ["taxonomy", "aliases", "config", "names",
+                                  "names_jsonl"])
+def test_undecodable_file_error_names_it(chain, tmp_path, capsys, kind):
+    bad = tmp_path / ("bad.jsonl" if kind == "names_jsonl" else f"bad_{kind}")
+    bad.write_bytes(b"\xff\xfe" + "arcadia\n".encode("utf-16-le"))
+    paths = {"taxonomy": chain.fx / "taxonomy_fixture4.txt",
+             "aliases": chain.fx / "aliases_fixture.tsv",
+             "config": chain.fx / "pipeline.json",
+             "names": chain.out / "bench_names.txt"}
+    paths["names" if kind == "names_jsonl" else kind] = bad
+    if kind.startswith("names"):
+        argv = ["bench", "--model", str(chain.out / "model.bin"),
+                "--names", str(paths["names"])]
+    else:
+        argv = ["extract", "--input", str(chain.fx / "affiliations.jsonl"),
+                "--taxonomy", str(paths["taxonomy"]),
+                "--aliases", str(paths["aliases"])]
+    code = main(["--config", str(paths["config"]),
+                 "--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8"), err
 
 
 def test_config_accepts_integer_for_float(tmp_path):
@@ -396,6 +439,79 @@ def test_evaluate_malformed_checkpoint_exits_2(chain, tmp_path, capsys):
         assert code == 2, name
         assert len(err) == 1 and err[0].startswith("error:"), (name, err)
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """Bytes of a small saved model, and a record file of its labels."""
+    root = tmp_path_factory.mktemp("fuzz_checkpoint")
+    taxonomy = register_taxonomy("fuzz", ["alfa", "bravo", "charlie"])
+    tokenizer = Tokenizer(tuple(" ABCabc"), max_len=8)
+    params = init_params(tokenizer.vocab_size, len(taxonomy), ModelConfig(3, 4))
+    save_model(ClassifierModel(tokenizer, taxonomy, params), root / "model.bin")
+    records = root / "records.jsonl"
+    write_records(records, [NameRecord("Abc Cab", "alfa"),
+                            NameRecord("Bca Aab", "bravo"),
+                            NameRecord("Cc Ba", "charlie")])
+    return (root / "model.bin").read_bytes(), records
+
+
+MAX_LENS = (st.integers(-2, 48) | st.none() | st.booleans() | st.floats()
+            | st.text(max_size=3) | st.lists(st.integers(0, 9), max_size=2))
+CHARS = (st.lists(st.sampled_from([" ", "A", "a", "b", "ab", "", "\x00", "\u00e9"])
+                  | JSON_VALUES, max_size=9) | JSON_VALUES)
+SHAPES = st.lists(st.integers(-1, 12), max_size=4) | JSON_VALUES
+CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+        min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("chars"), CHARS),
+    st.tuples(st.just("max_len"), MAX_LENS),
+    st.tuples(st.just("shape"), st.tuples(st.integers(0, 4), SHAPES)))
+
+
+def _edit_checkpoint(blob: bytes, kind: str, edit) -> bytes:
+    if kind == "flip":
+        raw = bytearray(blob)
+        for position, mask in edit:
+            raw[position % len(raw)] ^= mask
+        return bytes(raw)
+    if kind == "truncate":
+        return blob[:edit % len(blob)]
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + header_len])
+    if kind == "shape":
+        header["params"][edit[0]]["shape"] = edit[1]
+    else:
+        header[kind] = edit
+    raw = json.dumps(header).encode("utf-8")
+    return (blob[:8] + len(raw).to_bytes(4, "little") + raw
+            + blob[12 + header_len:])
+
+
+# A damaged checkpoint either still scores or is refused with one `error:`
+# line: bytes flipped or cut, or a header whose chars are not strings, are
+# longer than one character or repeat, whose max_len is no integer, or whose
+# shapes are wrong. max_len stays small, so no example allocates much.
+@settings(max_examples=200, deadline=None)
+@given(edit=CHECKPOINT_EDITS)
+def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
+    blob, records = fuzz_checkpoint
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.bin"
+        model.write_bytes(_edit_checkpoint(blob, *edit))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["--out-dir", str(Path(tmp) / "out"), "evaluate",
+                         "--model", str(model), "--input", str(records)])
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum(l.startswith("error:") for l in err.splitlines()) == 1, err
+    else:
+        assert code == 0, err
 
 
 def test_evaluate_incomplete_mapping_exits_2(chain, tmp_path, capsys):

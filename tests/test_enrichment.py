@@ -69,6 +69,11 @@ def test_compute_budgets_validation():
         compute_budgets({}, budget=0)
     with pytest.raises(ValueError):
         AugmentBudget("a", -1, 0)
+    # Every override is checked, whether or not its country is counted.
+    for amount in ("x", 1.5, True, -1, None):
+        with pytest.raises(ValueError, match="override for 'z'"):
+            compute_budgets({"a": 10}, overrides={"z": amount})
+    assert compute_budgets({"a": 10}, overrides={"z": 0})[0].requested == 5000
 
 
 def test_render_prompt_verbatim():
@@ -439,9 +444,8 @@ def test_stub_validator_unlisted_country_defaults_strict(caplog):
 
 
 def test_stub_validator_unknown_mode():
-    validator = StubNameValidator(strictness={"x": "medium"})
-    with pytest.raises(ValueError):
-        validator.judge("A B", "x")
+    with pytest.raises(ValueError, match="'medium' for 'x'"):
+        StubNameValidator(strictness={"x": "medium"})
 
 
 def test_stub_validator_no_letters():
