@@ -139,24 +139,35 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest_key(path: Path, out_dir: Path) -> str:
-    # Relative keys keep manifests identical across runs in different roots.
+Files = Sequence[tuple[str, Path | None]]
+
+
+def _manifest_key(role: str, path: Path, out_dir: Path) -> str:
+    """A file's key in a manifest, the same for runs in different roots.
+
+    A file under `out_dir` is keyed by its path relative to it. Any other
+    file is keyed by its role (the option that named it) and its basename:
+    files of different roles never share a key, and the files of one role
+    come from one directory.
+    """
     try:
         return path.resolve().relative_to(out_dir.resolve()).as_posix()
     except ValueError:
-        return path.name
+        return f"{role}:{path.name}"
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    inputs: Sequence[Path], outputs: Sequence[Path]) -> Path:
+                    inputs: Files, outputs: Files) -> Path:
+    """Digests of a command's inputs and outputs, as (role, path) pairs; a
+    missing optional input (None, or a file that is not there) is left out."""
     manifest = {
         "command": command,
         "config_hash": config_hash(config),
         "seed": seed,
-        "inputs": {_manifest_key(p, out_dir): _sha256_file(p)
-                   for p in inputs if p is not None and p.exists()},
-        "outputs": {_manifest_key(p, out_dir): _sha256_file(p)
-                    for p in outputs},
+        "inputs": {_manifest_key(role, p, out_dir): _sha256_file(p)
+                   for role, p in inputs if p is not None and p.exists()},
+        "outputs": {_manifest_key(role, p, out_dir): _sha256_file(p)
+                    for role, p in outputs},
     }
     path = out_dir / "manifests" / f"{command}.json"
     write_json(path, manifest)
@@ -201,6 +212,18 @@ def _load_alias_table(path: Path | None) -> extraction.NormalizationTable:
     return extraction.NormalizationTable.from_file(path)
 
 
+def _split_inputs(splits_dir: Path) -> Files:
+    return [("splits_dir", splits_dir / f"{name}.jsonl")
+            for name in corpus_mod.SPLIT_NAMES]
+
+
+def _split_files(output_dir: Path, splits: corpus_mod.CorpusSplits) -> Files:
+    """The files `splits.save` and `write_split_manifest` wrote."""
+    return [("output_dir", output_dir / f"{name}.jsonl")
+            for name, n in splits.sizes().items() if n] + [
+        ("output_dir", output_dir / "manifest.json")]
+
+
 # --- commands -------------------------------------------------------------
 
 def cmd_extract(args, config: dict, seed: int, out_dir: Path) -> int:
@@ -213,8 +236,9 @@ def cmd_extract(args, config: dict, seed: int, out_dir: Path) -> int:
     write_records(output, labeled)
     write_json(stats_path, stats.to_dict())
     _write_manifest(out_dir, "extract", config, seed,
-                    [args.input, args.taxonomy, args.aliases],
-                    [output, stats_path])
+                    [("input", args.input), ("taxonomy", args.taxonomy),
+                     ("aliases", args.aliases)],
+                    [("output", output), ("stats", stats_path)])
     print(f"extract: {stats.retained} records retained of {stats.raw} "
           f"({stats.ambiguous} ambiguous, {stats.unresolved} unresolved, "
           f"{stats.deduplicated} duplicates)")
@@ -243,9 +267,8 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
     splits.save(split_dir)
     corpus_mod.write_split_manifest(split_dir, seed=seed, ratios=ratios,
                                    sizes=splits.sizes(), audit=violations)
-    outputs = [split_dir / f"{name}.jsonl" for name, n in splits.sizes().items()
-               if n] + [split_dir / "manifest.json"]
-    _write_manifest(out_dir, "split", config, seed, [args.input], outputs)
+    _write_manifest(out_dir, "split", config, seed, [("input", args.input)],
+                    _split_files(split_dir, splits))
     sizes = splits.sizes()
     print(f"split: train={sizes['train_oag']} val={sizes['val_oag']} "
           f"test={sizes['test_oag']} test_filter={sizes['test_filter']} "
@@ -307,10 +330,8 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     corpus_mod.write_split_manifest(
         output_dir, seed=seed, ratios=tuple(aug_cfg["ratios"]),
         sizes=splits.sizes(), audit=violations)
-    outputs = [output_dir / f"{name}.jsonl" for name, n in splits.sizes().items()
-               if n] + [output_dir / "manifest.json"]
-    inputs = [splits_dir / f"{name}.jsonl" for name in corpus_mod.SPLIT_NAMES]
-    _write_manifest(out_dir, "augment", config, seed, inputs, outputs)
+    _write_manifest(out_dir, "augment", config, seed,
+                    _split_inputs(splits_dir), _split_files(output_dir, splits))
     sizes = splits.sizes()
     print(f"augment: +{len(synth_records)} synthetic -> "
           f"train_aug={sizes['train_aug']} val_aug={sizes['val_aug']} "
@@ -351,8 +372,9 @@ def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
     with atomic_open(log_out) as fh:
         fh.write(train_log.to_jsonl())
     _write_manifest(out_dir, "train", config, seed,
-                    [train_path, val_path, args.taxonomy],
-                    [model_out, log_out])
+                    [("splits_dir", train_path), ("splits_dir", val_path),
+                     ("taxonomy", args.taxonomy)],
+                    [("model_out", model_out), ("log_out", log_out)])
     last = train_log.epochs[-1]
     best = max(train_log.epochs, key=lambda e: e.val_macro_f1)
     print(f"train: {len(train_log.epochs)} epochs, best val macro-F1 "
@@ -387,15 +409,17 @@ def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
                                            threshold=args.bucket_threshold)
         payload["buckets"] = buckets.to_dict()
     write_json(output, payload)
-    outputs = [output]
+    outputs = [("output", output)]
     if args.table:
         with atomic_open(args.table) as fh:
             fh.write(evaluation.render_eval_table(
                 [(args.model_name, taxonomy_name, report)]))
-        outputs.append(args.table)
+        outputs.append(("table", args.table))
     _write_manifest(out_dir, f"evaluate_{taxonomy_name}", config, seed,
-                    [args.model, args.input, args.mapping,
-                     args.target_taxonomy, args.train_split],
+                    [("model", args.model), ("input", args.input),
+                     ("mapping", args.mapping),
+                     ("target_taxonomy", args.target_taxonomy),
+                     ("train_split", args.train_split)],
                     outputs)
     print(f"evaluate[{taxonomy_name}]: accuracy={report.accuracy:.4f} "
           f"weighted_f1={report.weighted_f1:.4f} "
@@ -419,13 +443,13 @@ def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
         model_type=bench_cfg["model_type"],
         cost_per_million=bench_cfg["cost_per_million"])
     write_json(output, report.to_dict())
-    outputs = [output]
+    outputs = [("output", output)]
     if args.table:
         with atomic_open(args.table) as fh:
             fh.write(engine.render_throughput_table(report))
-        outputs.append(args.table)
+        outputs.append(("table", args.table))
     _write_manifest(out_dir, "bench", config, seed,
-                    [args.model, args.names], outputs)
+                    [("model", args.model), ("names", args.names)], outputs)
     for row in report.rows:
         print(f"bench: batch={row.batch_size} "
               f"throughput={row.throughput_names_per_second:.1f} names/s "
@@ -443,9 +467,10 @@ def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
     report = evaluation.bias_report(records, model, mapping)
     write_json(output, report.to_dict())
     _write_manifest(out_dir, "bias", config, seed,
-                    [args.model, args.records, args.mapping,
-                     args.target_taxonomy],
-                    [output])
+                    [("model", args.model), ("records", args.records),
+                     ("mapping", args.mapping),
+                     ("target_taxonomy", args.target_taxonomy)],
+                    [("output", output)])
     print(f"bias: {len(report.groups)} groups over {report.n_records} "
           f"records ({report.n_incorrect} incorrect)")
     return 0
@@ -477,8 +502,8 @@ def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:
     clean = corpus_mod.audit_is_clean(violations)
     write_json(output, {"clean": clean, "violations": violations,
                          "sizes": splits.sizes()})
-    inputs = [splits_dir / f"{name}.jsonl" for name in corpus_mod.SPLIT_NAMES]
-    _write_manifest(out_dir, "audit", config, seed, inputs, [output])
+    _write_manifest(out_dir, "audit", config, seed, _split_inputs(splits_dir),
+                    [("output", output)])
     if clean:
         print("audit: clean")
         return 0

@@ -338,6 +338,65 @@ def test_gradients_match_dense_reference(seed):
         assert rel <= 1e-12, (key, rel)
 
 
+def assert_matches_dense(params, x, y):
+    loss, grads = loss_and_grads(params, x, y)
+    ref_loss, ref = dense_loss_and_grads(params, x, y)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for key, expected in ref.items():
+        assert grads[key].shape == expected.shape, key
+        rel = np.linalg.norm(grads[key] - expected) / np.linalg.norm(expected)
+        assert rel <= 1e-12, (key, rel)
+    return grads
+
+
+def test_gradients_match_dense_reference_sparse_vocabulary():
+    """A vocabulary far larger than the batch's ids: the step works over the
+    batch's own ids, and every other embedding-gradient row is exactly 0."""
+    rng = np.random.default_rng(11)
+    vocab, classes = 500, 4
+    params = init_params(vocab, classes, ModelConfig(6, 9), seed=3,
+                         dtype=np.float64)
+    used = np.array([UNK, 7, 8, 250, 251, 499])
+    x = mixed_batch(rng, len(used) + 1, rows=24, max_len=9)
+    x = np.where(x == PAD, PAD, used[np.maximum(x - 1, 0)]).astype(np.int32)
+    y = rng.integers(0, classes, size=len(x))
+    grads = assert_matches_dense(params, x, y)
+    absent = np.setdiff1d(np.arange(vocab), np.append(used, PAD))
+    assert not grads["embedding"][absent].any()
+    assert grads["embedding"][used].all(axis=1).all()
+
+
+def test_gradients_match_dense_reference_many_ids():
+    """More distinct ids in the batch than 3 * embedding_dim, the size past
+    which an im2col step would be the cheaper one: still exact."""
+    rng = np.random.default_rng(12)
+    vocab, classes = 90, 5
+    params = init_params(vocab, classes, ModelConfig(4, 6), seed=4,
+                         dtype=np.float64)
+    x = mixed_batch(rng, vocab, rows=30, max_len=9)
+    assert len(np.unique(x)) > 3 * 4
+    assert_matches_dense(params, x, rng.integers(0, classes, size=len(x)))
+
+
+def test_loss_and_grads_memory_at_bench_shape():
+    """One float32 step at the bench's shape (64 names of 5-17 tokens padded
+    to 40, 43 ids, 64/128 model, 99 classes) peaks below 1.82 MiB of traced
+    memory: an im2col step, whose (tokens, 3 * embedding_dim) matrix this
+    one does without, peaks at 1.82 MiB on this batch."""
+    rng = np.random.default_rng(0)
+    x = rng.integers(2, 44, size=(64, 40)).astype(np.int32)
+    x[np.arange(40) >= rng.integers(5, 18, size=64)[:, None]] = PAD
+    y = rng.integers(0, 99, size=64)
+    params = init_params(44, 99, seed=0)
+    tracemalloc.start()
+    try:
+        loss_and_grads(params, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.82 * 2**20, peak
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_loss_and_grads_ignore_trailing_padding(dtype):
     """Extra trailing PAD columns change nothing, bit for bit: the step reads

@@ -168,6 +168,31 @@ def test_manifests_record_real_digests(chain):
         assert digest == actual
 
 
+def test_manifest_keys_out_of_tree_inputs_by_role(chain, tmp_path):
+    """Two inputs with one basename in different directories keep a digest
+    each, under keys that do not depend on where the run's root is."""
+    for sub, source in (("a", "affiliations.jsonl"),
+                        ("b", "taxonomy_fixture4.txt")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.txt").write_bytes((chain.fx / source).read_bytes())
+    manifests = []
+    for root in ("one", "two"):
+        out = tmp_path / root
+        assert main(["--config", str(chain.fx / "pipeline.json"),
+                     "--out-dir", str(out), "extract",
+                     "--input", str(tmp_path / "a" / "x.txt"),
+                     "--taxonomy", str(tmp_path / "b" / "x.txt"),
+                     "--stats", str(tmp_path / root / "stats" / "x.txt")]) == 0
+        manifests.append((out / "manifests" / "extract.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert manifest["inputs"] == {
+        "input:x.txt": digest(tmp_path / "a" / "x.txt"),
+        "taxonomy:x.txt": digest(tmp_path / "b" / "x.txt")}
+    assert set(manifest["outputs"]) == {"corpus.jsonl", "stats/x.txt"}
+
+
 def test_missing_input_exits_2_without_partial_output(chain, tmp_path, capsys):
     out = tmp_path / "fresh"
     code = main(["--out-dir", str(out), "split",
@@ -461,6 +486,9 @@ MAX_LENS = (st.integers(-2, 48) | st.none() | st.booleans() | st.floats()
 CHARS = (st.lists(st.sampled_from([" ", "A", "a", "b", "ab", "", "\x00", "\u00e9"])
                   | JSON_VALUES, max_size=9) | JSON_VALUES)
 SHAPES = st.lists(st.integers(-1, 12), max_size=4) | JSON_VALUES
+LABELS = (st.lists(st.sampled_from(["alfa", "bravo", "charlie", "Alfa",
+                                    " bravo", "", "delta"]), max_size=4)
+          | JSON_VALUES)
 CHECKPOINT_EDITS = st.one_of(
     st.tuples(st.just("flip"), st.lists(
         st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
@@ -468,6 +496,7 @@ CHECKPOINT_EDITS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
     st.tuples(st.just("chars"), CHARS),
     st.tuples(st.just("max_len"), MAX_LENS),
+    st.tuples(st.just("labels"), LABELS),
     st.tuples(st.just("shape"), st.tuples(st.integers(0, 4), SHAPES)))
 
 
@@ -483,6 +512,8 @@ def _edit_checkpoint(blob: bytes, kind: str, edit) -> bytes:
     header = json.loads(blob[12:12 + header_len])
     if kind == "shape":
         header["params"][edit[0]]["shape"] = edit[1]
+    elif kind == "labels":
+        header["taxonomy"]["labels"] = edit
     else:
         header[kind] = edit
     raw = json.dumps(header).encode("utf-8")
@@ -492,8 +523,9 @@ def _edit_checkpoint(blob: bytes, kind: str, edit) -> bytes:
 
 # A damaged checkpoint either still scores or is refused with one `error:`
 # line: bytes flipped or cut, or a header whose chars are not strings, are
-# longer than one character or repeat, whose max_len is no integer, or whose
-# shapes are wrong. max_len stays small, so no example allocates much.
+# longer than one character or repeat, whose max_len is no integer, whose
+# labels are not a taxonomy's, or whose shapes are wrong. max_len stays
+# small, so no example allocates much.
 @settings(max_examples=200, deadline=None)
 @given(edit=CHECKPOINT_EDITS)
 def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
@@ -512,6 +544,41 @@ def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
         assert sum(l.startswith("error:") for l in err.splitlines()) == 1, err
     else:
         assert code == 0, err
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("labels", ["alfa", "alfa", "bravo"], "duplicate label 'alfa'"),
+    ("labels", ["Alfa", "bravo", "charlie"], "normal form"),
+    ("labels", ["alfa", " bravo", "charlie"], "normal form"),
+    ("labels", [], "has no labels"),
+    ("labels", "abc", "normal form"),
+    ("max_len", 2_000_000, "max_len 2000000 is not in 1..1024")])
+def test_evaluate_refuses_checkpoint_header(fuzz_checkpoint, tmp_path, capsys,
+                                            kind, edit, message):
+    """Header labels go through register_taxonomy's checks and must already
+    be in its normal form; max_len is bounded by MAX_LEN_LIMIT."""
+    blob, records = fuzz_checkpoint
+    model = tmp_path / "model.bin"
+    model.write_bytes(_edit_checkpoint(blob, kind, edit))
+    code = main(["--out-dir", str(tmp_path / "out"), "evaluate",
+                 "--model", str(model), "--input", str(records)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {model}: "), err
+    assert message in err[0], err
+
+
+def test_train_max_len_above_limit_exits_2(chain, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"max_len": 2_000_000}}),
+                      encoding="utf-8")
+    code = main(["--config", str(config), "--out-dir", str(tmp_path),
+                 "train", "--splits-dir", str(chain.out / "splits"),
+                 "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: max_len 2000000 is not in 1..1024"]
+    assert not (tmp_path / "model.bin").exists()
 
 
 def test_evaluate_incomplete_mapping_exits_2(chain, tmp_path, capsys):

@@ -1,5 +1,8 @@
-"""Source guards: one atomic writer and one retry loop in the package, and
-none of the constructs its kernels and bench were rid of."""
+"""Source guards: one atomic writer and one retry loop in the package, none
+of the constructs its kernels and bench were rid of, and every package name
+the bench's tracer wraps."""
+import functools
+import importlib.util
 from pathlib import Path
 
 import namecountry
@@ -29,3 +32,26 @@ def test_no_scatter_add_or_thread_pool():
     # scatter; scoring is single-threaded, with no thread-pool path.
     assert where(".add.at(") == []
     assert where("ThreadPoolExecutor") == []
+
+
+def test_bench_trace_targets_exist():
+    """perfbench's tracer wraps package names by string; installing every
+    workload's wrappers fails here, not only in a traced bench run, when one
+    of those names is renamed away."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    installs = [spans.install_data,
+                *(functools.partial(spans.install_model, workload=w)
+                  for w in ("train_paper99", "score_paper99"))]
+    for install in installs:
+        tracer = spans.Tracer("tooling")
+        try:
+            install(tracer)
+        finally:
+            wrapped = list(tracer._installed)
+            tracer.uninstall()
+        assert wrapped and all(n == 0 for n in tracer.fired.values())
+        for owner, attr, original in wrapped:
+            assert getattr(owner, attr) is original, (owner, attr)
