@@ -12,23 +12,27 @@ not grow with the batch. AdamW updates in place, in work arrays allocated
 once, one operation at a time in the order Python evaluates its update
 expression, so each step rounds exactly as that expression does.
 
-Inference keeps predict(name) bit-identical to any batched evaluation
-containing the same name. A BLAS product's low-order bits depend on its
+One forward pass serves training and scoring. Each non-pad token's
+(prev, cur, nxt) ids index three tap tables, rows of embedding @ tap
+weight, so the convolution at a token is three gathered rows plus the
+bias, added in tap order; ReLU follows, then a per-row sum over that row's
+own tokens in position order, divided by its token count (_token_taps,
+tap_tables, _conv_pool). Padding adds no work, and rows with no tokens
+pool to zeros.
+
+Scoring keeps predict(name) bit-identical to any batched evaluation
+containing the same name. Its tap tables span the whole vocabulary and are
+computed once per model. A BLAS product's low-order bits depend on its
 shape, so scoring runs exactly one BLAS product per block of
 SCORE_BLOCK_ROWS rows, the head, on a block zero-padded to that constant
-shape. Everything else is elementwise or a per-row sum over that row's own
-tokens in position order: the convolution is read from per-character tap
-tables (embedding @ tap weight, computed once per model) gathered at the
-non-pad positions only. Memory is bounded by the block, not the batch.
+shape. Memory is bounded by the block, not the batch.
 
-Training works in the batch's own vocabulary: the K distinct ids of its
-tokens, plus PAD. The forward pass gathers each token's three taps from
-per-batch tap tables (embedding rows of those ids @ tap weight, the same
-product scoring caches for the whole vocabulary). The backward pass sums
-the hidden gradient per id and tap with one 0/1 indicator matmul, and
-forms both weight gradients from those K-row sums. Its cost grows with
-tokens times K, so it beats an im2col step while K is below about
-3 * embedding_dim (see loss_and_grads). Padding adds no work. A training step is not
+Training works in the batch's own vocabulary: its tap tables span the K
+distinct ids of its tokens, plus PAD, and tokens index them by local id.
+The backward pass sums the hidden gradient per id and tap with one 0/1
+indicator matmul, and forms both weight gradients from those K-row sums.
+Its cost grows with tokens times K, so it beats an im2col step while K is
+below about 3 * embedding_dim (see loss_and_grads). A training step is not
 bit-identical across batch shapes, and need not be: only scoring carries
 that contract.
 """
@@ -216,63 +220,70 @@ def init_params(vocab_size: int, n_classes: int,
     return {k: v.astype(dtype) for k, v in params.items()}
 
 
-def _shifted_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pad_col = np.full((x.shape[0], 1), PAD, dtype=x.dtype)
-    prev = np.concatenate([pad_col, x[:, :-1]], axis=1)
-    nxt = np.concatenate([x[:, 1:], pad_col], axis=1)
-    return prev, x, nxt
+def tap_tables(embedding: np.ndarray, conv_w: np.ndarray) -> np.ndarray:
+    """Per-character convolution terms, shape (3, rows, H): row i of tap t
+    is embedding[i] @ conv_w[t]."""
+    return embedding @ conv_w
 
 
-def tap_tables(params: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Per-character convolution terms, embedding @ conv_w[t] for each tap."""
-    return tuple(params["embedding"] @ params["conv_w"][t] for t in range(3))
+def _token_taps(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each non-pad token of `x`, sorted, and its (prev, cur,
+    nxt) ids, shape (3, tokens), with PAD past either end of the row."""
+    width = x.shape[1] + 2
+    padded = np.full((x.shape[0], width), PAD, dtype=x.dtype)
+    padded[:, 1:-1] = x
+    at = np.flatnonzero(padded != PAD)
+    return at // width, padded.ravel()[at + np.arange(-1, 2)[:, None]]
 
 
-def score_batch(params: dict[str, np.ndarray], x: np.ndarray, *,
-                taps: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Probability rows for encoded names; bit-identical across batch shapes.
+def _conv_pool(taps: np.ndarray, tap_ids: np.ndarray, rows: np.ndarray,
+               conv_b: np.ndarray, pooled: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU(conv) at each token, and each row's mean of it into `pooled`.
 
-    Rows are scored in blocks of SCORE_BLOCK_ROWS (see module docstring).
-    `taps` are the model's cached `tap_tables(params)`; they are computed
-    here when not given. An all-pad row (empty name) pools to zeros and
-    scores as softmax of the head bias.
+    Token i's tap t is row tap_ids[t, i] of taps[t]; `rows` is sorted.
+    Rows of `pooled` with no tokens are zeroed. Returns the activations,
+    shape (tokens, H), and the token count of each row of `pooled`.
     """
-    if taps is None:
-        taps = tap_tables(params)
-    dtype = params["embedding"].dtype
-    pooled = np.empty((SCORE_BLOCK_ROWS, params["conv_b"].shape[0]), dtype=dtype)
-    probs = np.empty((x.shape[0], params["head_b"].shape[0]), dtype=dtype)
-    for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
-        block = x[start:start + SCORE_BLOCK_ROWS]
-        _pool_block(block, taps, params["conv_b"], pooled)
-        logits = (pooled @ params["head_w"])[:len(block)] + params["head_b"]
-        peak = logits.max(axis=1, keepdims=True)
-        exps = np.exp(logits - peak)
-        probs[start:start + len(block)] = exps / exps.sum(axis=1, keepdims=True)
-    return probs
-
-
-def _pool_block(block: np.ndarray, taps: Sequence[np.ndarray],
-                conv_b: np.ndarray, pooled: np.ndarray) -> None:
-    """Mean of ReLU(conv) over each row's non-pad positions, into `pooled`.
-
-    Rows of `pooled` past the block, and rows with no tokens, are zeroed.
-    """
-    rows, cols = np.nonzero(block != PAD)
-    prev, cur, nxt = _shifted_indices(block)
-    hidden = taps[0][prev[rows, cols]]
-    hidden += taps[1][cur[rows, cols]]
-    hidden += taps[2][nxt[rows, cols]]
+    hidden = taps[0][tap_ids[0]]
+    hidden += taps[1][tap_ids[1]]
+    hidden += taps[2][tap_ids[2]]
     hidden += conv_b
     np.maximum(hidden, 0, out=hidden)
     # `rows` is sorted, so each row's tokens are one run, in position order.
-    counts = np.bincount(rows, minlength=len(block))
+    counts = np.bincount(rows, minlength=len(pooled))
     filled = np.flatnonzero(counts)
     pooled.fill(0)
     if filled.size:
         starts = (np.cumsum(counts) - counts)[filled]
         sums = np.add.reduceat(hidden, starts, axis=0)
         pooled[filled] = sums / counts[filled, None].astype(pooled.dtype)
+    return hidden, counts
+
+
+def score_batch(params: dict[str, np.ndarray], x: np.ndarray, *,
+                taps: np.ndarray | None = None) -> np.ndarray:
+    """Probability rows for encoded names; bit-identical across batch shapes.
+
+    Rows are scored in blocks of SCORE_BLOCK_ROWS (see module docstring).
+    `taps` are the model's cached tap tables over its whole vocabulary;
+    they are computed here when not given. An all-pad row (empty name)
+    pools to zeros and scores as softmax of the head bias.
+    """
+    if taps is None:
+        taps = tap_tables(params["embedding"], params["conv_w"])
+    dtype = params["embedding"].dtype
+    pooled = np.empty((SCORE_BLOCK_ROWS, params["conv_b"].shape[0]), dtype=dtype)
+    probs = np.empty((x.shape[0], params["head_b"].shape[0]), dtype=dtype)
+    for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
+        block = x[start:start + SCORE_BLOCK_ROWS]
+        rows, tap_ids = _token_taps(block)
+        _conv_pool(taps, tap_ids, rows, params["conv_b"], pooled)
+        logits = (pooled @ params["head_w"])[:len(block)] + params["head_b"]
+        peak = logits.max(axis=1, keepdims=True)
+        exps = np.exp(logits - peak)
+        probs[start:start + len(block)] = exps / exps.sum(axis=1, keepdims=True)
+    return probs
 
 
 def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
@@ -298,34 +309,17 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     h = params["conv_b"].shape[0]
 
     # The batch's vocabulary, in id order: its tokens' ids and PAD, which
-    # is a neighbour of every name's first token. `local` maps an id to its
-    # row in the per-batch tables.
-    rows, cols = np.nonzero(x != PAD)
-    prev, cur, nxt = (s[rows, cols] for s in _shifted_indices(x))
-    present = np.bincount(cur, minlength=embedding.shape[0]) > 0
+    # is a neighbour of every name's first token. `tap_ids` are the rows of
+    # the tokens' taps in the per-batch tap tables.
+    rows, ids = _token_taps(x)
+    present = np.bincount(ids[1], minlength=embedding.shape[0]) > 0
     present[PAD] = True
     vocab = np.flatnonzero(present)
-    local = np.cumsum(present) - 1
-    tap_ids = (local[prev], local[cur], local[nxt])
-
-    # The tap tables scoring uses, over the batch's vocabulary only.
+    tap_ids = (np.cumsum(present) - 1)[ids]
     emb = embedding[vocab]
-    taps = emb @ conv_w
-    hidden = taps[0][tap_ids[0]]
-    work = taps[1][tap_ids[1]]
-    hidden += work
-    hidden += np.take(taps[2], tap_ids[2], axis=0, out=work)
-    hidden += params["conv_b"]
-    np.maximum(hidden, 0, out=hidden)
-    # `rows` is sorted, so each row's tokens are one run.
-    counts = np.bincount(rows, minlength=n)
-    filled = np.flatnonzero(counts)
-    scale = np.maximum(counts, 1).astype(dtype)[:, None]
-    pooled = np.zeros((n, h), dtype=dtype)
-    if filled.size:
-        starts = (np.cumsum(counts) - counts)[filled]
-        pooled[filled] = np.add.reduceat(hidden, starts, axis=0)
-        pooled /= scale
+    pooled = np.empty((n, h), dtype=dtype)
+    hidden, counts = _conv_pool(tap_tables(emb, conv_w), tap_ids, rows,
+                                params["conv_b"], pooled)
     logits = pooled @ params["head_w"] + params["head_b"]
 
     peak = logits.max(axis=1, keepdims=True)
@@ -343,10 +337,9 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
         "head_b": d_logits.sum(axis=0),
     }
     d_pooled = d_logits @ params["head_w"].T
-    d_pooled /= scale
-    # ReLU passes gradient where its output is positive; d_hidden reuses
-    # the gather buffer.
-    d_hidden = np.take(d_pooled, rows, axis=0, out=work)
+    d_pooled /= np.maximum(counts, 1).astype(dtype)[:, None]
+    # ReLU passes gradient where its output is positive.
+    d_hidden = d_pooled[rows]
     np.multiply(d_hidden, hidden > 0, out=d_hidden)
     grads["conv_b"] = d_hidden.sum(axis=0)
 
@@ -356,10 +349,10 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     positions = np.arange(len(rows))
     onehot = np.zeros((len(vocab), len(rows)), dtype=dtype)
     g = np.empty((3, len(vocab), h), dtype=dtype)
-    for t, ids in enumerate(tap_ids):
-        onehot[ids, positions] = 1
+    for t, local_ids in enumerate(tap_ids):
+        onehot[local_ids, positions] = 1
         np.matmul(onehot, d_hidden, out=g[t])
-        onehot[ids, positions] = 0
+        onehot[local_ids, positions] = 0
     grads["conv_w"] = emb.T @ g
     embedding_grad = np.zeros_like(embedding)
     embedding_grad[vocab] = (g @ conv_w.transpose(0, 2, 1)).sum(axis=0)
@@ -458,10 +451,10 @@ class ClassifierModel:
     tokenizer: Tokenizer
     taxonomy: Taxonomy
     params: dict[str, np.ndarray]
-    _taps: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._taps = tap_tables(self.params)
+        self._taps = tap_tables(self.params["embedding"], self.params["conv_w"])
 
     def predict(self, name: str) -> np.ndarray:
         return self.predict_batch([name])[0]
@@ -632,6 +625,12 @@ def load_model(path: str | Path) -> ClassifierModel:
     if list(taxonomy.labels) != labels:
         raise CheckpointError(f"{path}: taxonomy labels are not a list in "
                               f"normal form (NFC, trimmed, lowercase)")
+    # Commands name output files after the taxonomy (evaluate's manifest).
+    name = taxonomy.name
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")):
+        raise CheckpointError(f"{path}: taxonomy name {name!r} is not a "
+                              f"single file name component")
     if dtype.kind != "f":
         raise CheckpointError(f"{path}: parameter dtype {dtype} is not floating")
     if [name for name, _ in shapes] != list(PARAM_ORDER):

@@ -247,8 +247,7 @@ def cmd_extract(args, config: dict, seed: int, out_dir: Path) -> int:
 
 def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
     split_cfg = config["split"]
-    ratios = tuple(args.ratios if args.ratios else split_cfg["ratios"])
-    cap = args.filter_cap or split_cfg["filter_cap"]
+    ratios = tuple(split_cfg["ratios"])
     split_dir = args.output_dir or out_dir / "splits"
 
     records = read_records(args.input, real_only=True)
@@ -259,7 +258,8 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
                                      test_oag=test)
     if not args.no_filter:
         splits.test_filter = corpus_mod.build_filtered_test(
-            test, _make_validator(config), cap=cap, seed=seed)
+            test, _make_validator(config), cap=split_cfg["filter_cap"],
+            seed=seed)
     violations = corpus_mod.audit_splits(splits)
     if not corpus_mod.audit_is_clean(violations):
         _print_violations(violations)
@@ -280,11 +280,6 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     aug_cfg = config["augment"]
     splits_dir = args.splits_dir or out_dir / "splits"
     output_dir = args.output_dir or splits_dir
-    threshold = args.threshold or aug_cfg["threshold"]
-    budget = args.budget or aug_cfg["budget"]
-    gold_per_country = (args.gold_per_country
-                        if args.gold_per_country is not None
-                        else aug_cfg["gold_per_country"])
 
     if not splits_dir.is_dir():
         raise CommandError(f"{splits_dir}: not a directory")
@@ -293,7 +288,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
         raise CommandError(f"{splits_dir}: no train_oag split found")
     counts = Counter(r.label for r in base.train_oag)
     budgets = enrichment.compute_budgets(
-        counts, threshold=threshold, budget=budget,
+        counts, threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
         overrides=aug_cfg.get("overrides", {}))
     generator = _make_generator(config, seed)
     existing = {r.full_name for name in corpus_mod.SPLIT_NAMES
@@ -311,6 +306,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     splits = corpus_mod.assemble_augmented_splits(
         base, synth_train, synth_val, synth_test)
 
+    gold_per_country = aug_cfg["gold_per_country"]
     if gold_per_country > 0:
         countries = sorted({r.label for name in corpus_mod.SPLIT_NAMES
                             for r in base[name]})
@@ -547,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="build train/val/test and test_filter")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--output-dir", type=Path)
-    p.add_argument("--ratios", type=float, nargs=3, metavar=("TRAIN", "VAL", "TEST"))
-    p.add_argument("--filter-cap", type=int)
     p.add_argument("--no-filter", action="store_true",
                    help="skip the oracle-screened test_filter")
     p.set_defaults(handler=cmd_split)
@@ -556,9 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="add synthetic names for tail countries")
     p.add_argument("--splits-dir", type=Path)
     p.add_argument("--output-dir", type=Path)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--gold-per-country", type=int)
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("train", help="train the classifier on a split")

@@ -1,5 +1,5 @@
 """Measurement machinery: classification metrics, cross-taxonomy evaluation,
-head/tail buckets, corpus representativeness reports, and group bias analysis
+head/tail buckets, cross-country name duplication, and group bias analysis
 with Wilson confidence intervals.
 
 Macro-F1 convention used throughout: classes with zero gold support and zero
@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import LabelMapping, NameRecord, Taxonomy, name_key
+from .core import LabelMapping, NameRecord, Taxonomy
 
 LabelPair = tuple[str, str]
 
@@ -160,71 +160,6 @@ def bucket_report(pairs: Sequence[LabelPair], taxonomy: Taxonomy,
     return BucketReport(threshold, head, tail,
                         evaluate(head_pairs, taxonomy),
                         evaluate(tail_pairs, taxonomy))
-
-
-@dataclass(frozen=True)
-class FrequencyRatioReport:
-    ratios: dict[str, float]  # reference name -> corpus/reference ratio
-    median_ratio: float
-    abbreviated_fraction: float
-    n_names: int
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": self.ratios,
-            "median_ratio": self.median_ratio,
-            "abbreviated_fraction": self.abbreviated_fraction,
-            "n_names": self.n_names,
-        }
-
-
-def _is_abbreviated(token: str) -> bool:
-    if len(token) == 1:
-        return token.isalpha()
-    return len(token) == 2 and token[0].isalpha() and token[1] == "."
-
-
-def frequency_ratio_report(
-    corpus_names: Sequence[str],
-    reference_freqs: Mapping[str, float],
-    top_k: int = 100,
-) -> FrequencyRatioReport:
-    """Under- or over-representation of popular given names in the corpus.
-
-    For each of the top_k reference names (by reference frequency), the ratio
-    is its relative frequency among corpus first tokens divided by its
-    reference frequency. Also reports the fraction of corpus names whose
-    first token is an abbreviated given name (single letter, optional period).
-    """
-    if not reference_freqs:
-        raise ValueError("reference_freqs must be non-empty")
-    if any(f <= 0 for f in reference_freqs.values()):
-        raise ValueError("reference frequencies must be positive")
-    if top_k <= 0:
-        raise ValueError("top_k must be positive")
-
-    first_tokens = []
-    abbreviated = 0
-    for name in corpus_names:
-        tokens = name_key(name).split()
-        if not tokens:
-            continue
-        first_tokens.append(tokens[0])
-        if _is_abbreviated(tokens[0]):
-            abbreviated += 1
-    n = len(first_tokens)
-
-    token_counts: dict[str, int] = {}
-    for token in first_tokens:
-        token_counts[token] = token_counts.get(token, 0) + 1
-
-    top = sorted(reference_freqs.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    ratios = {}
-    for ref_name, ref_freq in top:
-        corpus_freq = token_counts.get(name_key(ref_name), 0) / n if n else 0.0
-        ratios[ref_name] = corpus_freq / ref_freq
-    median = statistics.median(ratios.values()) if ratios else 0.0
-    return FrequencyRatioReport(ratios, median, abbreviated / n if n else 0.0, n)
 
 
 @dataclass(frozen=True)

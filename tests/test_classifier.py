@@ -318,8 +318,8 @@ def mixed_batch(rng, vocab, rows, max_len):
     return x
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gradients_match_dense_reference(seed):
+def dense_case(seed):
+    """float64 parameters with nonzero biases, a mixed batch and labels."""
     rng = np.random.default_rng(seed)
     vocab, classes = 11, 4
     params = init_params(vocab, classes, ModelConfig(6, 9), seed=seed,
@@ -327,7 +327,12 @@ def test_gradients_match_dense_reference(seed):
     for key in ("conv_b", "head_b"):
         params[key] = rng.normal(0.0, 0.1, params[key].shape)
     x = mixed_batch(rng, vocab, rows=int(rng.integers(6, 40)), max_len=9)
-    y = rng.integers(0, classes, size=len(x))
+    return params, x, rng.integers(0, classes, size=len(x))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradients_match_dense_reference(seed):
+    params, x, y = dense_case(seed)
     loss, grads = loss_and_grads(params, x, y)
     ref_loss, ref = dense_loss_and_grads(params, x, y)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -336,6 +341,17 @@ def test_gradients_match_dense_reference(seed):
         assert grads[key].shape == expected.shape, key
         rel = np.linalg.norm(grads[key] - expected) / np.linalg.norm(expected)
         assert rel <= 1e-12, (key, rel)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_score_batch_agrees_with_dense_loss(seed):
+    """What is served is what was trained: the mean negative log of
+    score_batch's gold-label probabilities is the dense reference's loss."""
+    params, x, y = dense_case(seed)
+    probs = score_batch(params, x)
+    served = -np.mean(np.log(probs[np.arange(len(x)), y]))
+    ref_loss, _ = dense_loss_and_grads(params, x, y)
+    assert abs(served - ref_loss) <= 1e-12 * abs(ref_loss)
 
 
 def assert_matches_dense(params, x, y):

@@ -514,6 +514,8 @@ def _edit_checkpoint(blob: bytes, kind: str, edit) -> bytes:
         header["params"][edit[0]]["shape"] = edit[1]
     elif kind == "labels":
         header["taxonomy"]["labels"] = edit
+    elif kind == "name":
+        header["taxonomy"]["name"] = edit
     else:
         header[kind] = edit
     raw = json.dumps(header).encode("utf-8")
@@ -552,20 +554,30 @@ def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
     ("labels", ["alfa", " bravo", "charlie"], "normal form"),
     ("labels", [], "has no labels"),
     ("labels", "abc", "normal form"),
-    ("max_len", 2_000_000, "max_len 2000000 is not in 1..1024")])
+    ("max_len", 2_000_000, "max_len 2000000 is not in 1..1024"),
+    ("name", "x/../../../escaped", "'x/../../../escaped' is not a single"),
+    ("name", "..", "'..' is not a single"),
+    ("name", ".", "'.' is not a single"),
+    ("name", "", "'' is not a single"),
+    ("name", "a\\b", "is not a single"),
+    ("name", "a\0b", "is not a single"),
+    ("name", 7, "7 is not a single")])
 def test_evaluate_refuses_checkpoint_header(fuzz_checkpoint, tmp_path, capsys,
                                             kind, edit, message):
     """Header labels go through register_taxonomy's checks and must already
-    be in its normal form; max_len is bounded by MAX_LEN_LIMIT."""
+    be in its normal form; max_len is bounded by MAX_LEN_LIMIT; the taxonomy
+    name, which names evaluate's manifest, is one file name component. A
+    refused checkpoint writes nothing, inside the out directory or out of it."""
     blob, records = fuzz_checkpoint
     model = tmp_path / "model.bin"
     model.write_bytes(_edit_checkpoint(blob, kind, edit))
-    code = main(["--out-dir", str(tmp_path / "out"), "evaluate",
-                 "--model", str(model), "--input", str(records)])
+    code = main(["--out-dir", str(tmp_path / "trav" / "a" / "b" / "out"),
+                 "evaluate", "--model", str(model), "--input", str(records)])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: {model}: "), err
     assert message in err[0], err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [model]
 
 
 def test_train_max_len_above_limit_exits_2(chain, tmp_path, capsys):
@@ -637,6 +649,29 @@ def test_console_script_help():
     for command in ("extract", "split", "augment", "train", "evaluate",
                     "bench", "bias", "audit"):
         assert command in result.stdout
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("split", ["--filter-cap", "0"]),
+    ("split", ["--ratios", "8", "1", "1"]),
+    ("augment", ["--budget", "0", "--threshold", "0"]),
+    ("augment", ["--gold-per-country", "0"])])
+def test_split_and_augment_values_come_from_config_only(chain, tmp_path, capsys,
+                                                        command, flags):
+    """Split ratios, the filter cap, threshold, budget and gold names per
+    country are config keys, whose checks reject a 0 with exit 2; no flag
+    restates them (as `--budget 0` did, taking the config value instead)."""
+    inputs = {"split": ["--input", str(chain.out / "corpus.jsonl")],
+              "augment": ["--splits-dir", str(chain.out / "splits"),
+                          "--output-dir", str(tmp_path / "splits")]}
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(chain.fx / "pipeline.json"),
+              "--out-dir", str(tmp_path / "out"), command,
+              *inputs[command], *flags])
+    assert exc.value.code == 2
+    assert (f"error: unrecognized arguments: {' '.join(flags)}"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
 
 
 def test_data_stages_import_without_numpy():

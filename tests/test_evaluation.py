@@ -13,7 +13,6 @@ from namecountry.evaluation import (
     duplication_report,
     evaluate,
     evaluate_mapped,
-    frequency_ratio_report,
     render_eval_table,
     wilson_interval,
 )
@@ -260,35 +259,7 @@ def test_bias_report_rejects_taxonomy_mismatch():
         bias_report([("Ann X", "Ann X", True)], model, mapping)
 
 
-# --- representativeness reports ---
-
-def test_frequency_ratio_report_hand_computed():
-    reference = {"wei": 0.2, "li": 0.1, "anna": 0.05}
-    corpus = ["Wei Zhang", "Wei Chen", "Li Ming", "Anna B"]
-    report = frequency_ratio_report(corpus, reference, top_k=2)
-    assert set(report.ratios) == {"wei", "li"}
-    assert report.ratios["wei"] == pytest.approx((2 / 4) / 0.2)
-    assert report.ratios["li"] == pytest.approx((1 / 4) / 0.1)
-    assert report.median_ratio == pytest.approx(2.5)
-    assert report.abbreviated_fraction == 0.0
-    assert report.n_names == 4
-
-
-def test_frequency_ratio_counts_abbreviated_first_tokens():
-    reference = {"john": 0.1}
-    report = frequency_ratio_report(["J. Smith", "J Doe", "John Major"],
-                                    reference, top_k=1)
-    assert report.abbreviated_fraction == pytest.approx(2 / 3)
-
-
-def test_frequency_ratio_validation():
-    with pytest.raises(ValueError):
-        frequency_ratio_report(["A B"], {})
-    with pytest.raises(ValueError):
-        frequency_ratio_report(["A B"], {"a": 0.0})
-    with pytest.raises(ValueError):
-        frequency_ratio_report(["A B"], {"a": 0.1}, top_k=0)
-
+# --- duplication report ---
 
 def test_duplication_report_hand_computed():
     corpus = [

@@ -1,6 +1,6 @@
-"""Source guards: one atomic writer and one retry loop in the package, none
-of the constructs its kernels and bench were rid of, and every package name
-the bench's tracer wraps."""
+"""Source guards: one atomic writer, one retry loop and one classifier
+forward pass in the package, none of the constructs its kernels and bench
+were rid of, and every package name the bench's tracer wraps."""
 import functools
 import importlib.util
 from pathlib import Path
@@ -28,10 +28,17 @@ def test_one_writer_and_one_retry_loop():
 
 
 def test_no_scatter_add_or_thread_pool():
-    # The embedding gradient is a sorted segment sum, not an unbuffered
+    # The embedding gradient is a 0/1 indicator matmul, not an unbuffered
     # scatter; scoring is single-threaded, with no thread-pool path.
     assert where(".add.at(") == []
     assert where("ThreadPoolExecutor") == []
+
+
+def test_one_forward_pass():
+    # Training and scoring share one conv-pool (classifier._conv_pool): one
+    # ReLU over the convolution and one per-row segment sum in the package.
+    assert where("np.add.reduceat(") == ["classifier.py"]
+    assert where("np.maximum(hidden, 0") == ["classifier.py"]
 
 
 def test_bench_trace_targets_exist():
