@@ -24,7 +24,7 @@ from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
     InputFormatError, RecordError, TaxonomyError, UnknownLabelError,
-    atomic_open, load_mapping, load_taxonomy, open_text, read_records,
+    atomic_open, load_mapping, load_taxonomy, read_jsonl, read_records,
     read_text, write_json, write_records,
 )
 
@@ -178,9 +178,9 @@ def _make_validator(config: dict) -> enrichment.ValidationOracle:
     oracle = config["oracle"]
     if oracle["kind"] == "stub":
         return enrichment.StubNameValidator(
-            strictness=dict(oracle.get("strictness", {})),
-            strict_fraction=oracle.get("strict_fraction", 0.8),
-            lenient_fraction=oracle.get("lenient_fraction", 0.5))
+            strictness=dict(oracle["strictness"]),
+            strict_fraction=oracle["strict_fraction"],
+            lenient_fraction=oracle["lenient_fraction"])
     if oracle["kind"] == "http":
         return _http_oracle(oracle)
     raise CommandError(f"unknown oracle kind {oracle['kind']!r}")
@@ -197,13 +197,13 @@ def _make_generator(config: dict, seed: int) -> enrichment.GeneratorOracle:
 
 def _http_oracle(oracle: dict) -> enrichment.HttpChatOracle:
     http = oracle["http"]
-    if not http.get("endpoint"):
+    if not http["endpoint"]:
         raise CommandError("oracle.http.endpoint is not configured")
     return enrichment.HttpChatOracle(enrichment.HttpOracleConfig(
-        endpoint=http["endpoint"], model=http.get("model", ""),
-        api_key_env=http.get("api_key_env", "NAMECOUNTRY_API_KEY"),
-        timeout_seconds=http.get("timeout_seconds", 30.0),
-        max_retries=http.get("max_retries", 3)))
+        endpoint=http["endpoint"], model=http["model"],
+        api_key_env=http["api_key_env"],
+        timeout_seconds=http["timeout_seconds"],
+        max_retries=http["max_retries"]))
 
 
 def _load_alias_table(path: Path | None) -> extraction.NormalizationTable:
@@ -215,13 +215,6 @@ def _load_alias_table(path: Path | None) -> extraction.NormalizationTable:
 def _split_inputs(splits_dir: Path) -> Files:
     return [("splits_dir", splits_dir / f"{name}.jsonl")
             for name in corpus_mod.SPLIT_NAMES]
-
-
-def _split_files(output_dir: Path, splits: corpus_mod.CorpusSplits) -> Files:
-    """The files `splits.save` and `write_split_manifest` wrote."""
-    return [("output_dir", output_dir / f"{name}.jsonl")
-            for name, n in splits.sizes().items() if n] + [
-        ("output_dir", output_dir / "manifest.json")]
 
 
 # --- commands -------------------------------------------------------------
@@ -264,11 +257,10 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
     if not corpus_mod.audit_is_clean(violations):
         _print_violations(violations)
         return 1
-    splits.save(split_dir)
-    corpus_mod.write_split_manifest(split_dir, seed=seed, ratios=ratios,
-                                   sizes=splits.sizes(), audit=violations)
+    written = splits.save(split_dir, seed=seed, ratios=ratios,
+                          audit=violations)
     _write_manifest(out_dir, "split", config, seed, [("input", args.input)],
-                    _split_files(split_dir, splits))
+                    [("output_dir", p) for p in written])
     sizes = splits.sizes()
     print(f"split: train={sizes['train_oag']} val={sizes['val_oag']} "
           f"test={sizes['test_oag']} test_filter={sizes['test_filter']} "
@@ -289,7 +281,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     counts = Counter(r.label for r in base.train_oag)
     budgets = enrichment.compute_budgets(
         counts, threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
-        overrides=aug_cfg.get("overrides", {}))
+        overrides=aug_cfg["overrides"])
     generator = _make_generator(config, seed)
     existing = {r.full_name for name in corpus_mod.SPLIT_NAMES
                 for r in base[name]}
@@ -322,12 +314,11 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     if not corpus_mod.audit_is_clean(violations):
         _print_violations(violations)
         return 1
-    splits.save(output_dir)
-    corpus_mod.write_split_manifest(
-        output_dir, seed=seed, ratios=tuple(aug_cfg["ratios"]),
-        sizes=splits.sizes(), audit=violations)
+    written = splits.save(output_dir, seed=seed,
+                          ratios=tuple(aug_cfg["ratios"]), audit=violations)
     _write_manifest(out_dir, "augment", config, seed,
-                    _split_inputs(splits_dir), _split_files(output_dir, splits))
+                    _split_inputs(splits_dir),
+                    [("output_dir", p) for p in written])
     sizes = splits.sizes()
     print(f"augment: +{len(synth_records)} synthetic -> "
           f"train_aug={sizes['train_aug']} val_aug={sizes['val_aug']} "
@@ -472,20 +463,20 @@ def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
     return 0
 
 
+def _bias_record(obj) -> tuple[str, str, bool]:
+    gold, answered, correct = (obj["gold_name"], obj["answered_name"],
+                               obj["correct"])
+    for key, value in (("gold_name", gold), ("answered_name", answered)):
+        if not isinstance(value, str):
+            raise TypeError(f"{key} must be a string, not {_json_type(value)}")
+    if not isinstance(correct, bool):
+        raise TypeError(f"correct must be a boolean, not {_json_type(correct)}")
+    return gold, answered, correct
+
+
 def _read_bias_records(path: Path) -> list[tuple[str, str, bool]]:
-    records = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                records.append((obj["gold_name"], obj["answered_name"],
-                                bool(obj["correct"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise InputFormatError(f"bad bias record ({exc})",
-                                       path=path, line=lineno) from exc
-    return records
+    return [record for _, record in read_jsonl(path, "bias record",
+                                               _bias_record)]
 
 
 def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:

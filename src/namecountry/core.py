@@ -13,7 +13,9 @@ import os
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 class TaxonomyError(ValueError):
@@ -59,6 +61,46 @@ def read_text(path: str | Path) -> str:
     """The whole of a UTF-8 text file, as `open_text` reads it."""
     with open_text(path) as fh:
         return fh.read()
+
+
+def read_jsonl(path: str | Path, what: str,
+               parse: Callable[[object], T]) -> Iterator[tuple[int, T]]:
+    """Yield `(line number, parse(value))` for each non-blank JSONL line.
+
+    A line that is not JSON, or a KeyError, TypeError or ValueError from
+    `parse`, raises InputFormatError `bad <what> (...)` at that line.
+    """
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                item = parse(json.loads(line))
+            # JSONDecodeError is a ValueError.
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputFormatError(f"bad {what} ({exc})", path=path,
+                                       line=lineno) from exc
+            yield lineno, item
+
+
+def read_table(path: str | Path,
+               columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line number, fields)` for each line of a tab-separated file.
+
+    Blank lines and lines starting with '#' are skipped; fields are split on
+    tabs after the line is trimmed. A line with other than `len(columns)`
+    fields raises InputFormatError naming the expected columns.
+    """
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split("\t")
+        if len(fields) != len(columns):
+            raise InputFormatError(
+                f"expected `{'<TAB>'.join(columns)}`, got {line!r}",
+                path=path, line=lineno)
+        yield lineno, fields
 
 
 def normalize_name(name: str) -> str:
@@ -166,13 +208,8 @@ def load_taxonomy(path: str | Path, name: str | None = None) -> Taxonomy:
     Blank lines and lines starting with '#' are ignored so shipped files can
     carry provenance notes.
     """
-    path = Path(path)
-    labels = []
-    for line in read_text(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            labels.append(line)
-    return register_taxonomy(name or path.stem, labels)
+    labels = [label for _, (label,) in read_table(path, ("label",))]
+    return register_taxonomy(name or Path(path).stem, labels)
 
 
 @dataclass(frozen=True)
@@ -225,17 +262,9 @@ def identity_mapping(taxonomy: Taxonomy) -> LabelMapping:
 def load_mapping(path: str | Path, from_taxonomy: Taxonomy,
                  to_taxonomy: Taxonomy) -> LabelMapping:
     """Load a mapping from a TSV file: `source<TAB>target` per line, UTF-8, LF."""
-    path = Path(path)
     table: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 2:
-            raise InputFormatError(
-                f"expected `source<TAB>target`, got {line!r}", path=path, line=lineno)
-        source, target = normalize_label(parts[0]), normalize_label(parts[1])
+    for lineno, fields in read_table(path, ("source", "target")):
+        source, target = map(normalize_label, fields)
         if source in table:
             raise DuplicateLabelError(
                 f"{path}:{lineno}: duplicate mapping source {source!r}")
@@ -309,20 +338,10 @@ def read_records(path: str | Path, *, real_only: bool = False) -> list[NameRecor
 
     With `real_only`, a record tagged synthetic raises InputFormatError too.
     """
-    path = Path(path)
     records = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                record = record_from_dict(obj)
-            # TypeError: the line is not an object, or a field is not a string.
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError(f"bad record ({exc})", path=path, line=lineno) from exc
-            if real_only and record.provenance is Provenance.SYNTHETIC:
-                raise InputFormatError("record is tagged synthetic; this input "
-                                       "takes real names only", path=path, line=lineno)
-            records.append(record)
+    for lineno, record in read_jsonl(path, "record", record_from_dict):
+        if real_only and record.provenance is Provenance.SYNTHETIC:
+            raise InputFormatError("record is tagged synthetic; this input "
+                                   "takes real names only", path=path, line=lineno)
+        records.append(record)
     return records

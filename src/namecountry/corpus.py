@@ -200,15 +200,29 @@ class CorpusSplits:
     def sizes(self) -> dict[str, int]:
         return {name: len(self[name]) for name in SPLIT_NAMES}
 
-    def save(self, out_dir: str | Path) -> dict[str, int]:
-        """Write each non-empty split as `<name>.jsonl` under out_dir."""
+    def save(self, out_dir: str | Path, *, seed: int,
+             ratios: Sequence[float],
+             audit: dict[str, list[str]]) -> list[Path]:
+        """Write each non-empty split as `<name>.jsonl` under out_dir, then
+        `manifest.json`; return the paths written, in that order.
+
+        The file of an empty split is removed, so the directory holds exactly
+        the bundle its manifest describes, not a split left by an earlier run.
+        """
         out_dir = Path(out_dir)
-        written = {}
+        written = []
         for split in SPLIT_NAMES:
-            records = self[split]
-            if records:
-                written[split] = write_records(out_dir / f"{split}.jsonl", records)
-        return written
+            path = out_dir / f"{split}.jsonl"
+            if self[split]:
+                write_records(path, self[split])
+                written.append(path)
+            else:
+                path.unlink(missing_ok=True)
+        manifest = out_dir / "manifest.json"
+        write_json(manifest, {"seed": seed, "ratios": list(ratios),
+                              "sizes": self.sizes(), "audit": audit,
+                              "audit_clean": audit_is_clean(audit)})
+        return written + [manifest]
 
     @staticmethod
     def load(in_dir: str | Path) -> "CorpusSplits":
@@ -320,18 +334,3 @@ def audit_splits(splits: CorpusSplits) -> dict[str, list[str]]:
 def audit_is_clean(violations: dict[str, list[str]]) -> bool:
     return all(not names for names in violations.values())
 
-
-def write_split_manifest(out_dir: str | Path, *, seed: int,
-                         ratios: Sequence[float], sizes: dict[str, int],
-                         audit: dict[str, list[str]]) -> Path:
-    out_dir = Path(out_dir)
-    manifest = {
-        "seed": seed,
-        "ratios": list(ratios),
-        "sizes": sizes,
-        "audit": audit,
-        "audit_clean": audit_is_clean(audit),
-    }
-    path = out_dir / "manifest.json"
-    write_json(path, manifest)
-    return path

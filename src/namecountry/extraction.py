@@ -8,7 +8,6 @@ affiliations resolve to more than one country are excluded as ambiguous.
 """
 from __future__ import annotations
 
-import json
 import logging
 import unicodedata
 from dataclasses import dataclass, field
@@ -16,14 +15,12 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .core import (
-    InputFormatError,
     NameRecord,
     Provenance,
     RecordError,
     Taxonomy,
-    normalize_name,
-    open_text,
-    read_text,
+    read_jsonl,
+    read_table,
 )
 
 log = logging.getLogger(__name__)
@@ -65,18 +62,8 @@ class NormalizationTable:
     @staticmethod
     def from_file(path: str | Path) -> "NormalizationTable":
         """Load `alias<TAB>label` lines; '#' comments and blanks are skipped."""
-        path = Path(path)
-        pairs = []
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise InputFormatError(
-                    f"expected `alias<TAB>label`, got {line!r}", path=path, line=lineno)
-            pairs.append((parts[0], parts[1]))
-        return NormalizationTable.from_pairs(pairs)
+        return NormalizationTable.from_pairs(
+            [fields for _, fields in read_table(path, ("alias", "label"))])
 
 
 def _canon(candidate: str) -> str:
@@ -213,27 +200,24 @@ def build_labeled_corpus(
     return corpus, stats
 
 
+def _affiliation_row(obj) -> AffiliationRecord:
+    author_id, name = obj.get("id", ""), obj["name"]
+    affiliations = [] if obj.get("affiliations") is None else obj["affiliations"]
+    if not isinstance(affiliations, list):
+        raise TypeError("`affiliations` must be an array")
+    for field_name, value in (("id", author_id), ("name", name),
+                              *(("affiliation", a) for a in affiliations)):
+        if not isinstance(value, str):
+            raise TypeError(f"{field_name} must be a string, not "
+                            f"{type(value).__name__}")
+    return AffiliationRecord(author_id, name, tuple(affiliations))
+
+
 def read_affiliations(path: str | Path) -> Iterator[AffiliationRecord]:
     """Stream author rows from JSONL with fields `id`, `name`, `affiliations`.
 
-    Malformed lines raise InputFormatError carrying the line number.
+    `name`, each affiliation and `id` (when present) must be strings, and
+    `affiliations` an array or null. A malformed line raises
+    InputFormatError carrying the line number.
     """
-    path = Path(path)
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputFormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-            if not isinstance(obj, dict) or "name" not in obj:
-                raise InputFormatError("object with a `name` field required", path=path, line=lineno)
-            affiliations = obj.get("affiliations") or []
-            if not isinstance(affiliations, list):
-                raise InputFormatError("`affiliations` must be an array", path=path, line=lineno)
-            yield AffiliationRecord(
-                author_id=str(obj.get("id", "")),
-                full_name=str(obj["name"]),
-                affiliations=tuple(str(a) for a in affiliations),
-            )
+    return (row for _, row in read_jsonl(path, "affiliation", _affiliation_row))

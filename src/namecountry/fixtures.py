@@ -17,9 +17,11 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import NameRecord, Provenance, Taxonomy, name_key
+from .core import (
+    NameRecord, Provenance, Taxonomy, atomic_open, name_key, write_json,
+)
 from .extraction import AffiliationRecord
 from .enrichment import synth_name
 
@@ -37,13 +39,16 @@ def disjoint_taxonomy() -> Taxonomy:
     return Taxonomy("fixture4", tuple(sorted(DISJOINT_ALPHABETS)))
 
 
-def _distinct_names(make_name, count: int) -> list[str]:
+def _distinct_names(make_name: Callable[[], str], count: int,
+                    exclude: Iterable[str] = ()) -> list[str]:
+    """`count` names from `make_name` whose name keys are distinct and not
+    in `exclude`."""
     names: list[str] = []
-    seen: set[str] = set()
+    seen = set(exclude)
     attempts = 0
     while len(names) < count:
         attempts += 1
-        if attempts > count * 100:
+        if attempts > count * 200:
             raise RuntimeError("fixture name space exhausted")
         name = make_name()
         key = name_key(name)
@@ -53,26 +58,30 @@ def _distinct_names(make_name, count: int) -> list[str]:
     return names
 
 
+def _inventory_names_from_alphabet(country: str, count: int,
+                                   stream: str) -> list[str]:
+    """Two-token names over the country's disjoint alphabet."""
+    alphabet = DISJOINT_ALPHABETS[country]
+    rng = random.Random(stream)
+
+    def token() -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(3, 5)))
+
+    return _distinct_names(lambda: f"{token()} {token()}", count)
+
+
 def make_disjoint_corpus(per_country: int = 200, seed: int = 0,
                          sizes: Mapping[str, int] | None = None,
                          ) -> list[NameRecord]:
     """Names from four pairwise-disjoint alphabets, `per_country` each."""
     records = []
     for country in sorted(DISJOINT_ALPHABETS):
-        alphabet = DISJOINT_ALPHABETS[country]
         count = sizes.get(country, per_country) if sizes else per_country
-        rng = random.Random(f"fixture:disjoint:{seed}:{country}")
-
-        def name() -> str:
-            def token() -> str:
-                return "".join(rng.choice(alphabet)
-                               for _ in range(rng.randint(3, 5)))
-            return f"{token()} {token()}"
-
         records.extend(
             NameRecord(full_name=n, label=country,
                        provenance=Provenance.EXTRACTED)
-            for n in _distinct_names(name, count))
+            for n in _inventory_names_from_alphabet(
+                country, count, f"fixture:disjoint:{seed}:{country}"))
     return records
 
 
@@ -89,24 +98,9 @@ def head_tail_taxonomy() -> Taxonomy:
 
 def _inventory_names(country: str, count: int, stream: str,
                      exclude: set[str]) -> list[str]:
+    """Names from the country's stub-generator syllable inventory."""
     rng = random.Random(stream)
-
-    def name() -> str:
-        return synth_name(rng, country)
-
-    names: list[str] = []
-    seen = set(exclude)
-    attempts = 0
-    while len(names) < count:
-        attempts += 1
-        if attempts > count * 200:
-            raise RuntimeError("fixture name space exhausted")
-        candidate = name()
-        key = name_key(candidate)
-        if key not in seen:
-            seen.add(key)
-            names.append(candidate)
-    return names
+    return _distinct_names(lambda: synth_name(rng, country), count, exclude)
 
 
 def make_head_tail_corpus(head_per_country: int = 5000,
@@ -222,12 +216,10 @@ def extraction_records() -> list[AffiliationRecord]:
 
 def write_affiliations(path: Path,
                        records: Sequence[AffiliationRecord]) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(
-                {"id": record.author_id, "name": record.full_name,
-                 "affiliations": list(record.affiliations)},
-                ensure_ascii=False) + "\n")
+    _write_lines(path, [json.dumps(
+        {"id": r.author_id, "name": r.full_name,
+         "affiliations": list(r.affiliations)}, ensure_ascii=False)
+        for r in records])
 
 
 # --- pipeline fixture tree ------------------------------------------------
@@ -301,29 +293,14 @@ def make_bias_records(per_country: int = 10, seed: int = 0) -> list[dict]:
     return records
 
 
-def _inventory_names_from_alphabet(country: str, count: int,
-                                   stream: str) -> list[str]:
-    alphabet = DISJOINT_ALPHABETS[country]
-    rng = random.Random(stream)
-
-    def name() -> str:
-        def token() -> str:
-            return "".join(rng.choice(alphabet)
-                           for _ in range(rng.randint(3, 5)))
-        return f"{token()} {token()}"
-
-    return _distinct_names(name, count)
-
-
 def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def write_fixture_tree(out_dir: str | Path) -> None:
     """Write every file the CLI pipeline fixture needs under out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     write_affiliations(out / "extraction_cases.jsonl", extraction_records())
     write_affiliations(out / "affiliations.jsonl", make_pipeline_affiliations())
 
@@ -339,14 +316,9 @@ def write_fixture_tree(out_dir: str | Path) -> None:
     _write_lines(out / "aliases_fixture.tsv",
                  [f"{a}\t{c}" for a, c in sorted(PIPELINE_ALIASES.items())])
 
-    with (out / "bias_records.jsonl").open("w", encoding="utf-8",
-                                           newline="\n") as fh:
-        for record in make_bias_records():
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-    (out / "pipeline.json").write_text(
-        json.dumps(PIPELINE_CONFIG, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write_lines(out / "bias_records.jsonl",
+                 [json.dumps(r, ensure_ascii=False) for r in make_bias_records()])
+    write_json(out / "pipeline.json", PIPELINE_CONFIG)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -251,6 +252,72 @@ def test_split_rejects_synthetic_input_with_exit_2(tmp_path, capsys):
     assert len(err) == 1, err
     assert err[0].startswith(f"error: {corpus}:3: record is tagged synthetic"), err
     assert not (tmp_path / "out" / "splits").exists()
+
+
+@pytest.mark.parametrize("row", [
+    {"id": "a1", "name": None, "affiliations": ["Lab, arcadia"]},
+    {"id": "a1", "name": "Aba Dab", "affiliations": [5]},
+    {"id": "a1", "name": "Aba Dab", "affiliations": 0},
+    {"id": 7, "name": "Aba Dab", "affiliations": ["Lab, arcadia"]}],
+    ids=["name_null", "affiliation_int", "affiliations_int", "id_int"])
+def test_extract_bad_affiliation_exits_2(chain, tmp_path, capsys, row):
+    bad = tmp_path / "affiliations.jsonl"
+    bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    code = main(["--out-dir", str(tmp_path / "out"), "extract",
+                 "--input", str(bad),
+                 "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: {bad}:1: bad affiliation ("), err
+    assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("record", [
+    {"gold_name": "aba dab", "answered_name": "aba dab", "correct": "false"},
+    {"gold_name": 5, "answered_name": "aba dab", "correct": True},
+    {"gold_name": "aba dab", "answered_name": None, "correct": False}],
+    ids=["correct_string", "gold_name_int", "answered_name_null"])
+def test_bias_bad_record_exits_2(chain, tmp_path, capsys, record):
+    bad = tmp_path / "bias_records.jsonl"
+    bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = main(["--out-dir", str(tmp_path / "out"), "bias",
+                 "--model", str(chain.out / "model.bin"),
+                 "--records", str(bad),
+                 "--mapping", str(chain.fx / "mapping_fixture4_to_fixture2.tsv"),
+                 "--target-taxonomy", str(chain.fx / "taxonomy_fixture2.txt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: {bad}:1: bad bias record ("), err
+    assert not (tmp_path / "out" / "bias_report.json").exists()
+
+
+def test_resplit_leaves_no_stale_splits(chain, tmp_path, capsys):
+    """`split` over an augmented directory removes the old augmented splits:
+    the directory then holds exactly what its manifest describes, and the
+    default `train` finds no train_aug to train on."""
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+    assert (out / "splits" / "train_aug.jsonl").exists()
+
+    def run(*args):
+        return main(["--config", str(chain.fx / "pipeline.json"),
+                     "--out-dir", str(out), *args])
+
+    assert run("--seed", "99", "split",
+               "--input", str(chain.out / "corpus.jsonl")) == 0
+    files = sorted(p.name for p in (out / "splits").iterdir())
+    assert not [f for f in files if "_aug" in f or f.startswith("test_gold")]
+    manifest = json.loads((out / "manifests" / "split.json").read_text())
+    assert sorted(manifest["outputs"]) == [f"splits/{f}" for f in files]
+    sizes = json.loads((out / "splits" / "manifest.json").read_text())["sizes"]
+    assert sorted(f"{s}.jsonl" for s, n in sizes.items() if n) == [
+        f for f in files if f != "manifest.json"]
+    capsys.readouterr()
+    assert run("train", "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "train_aug.jsonl" in err[0], err
 
 
 JSON_VALUES = st.recursive(

@@ -27,6 +27,7 @@ from namecountry.core import (
     write_json,
     write_records,
 )
+from namecountry.extraction import NormalizationTable
 
 
 def test_normalize_name_collapses_whitespace():
@@ -154,6 +155,20 @@ def test_load_mapping_rejects_bad_rows(tmp_path, tiny_taxonomy):
     path.write_text("alfa\twest\nalfa\teast\n", encoding="utf-8")
     with pytest.raises(DuplicateLabelError):
         load_mapping(path, tiny_taxonomy, target)
+
+
+@pytest.mark.parametrize("load, text, columns", [
+    (lambda path, tax: load_taxonomy(path), "alfa\tbravo", "label"),
+    (lambda path, tax: load_mapping(path, tax, tax), "alfa west", "source<TAB>target"),
+    (lambda path, tax: NormalizationTable.from_file(path), "a\tb\tc",
+     "alias<TAB>label")], ids=["taxonomy", "mapping", "aliases"])
+def test_table_readers_name_their_columns(tmp_path, tiny_taxonomy, load, text,
+                                          columns):
+    path = tmp_path / "table.tsv"
+    path.write_text(f"# note\n\n{text}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as exc_info:
+        load(path, tiny_taxonomy)
+    assert str(exc_info.value) == f"{path}:3: expected `{columns}`, got {text!r}"
 
 
 def test_record_dict_round_trip():

@@ -16,7 +16,6 @@ from namecountry.corpus import (
     enforce_no_leakage,
     largest_remainder_allocation,
     split_corpus,
-    write_split_manifest,
 )
 
 
@@ -245,9 +244,12 @@ def test_build_filtered_test_rejects_bad_cap():
 def test_corpus_splits_save_load_round_trip(tmp_path):
     splits = CorpusSplits(train_oag=make_records("alfa", 8),
                           val_oag=make_records("bravo", 2))
-    written = splits.save(tmp_path)
-    assert written == {"train_oag": 8, "val_oag": 2}
-    assert not (tmp_path / "test_oag.jsonl").exists()
+    (tmp_path / "test_oag.jsonl").write_text("stale\n", encoding="utf-8")
+    written = splits.save(tmp_path, seed=0, ratios=(8, 1, 1),
+                          audit=audit_splits(splits))
+    assert written == [tmp_path / "train_oag.jsonl",
+                       tmp_path / "val_oag.jsonl", tmp_path / "manifest.json"]
+    assert not (tmp_path / "test_oag.jsonl").exists()  # empty split: removed
     loaded = CorpusSplits.load(tmp_path)
     assert loaded.train_oag == splits.train_oag
     assert loaded.val_oag == splits.val_oag
@@ -371,9 +373,10 @@ def test_audit_requires_validated_provenance_in_test_filter():
 def test_write_split_manifest(tmp_path):
     bundle = clean_bundle()
     violations = audit_splits(bundle)
-    path = write_split_manifest(tmp_path, seed=7, ratios=(8, 1, 1),
-                                sizes=bundle.sizes(), audit=violations)
+    path = bundle.save(tmp_path, seed=7, ratios=(8, 1, 1),
+                       audit=violations)[-1]
     import json
+    assert path == tmp_path / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert manifest["seed"] == 7
     assert manifest["audit_clean"] is True

@@ -1,6 +1,7 @@
-"""Source guards: one atomic writer, one retry loop and one classifier
-forward pass in the package, none of the constructs its kernels and bench
-were rid of, and every package name the bench's tracer wraps."""
+"""Source guards: one atomic writer, one reader per input format, one retry
+loop and one classifier forward pass in the package, none of the constructs
+its kernels and bench were rid of, and every package name the bench's tracer
+wraps."""
 import functools
 import importlib.util
 from pathlib import Path
@@ -22,9 +23,13 @@ def where(needle):
 def test_one_writer_and_one_retry_loop():
     assert where("os.replace(") == ["core.py"]  # in core.atomic_open
     assert where("time.sleep(") == ["enrichment.py"]  # in HttpChatOracle
-    direct = [name for name in where(".write_text(") + where(".write_bytes(")
-              if name != "fixtures.py"]
+    direct = where(".write_text(") + where(".write_bytes(") + where('.open("w"')
     assert direct == [], "write files through core.atomic_open"
+
+
+def test_one_reader_per_input_format():
+    assert where("json.loads(line)") == ["core.py"]  # in core.read_jsonl
+    assert where('.split("\\t")') == ["core.py"]  # in core.read_table
 
 
 def test_no_scatter_add_or_thread_pool():
