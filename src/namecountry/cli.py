@@ -24,8 +24,8 @@ from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
     InputFormatError, RecordError, TaxonomyError, UnknownLabelError,
-    atomic_open, load_mapping, load_taxonomy, read_jsonl, read_records,
-    read_text, write_json, write_records,
+    atomic_open, json_type, load_mapping, load_taxonomy, read_jsonl,
+    read_records, read_text, require_json, write_json, write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -92,18 +92,8 @@ def load_config(path: str | Path | None) -> dict:
     return _deep_merge(DEFAULT_CONFIG, loaded)
 
 
-def _json_type(value) -> str:
-    # bool before int: True is an int to Python but not a number to JSON.
-    for kind, name in ((bool, "a boolean"), (int, "an integer"),
-                       (float, "a number"), (str, "a string"),
-                       (list, "an array"), (dict, "an object")):
-        if isinstance(value, kind):
-            return name
-    return "null"
-
-
 def _check_type(name: str, expected: str, value) -> None:
-    got = _json_type(value)
+    got = json_type(value)
     if expected != got and (expected, got) != ("a number", "an integer"):
         raise CommandError(f"{name} must be {expected}, not {got}")
 
@@ -114,7 +104,7 @@ def _check_types(defaults: dict, loaded: dict, where: str,
         if key not in defaults:
             continue
         dotted = f"{prefix}{key}"
-        _check_type(where + dotted, _json_type(defaults[key]), value)
+        _check_type(where + dotted, json_type(defaults[key]), value)
         element = CONFIG_ELEMENTS.get(dotted)
         if element and isinstance(value, list):
             for i, item in enumerate(value):
@@ -464,13 +454,12 @@ def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
 
 
 def _bias_record(obj) -> tuple[str, str, bool]:
+    require_json("line", obj, dict)
     gold, answered, correct = (obj["gold_name"], obj["answered_name"],
                                obj["correct"])
-    for key, value in (("gold_name", gold), ("answered_name", answered)):
-        if not isinstance(value, str):
-            raise TypeError(f"{key} must be a string, not {_json_type(value)}")
-    if not isinstance(correct, bool):
-        raise TypeError(f"correct must be a boolean, not {_json_type(correct)}")
+    require_json("gold_name", gold, str)
+    require_json("answered_name", answered, str)
+    require_json("correct", correct, bool)
     return gold, answered, correct
 
 

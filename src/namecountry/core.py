@@ -63,6 +63,27 @@ def read_text(path: str | Path) -> str:
         return fh.read()
 
 
+_JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+               (str, "a string"), (list, "an array"), (dict, "an object"))
+
+
+def json_type(value) -> str:
+    """The JSON name of a decoded value's type: "a string", "null", ..."""
+    # bool before int: True is an int to Python but not a number to JSON.
+    for kind, name in _JSON_TYPES:
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+def require_json(what: str, value, kind: type) -> None:
+    """Raise TypeError `<what> must be <kind>, not <type>` in JSON type names
+    unless `value` is a `kind` (one of bool, str, list or dict)."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {dict(_JSON_TYPES)[kind]}, "
+                        f"not {json_type(value)}")
+
+
 def read_jsonl(path: str | Path, what: str,
                parse: Callable[[object], T]) -> Iterator[tuple[int, T]]:
     """Yield `(line number, parse(value))` for each non-blank JSONL line.

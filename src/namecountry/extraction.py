@@ -21,6 +21,7 @@ from .core import (
     Taxonomy,
     read_jsonl,
     read_table,
+    require_json,
 )
 
 log = logging.getLogger(__name__)
@@ -201,15 +202,13 @@ def build_labeled_corpus(
 
 
 def _affiliation_row(obj) -> AffiliationRecord:
+    require_json("line", obj, dict)
     author_id, name = obj.get("id", ""), obj["name"]
     affiliations = [] if obj.get("affiliations") is None else obj["affiliations"]
-    if not isinstance(affiliations, list):
-        raise TypeError("`affiliations` must be an array")
+    require_json("`affiliations`", affiliations, list)
     for field_name, value in (("id", author_id), ("name", name),
                               *(("affiliation", a) for a in affiliations)):
-        if not isinstance(value, str):
-            raise TypeError(f"{field_name} must be a string, not "
-                            f"{type(value).__name__}")
+        require_json(field_name, value, str)
     return AffiliationRecord(author_id, name, tuple(affiliations))
 
 

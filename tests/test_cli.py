@@ -258,8 +258,10 @@ def test_split_rejects_synthetic_input_with_exit_2(tmp_path, capsys):
     {"id": "a1", "name": None, "affiliations": ["Lab, arcadia"]},
     {"id": "a1", "name": "Aba Dab", "affiliations": [5]},
     {"id": "a1", "name": "Aba Dab", "affiliations": 0},
-    {"id": 7, "name": "Aba Dab", "affiliations": ["Lab, arcadia"]}],
-    ids=["name_null", "affiliation_int", "affiliations_int", "id_int"])
+    {"id": 7, "name": "Aba Dab", "affiliations": ["Lab, arcadia"]},
+    [], None, "x"],
+    ids=["name_null", "affiliation_int", "affiliations_int", "id_int",
+         "array", "null", "string"])
 def test_extract_bad_affiliation_exits_2(chain, tmp_path, capsys, row):
     bad = tmp_path / "affiliations.jsonl"
     bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
@@ -276,8 +278,10 @@ def test_extract_bad_affiliation_exits_2(chain, tmp_path, capsys, row):
 @pytest.mark.parametrize("record", [
     {"gold_name": "aba dab", "answered_name": "aba dab", "correct": "false"},
     {"gold_name": 5, "answered_name": "aba dab", "correct": True},
-    {"gold_name": "aba dab", "answered_name": None, "correct": False}],
-    ids=["correct_string", "gold_name_int", "answered_name_null"])
+    {"gold_name": "aba dab", "answered_name": None, "correct": False},
+    [], None, "x"],
+    ids=["correct_string", "gold_name_int", "answered_name_null", "array",
+         "null", "string"])
 def test_bias_bad_record_exits_2(chain, tmp_path, capsys, record):
     bad = tmp_path / "bias_records.jsonl"
     bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
