@@ -202,9 +202,8 @@ def _load_alias_table(path: Path | None) -> extraction.NormalizationTable:
     return extraction.NormalizationTable.from_file(path)
 
 
-def _split_inputs(splits_dir: Path) -> Files:
-    return [("splits_dir", splits_dir / f"{name}.jsonl")
-            for name in corpus_mod.SPLIT_NAMES]
+def _split_inputs(splits_dir: Path, names: Sequence[str]) -> Files:
+    return [("splits_dir", splits_dir / f"{name}.jsonl") for name in names]
 
 
 # --- commands -------------------------------------------------------------
@@ -260,54 +259,48 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
 
 def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     aug_cfg = config["augment"]
+    ratios = tuple(aug_cfg["ratios"])
     splits_dir = args.splits_dir or out_dir / "splits"
     output_dir = args.output_dir or splits_dir
 
     if not splits_dir.is_dir():
         raise CommandError(f"{splits_dir}: not a directory")
-    base = corpus_mod.CorpusSplits.load(splits_dir)
+    base = corpus_mod.CorpusSplits.load(splits_dir, corpus_mod.BASE_SPLITS)
     if not base.train_oag:
         raise CommandError(f"{splits_dir}: no train_oag split found")
-    counts = Counter(r.label for r in base.train_oag)
     budgets = enrichment.compute_budgets(
-        counts, threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
+        Counter(r.label for r in base.train_oag),
+        threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
         overrides=aug_cfg["overrides"])
+    base_records = [r for name in corpus_mod.BASE_SPLITS for r in base[name]]
+    gold_budgets = [enrichment.AugmentBudget(c, 0, aug_cfg["gold_per_country"])
+                    for c in sorted({r.label for r in base_records})
+                    if aug_cfg["gold_per_country"] > 0]
+    # The keys no synthetic name may take: the base names, then each name a
+    # draw keeps. Both draws share it, so no name is drawn twice. It holds
+    # ~550k keys at paper shape, so it is dropped before assembly.
+    taken = {r.key for r in base_records}
     generator = _make_generator(config, seed)
-    existing = {r.full_name for name in corpus_mod.SPLIT_NAMES
-                for r in base[name]}
     synthetic = enrichment.collect_synthetic(
-        budgets, generator, existing, chunk_size=aug_cfg["chunk_size"])
-    synth_records = [r for country in sorted(synthetic)
-                     for r in synthetic[country]]
+        budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
+    gold = enrichment.collect_synthetic(
+        gold_budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
+    del taken
+    synth_records = [r for c in sorted(synthetic) for r in synthetic[c]]
+    synth_parts = ([], [], [])
     if synth_records:
-        synth_train, synth_val, synth_test = corpus_mod.split_corpus(
-            synth_records,
-            corpus_mod.SplitConfig(ratios=tuple(aug_cfg["ratios"]), seed=seed))
-    else:
-        synth_train, synth_val, synth_test = [], [], []
-    splits = corpus_mod.assemble_augmented_splits(
-        base, synth_train, synth_val, synth_test)
-
-    gold_per_country = aug_cfg["gold_per_country"]
-    if gold_per_country > 0:
-        countries = sorted({r.label for name in corpus_mod.SPLIT_NAMES
-                            for r in base[name]})
-        gold_budgets = [enrichment.AugmentBudget(c, 0, gold_per_country)
-                        for c in countries]
-        taken = existing | {r.full_name for r in synth_records}
-        gold = enrichment.collect_synthetic(
-            gold_budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
-        splits.test_gold = [r for country in sorted(gold)
-                            for r in gold[country]]
+        synth_parts = corpus_mod.split_corpus(
+            synth_records, corpus_mod.SplitConfig(ratios=ratios, seed=seed))
+    splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
+    splits.test_gold = [r for c in sorted(gold) for r in gold[c]]
 
     violations = corpus_mod.audit_splits(splits)
     if not corpus_mod.audit_is_clean(violations):
         _print_violations(violations)
         return 1
-    written = splits.save(output_dir, seed=seed,
-                          ratios=tuple(aug_cfg["ratios"]), audit=violations)
+    written = splits.save(output_dir, seed=seed, ratios=ratios, audit=violations)
     _write_manifest(out_dir, "augment", config, seed,
-                    _split_inputs(splits_dir),
+                    _split_inputs(splits_dir, corpus_mod.BASE_SPLITS),
                     [("output_dir", p) for p in written])
     sizes = splits.sizes()
     print(f"augment: +{len(synth_records)} synthetic -> "
@@ -478,7 +471,8 @@ def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:
     clean = corpus_mod.audit_is_clean(violations)
     write_json(output, {"clean": clean, "violations": violations,
                          "sizes": splits.sizes()})
-    _write_manifest(out_dir, "audit", config, seed, _split_inputs(splits_dir),
+    _write_manifest(out_dir, "audit", config, seed,
+                    _split_inputs(splits_dir, corpus_mod.SPLIT_NAMES),
                     [("output", output)])
     if clean:
         print("audit: clean")

@@ -10,6 +10,7 @@ import contextlib
 import enum
 import json
 import os
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,9 +149,10 @@ class Provenance(enum.Enum):
     SYNTHETIC = "synthetic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameRecord:
-    """A full name paired with a country label and a provenance tag."""
+    """A full name paired with a country label and a provenance tag; slotted,
+    with the label interned, as an augmented corpus holds ~10^5 per country."""
 
     full_name: str
     label: str
@@ -162,7 +164,8 @@ class NameRecord:
         if not normalized:
             raise RecordError("full_name is empty after whitespace normalization")
         object.__setattr__(self, "full_name", normalized)
-        object.__setattr__(self, "label", normalize_label(self.label))
+        object.__setattr__(self, "label",
+                           sys.intern(normalize_label(self.label)))
 
     @property
     def key(self) -> str:

@@ -27,6 +27,7 @@ SPLIT_NAMES = (
     "train_oag", "val_oag", "test_oag", "test_filter",
     "train_aug", "val_aug", "test_filter_aug", "test_gold",
 )
+BASE_SPLITS = SPLIT_NAMES[:4]  # what `split` builds, and `augment` reads
 
 
 class EmptyCorpusError(ValueError):
@@ -225,10 +226,12 @@ class CorpusSplits:
         return written + [manifest]
 
     @staticmethod
-    def load(in_dir: str | Path) -> "CorpusSplits":
+    def load(in_dir: str | Path,
+             names: Sequence[str] = SPLIT_NAMES) -> "CorpusSplits":
+        """Read the named splits present under in_dir; the rest stay empty."""
         in_dir = Path(in_dir)
         splits = CorpusSplits()
-        for split in SPLIT_NAMES:
+        for split in names:
             path = in_dir / f"{split}.jsonl"
             if path.exists():
                 getattr(splits, split).extend(read_records(path))

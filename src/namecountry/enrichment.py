@@ -16,7 +16,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from .core import NameRecord, Provenance, name_key
 
@@ -101,16 +101,17 @@ def render_prompt(country: str, n: int) -> str:
 def collect_synthetic(
     budgets: Sequence[AugmentBudget],
     generator: GeneratorOracle,
-    existing_names: Iterable[str],
+    taken: set[str],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> dict[str, list[NameRecord]]:
     """Gather synthetic NameRecords per country, respecting each budget.
 
-    Names are requested in chunks and filtered: duplicates within the
-    country, names already in `existing_names`, empty names, and names whose
-    first or last token has already been used MAX_TOKEN_REPEATS times are all
-    dropped. A country stops early after MAX_STALLED_CHUNKS chunks in a row
-    add nothing. A generator exception is not retried here (an oracle that
+    Names are requested in chunks and filtered: empty names, names whose key
+    (`name_key`) is in `taken`, and names whose first or last token has been
+    used MAX_TOKEN_REPEATS times in the country are dropped. The key of each
+    name kept joins `taken`, so calls that share the set keep a name once.
+    A country stops early after MAX_STALLED_CHUNKS chunks in a row add
+    nothing. A generator exception is not retried here (an oracle that
     retries does so itself): it is logged, the country is left partly filled
     and collection moves on. Countries are processed in sorted order so the
     result is deterministic for deterministic generators.
@@ -121,25 +122,23 @@ def collect_synthetic(
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    existing = {name_key(n) for n in existing_names}
     result: dict[str, list[NameRecord]] = {}
     for budget in sorted(budgets, key=lambda b: b.country):
         if budget.requested == 0:
             continue
         result[budget.country] = _collect_for_country(
-            budget, generator, existing, chunk_size)
+            budget, generator, taken, chunk_size)
     return result
 
 
 def _collect_for_country(
     budget: AugmentBudget,
     generator: GeneratorOracle,
-    existing: set[str],
+    taken: set[str],
     chunk_size: int,
 ) -> list[NameRecord]:
     country, requested = budget.country, budget.requested
     kept: list[NameRecord] = []
-    seen: set[str] = set()
     first_counts: dict[str, int] = {}
     last_counts: dict[str, int] = {}
     stalled = 0
@@ -156,14 +155,14 @@ def _collect_for_country(
             if len(kept) >= requested:
                 break
             key = name_key(raw)
-            if not key or key in seen or key in existing:
+            if not key or key in taken:
                 continue
             tokens = key.split()
             first, last = tokens[0], tokens[-1]
             if (first_counts.get(first, 0) >= MAX_TOKEN_REPEATS
                     or last_counts.get(last, 0) >= MAX_TOKEN_REPEATS):
                 continue
-            seen.add(key)
+            taken.add(key)
             first_counts[first] = first_counts.get(first, 0) + 1
             last_counts[last] = last_counts.get(last, 0) + 1
             kept.append(NameRecord(full_name=raw, label=country,

@@ -71,8 +71,7 @@ class EvalReport:
 def evaluate(pairs: Sequence[LabelPair], taxonomy: Taxonomy) -> EvalReport:
     """Metric bundle over (gold, predicted) pairs.
 
-    An empty input yields an all-zero report rather than an error so that
-    bucket restrictions over absent buckets stay total.
+    An empty input yields an all-zero report rather than an error.
     """
     matrix = ConfusionMatrix.from_pairs(pairs, taxonomy)
     counts = matrix.counts
@@ -109,38 +108,29 @@ def evaluate_mapped(pairs: Sequence[LabelPair],
 
 
 @dataclass(frozen=True)
+class BucketMetrics:
+    accuracy: float
+    macro_f1: float
+    n_records: int
+
+
+@dataclass(frozen=True)
 class BucketReport:
     threshold: int
     head_labels: tuple[str, ...]
     tail_labels: tuple[str, ...]
-    head: EvalReport
-    tail: EvalReport
-
-    @property
-    def head_accuracy(self) -> float:
-        return self.head.accuracy
-
-    @property
-    def head_macro_f1(self) -> float:
-        return self.head.macro_f1
-
-    @property
-    def tail_accuracy(self) -> float:
-        return self.tail.accuracy
-
-    @property
-    def tail_macro_f1(self) -> float:
-        return self.tail.macro_f1
+    head: BucketMetrics
+    tail: BucketMetrics
 
     def to_dict(self) -> dict:
         return {
             "threshold": self.threshold,
             "head_labels": list(self.head_labels),
             "tail_labels": list(self.tail_labels),
-            "head": {"accuracy": self.head_accuracy,
-                     "macro_f1": self.head_macro_f1},
-            "tail": {"accuracy": self.tail_accuracy,
-                     "macro_f1": self.tail_macro_f1},
+            "head": {"accuracy": self.head.accuracy,
+                     "macro_f1": self.head.macro_f1},
+            "tail": {"accuracy": self.tail.accuracy,
+                     "macro_f1": self.tail.macro_f1},
         }
 
 
@@ -149,17 +139,27 @@ def bucket_report(pairs: Sequence[LabelPair], taxonomy: Taxonomy,
                   threshold: int = 6000) -> BucketReport:
     """Head/tail metrics: tail = labels with training count below threshold.
 
-    Only labels present in train_counts are bucketed; each bucket's metrics
-    are evaluate() restricted to pairs whose gold label is in the bucket.
+    Only labels present in train_counts are bucketed. Per-class metrics come
+    from one evaluate() over all pairs, so a class's precision counts every
+    name predicted into it, whatever bucket its gold label is in. A bucket's
+    macro-F1 is the mean F1 of its labels under the macro-F1 convention
+    above; its accuracy is over the pairs whose gold label is in the bucket.
     """
+    per_class = evaluate(pairs, taxonomy).per_class
+    predicted = {p for _, p in pairs}
+
+    def bucket(labels: tuple[str, ...]) -> BucketMetrics:
+        members = set(labels)
+        gold = [(g, p) for g, p in pairs if g in members]
+        f1 = [per_class[label].f1 for label in labels if label in per_class
+              and (per_class[label].support or label in predicted)]
+        return BucketMetrics(
+            sum(g == p for g, p in gold) / len(gold) if gold else 0.0,
+            statistics.fmean(f1) if f1 else 0.0, len(gold))
+
     head = tuple(sorted(c for c, n in train_counts.items() if n >= threshold))
     tail = tuple(sorted(c for c, n in train_counts.items() if n < threshold))
-    head_set, tail_set = set(head), set(tail)
-    head_pairs = [p for p in pairs if p[0] in head_set]
-    tail_pairs = [p for p in pairs if p[0] in tail_set]
-    return BucketReport(threshold, head, tail,
-                        evaluate(head_pairs, taxonomy),
-                        evaluate(tail_pairs, taxonomy))
+    return BucketReport(threshold, head, tail, bucket(head), bucket(tail))
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def test_criterion_03_leakage_audit_clean_on_randomized_trials():
         budgets = compute_budgets(Counter(r.label for r in kept),
                                   threshold=100, budget=30)
         synth = collect_synthetic(budgets, StubNameGenerator(seed=trial),
-                                  [r.full_name for r in corpus])
+                                  {r.key for r in corpus})
         synth_all = [r for c in sorted(synth) for r in synth[c]]
         s_train, s_val, s_test = split_corpus(
             synth_all, SplitConfig(ratios=(3, 1, 1), seed=trial))
@@ -296,7 +296,7 @@ def test_criterion_08_augmentation_improves_tail_macro_f1():
         budgets = compute_budgets(counts, threshold=1000, budget=1000)
         existing = [r.full_name for r in corpus]
         synth = collect_synthetic(budgets, StubNameGenerator(seed=seed),
-                                  existing)
+                                  {r.key for r in corpus})
         synth_all = [r for c in sorted(synth) for r in synth[c]]
         s_train, s_val, s_test = split_corpus(
             synth_all, SplitConfig(ratios=(3, 1, 1), seed=seed))

@@ -24,7 +24,9 @@ from namecountry.classifier import (
     ClassifierModel, ModelConfig, Tokenizer, init_params, save_model,
 )
 from namecountry.cli import DEFAULT_CONFIG, load_config, main
-from namecountry.core import NameRecord, register_taxonomy, write_records
+from namecountry.core import (
+    NameRecord, name_key, register_taxonomy, write_records,
+)
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +324,56 @@ def test_resplit_leaves_no_stale_splits(chain, tmp_path, capsys):
     assert run("train", "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "train_aug.jsonl" in err[0], err
+
+
+def test_augment_rerun_writes_the_same_bytes(chain, tmp_path):
+    """`augment` reads only the four base splits, so running it again into
+    the directory it filled writes the same splits and manifests; its
+    manifest's inputs are those four files."""
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+
+    def digests():
+        files = [*sorted((out / "splits").iterdir()),
+                 out / "manifests" / "augment.json"]
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in files}
+
+    runs = []
+    for _ in range(2):
+        assert main(["--config", str(chain.fx / "pipeline.json"),
+                     "--out-dir", str(out), "augment"]) == 0
+        runs.append(digests())
+    assert runs[0] == runs[1]
+    assert (out / "manifests" / "augment.json").read_bytes() == (
+        chain.out / "manifests" / "augment.json").read_bytes()
+    manifest = json.loads((out / "manifests" / "augment.json").read_text())
+    assert sorted(manifest["inputs"]) == sorted(
+        f"splits/{s}.jsonl" for s in ("train_oag", "val_oag", "test_oag",
+                                      "test_filter"))
+
+
+def test_augment_keeps_each_name_under_one_label(chain, tmp_path, monkeypatch,
+                                                 same_names_generator):
+    """A generator that offers every country the same names cannot put a name
+    under two labels: augment exits 0, and each synthetic key in the *_aug
+    splits and test_gold has one label."""
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+    monkeypatch.setattr("namecountry.cli._make_generator",
+                        lambda config, seed: same_names_generator(seed))
+    assert main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(out), "augment"]) == 0
+    labels = {}
+    for split in ("train_aug", "val_aug", "test_filter_aug", "test_gold"):
+        path = out / "splits" / f"{split}.jsonl"
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            if record["provenance"] == "synthetic":
+                labels.setdefault(name_key(record["name"]), set()).add(
+                    record["label"])
+    assert len(set().union(*labels.values())) > 1
+    assert all(len(v) == 1 for v in labels.values())
 
 
 JSON_VALUES = st.recursive(

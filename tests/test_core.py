@@ -199,6 +199,20 @@ def test_write_read_records_round_trip(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_records_share_one_label_object_and_hold_no_dict(tmp_path):
+    """An augmented corpus holds ~10^5 records per country: a record has no
+    per-instance `__dict__`, and records read with one label share one
+    label string."""
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"name": "Ana Silva", "label": "Brazil "}\n'
+                    '{"name": "Bea Costa", "label": "brazil"}\n',
+                    encoding="utf-8")
+    first, second = read_records(path)
+    assert not hasattr(first, "__dict__")
+    assert first.label == "brazil"
+    assert first.label is second.label
+
+
 def test_write_records_preserves_unicode(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, [NameRecord("Jörg Müller", "germany")])

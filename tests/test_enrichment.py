@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from namecountry import enrichment
 from namecountry.core import NameRecord, Provenance, RecordError, name_key
+from namecountry.corpus import SplitConfig, split_corpus
 from namecountry.enrichment import (
     MAX_TOKEN_REPEATS,
     AugmentBudget,
@@ -93,7 +94,7 @@ def test_collect_enforces_first_token_repetition_cap():
         "Binh Vo", "Chi Dang",
     ])
     out = collect_synthetic([AugmentBudget("vietnam", 10, 5)], generator,
-                            existing_names=[], chunk_size=10)
+                            taken=set(), chunk_size=10)
     names = [r.full_name for r in out["vietnam"]]
     # only the first three "Anh" survive the 3-repeat cap
     assert names == ["Anh Tran", "Anh Nguyen", "Anh Le", "Binh Vo", "Chi Dang"]
@@ -104,7 +105,7 @@ def test_collect_enforces_last_token_repetition_cap():
         "An Tran", "Binh Tran", "Chi Tran", "Duc Tran", "Em Tran", "Phuc Vo",
     ])
     out = collect_synthetic([AugmentBudget("vietnam", 10, 4)], generator,
-                            existing_names=[], chunk_size=10)
+                            taken=set(), chunk_size=10)
     names = [r.full_name for r in out["vietnam"]]
     assert names == ["An Tran", "Binh Tran", "Chi Tran", "Phuc Vo"]
 
@@ -114,7 +115,7 @@ def test_collect_skips_duplicates_and_existing():
         "Ana Silva", "ana  silva", "Bea Costa", "Caro Dias",
     ])
     out = collect_synthetic([AugmentBudget("brazil", 10, 3)], generator,
-                            existing_names=["BEA COSTA"], chunk_size=10)
+                            taken={name_key("BEA COSTA")}, chunk_size=10)
     names = [r.full_name for r in out["brazil"]]
     assert names == ["Ana Silva", "Caro Dias"]  # budget left partially unfilled
 
@@ -122,7 +123,7 @@ def test_collect_skips_duplicates_and_existing():
 def test_collect_records_are_synthetic_and_labeled():
     generator = ScriptedGenerator(["Ana Silva", "Bea Costa"])
     out = collect_synthetic([AugmentBudget("brazil", 10, 2)], generator,
-                            existing_names=[], chunk_size=10)
+                            taken=set(), chunk_size=10)
     for record in out["brazil"]:
         assert record.provenance is Provenance.SYNTHETIC
         assert record.label == "brazil"
@@ -132,7 +133,7 @@ def test_collect_skips_zero_request_countries():
     generator = ScriptedGenerator(["Ana Silva"])
     out = collect_synthetic(
         [AugmentBudget("brazil", 9000, 0), AugmentBudget("chile", 10, 1)],
-        generator, existing_names=[], chunk_size=10)
+        generator, taken=set(), chunk_size=10)
     assert set(out) == {"chile"}
 
 
@@ -140,7 +141,7 @@ def test_collect_chunked_requests():
     names = [f"Tok{i} Last{i}" for i in range(10)]
     generator = ScriptedGenerator(names)
     out = collect_synthetic([AugmentBudget("x", 0, 10)], generator,
-                            existing_names=[], chunk_size=4)
+                            taken=set(), chunk_size=4)
     assert len(out["x"]) == 10
     assert generator.calls == 3  # 4 + 4 + 2
 
@@ -157,7 +158,7 @@ def test_collect_stops_after_stalled_chunks():
 
     generator = Repeater()
     out = collect_synthetic([AugmentBudget("x", 0, 5)], generator,
-                            existing_names=[], chunk_size=2)
+                            taken=set(), chunk_size=2)
     assert [r.full_name for r in out["x"]] == ["Same Name"]
     # 1 productive + MAX_STALLED_CHUNKS stalled
     assert generator.calls == 1 + enrichment.MAX_STALLED_CHUNKS == 4
@@ -170,7 +171,7 @@ def test_collect_generator_failure_moves_to_next_country():
                                    "Duda Reis"], fail_calls={2})
     out = collect_synthetic([AugmentBudget("brazil", 0, 3),
                              AugmentBudget("chile", 0, 2)], generator,
-                            existing_names=[], chunk_size=2)
+                            taken=set(), chunk_size=2)
     assert [r.full_name for r in out["brazil"]] == ["Ana Silva", "Bea Costa"]
     assert [r.full_name for r in out["chile"]] == ["Caio Lima", "Duda Reis"]
     assert generator.calls == 3
@@ -183,14 +184,14 @@ def test_collect_partial_fill_after_retry_exhaustion():
             raise enrichment.OracleTransportError("down after 3 retries")
 
     out = collect_synthetic([AugmentBudget("brazil", 0, 5)], AlwaysDown(),
-                            existing_names=[], chunk_size=10)
+                            taken=set(), chunk_size=10)
     assert out["brazil"] == []  # left unfilled, no exception
 
 
 def test_collect_drops_unparseable_names():
     generator = ScriptedGenerator(["   ", "Ana Silva"])
     out = collect_synthetic([AugmentBudget("brazil", 0, 1)], generator,
-                            existing_names=[], chunk_size=10)
+                            taken=set(), chunk_size=10)
     assert [r.full_name for r in out["brazil"]] == ["Ana Silva"]
 
 
@@ -200,7 +201,7 @@ def test_collect_respects_budget_and_repetition_invariants(requested,
                                                            chunk_size, seed):
     generator = StubNameGenerator(seed=seed)
     out = collect_synthetic([AugmentBudget("testland", 0, requested)],
-                            generator, existing_names=["Existing Name"],
+                            generator, taken={name_key("Existing Name")},
                             chunk_size=chunk_size)
     records = out["testland"]
     assert len(records) <= requested
@@ -219,14 +220,16 @@ def test_collect_respects_budget_and_repetition_invariants(requested,
 
 # The filter loop as it was before candidates were keyed once: a NameRecord
 # per candidate, then its key, then the key's tokens. Kept here as the
-# reference `collect_synthetic` must match.
+# reference `collect_synthetic` must match. One `seen` set serves every
+# country, so a name kept for one country is a duplicate for the next.
 def reference_collect(budgets, generator, existing_names, chunk_size):
     existing = {name_key(n) for n in existing_names}
+    seen = set()
     result = {}
     for budget in sorted(budgets, key=lambda b: b.country):
         if budget.requested == 0:
             continue
-        kept, seen, first_counts, last_counts = [], set(), {}, {}
+        kept, first_counts, last_counts = [], {}, {}
         stalled = 0
         while len(kept) < budget.requested and stalled < 3:
             want = min(chunk_size, budget.requested - len(kept))
@@ -299,9 +302,14 @@ def test_collect_matches_reference_filter_loop(seed, chunk_size):
     existing = ["EXISTING name", "Kim  Ly Ha"]
     expected_gen, actual_gen = EdgeGenerator(seed), EdgeGenerator(seed)
     expected = reference_collect(budgets, expected_gen, existing, chunk_size)
-    actual = collect_synthetic(budgets, actual_gen, existing,
+    taken = {name_key(n) for n in existing}
+    actual = collect_synthetic(budgets, actual_gen, taken,
                                chunk_size=chunk_size)
     assert actual == expected
+    # Both countries draw from the same names, so the shared set matters.
+    kept = [r.key for records in actual.values() for r in records]
+    assert len(kept) == len(set(kept))
+    assert taken == {name_key(n) for n in existing} | set(kept)
     assert actual_gen.calls == expected_gen.calls
     assert set(actual) == {"brazil", "vietnam"}
     assert len(actual["brazil"]) < 40  # the run ended in stalled chunks
@@ -312,9 +320,37 @@ def test_collect_matches_reference_on_stub_generator(seed):
     budgets = [AugmentBudget(c, 0, 300) for c in ("brazil", "x", "vietnam")]
     existing = StubNameGenerator(seed=seed + 1).generate("brazil", 50)
     expected = reference_collect(budgets, StubNameGenerator(seed), existing, 40)
-    actual = collect_synthetic(budgets, StubNameGenerator(seed), existing,
-                               chunk_size=40)
+    actual = collect_synthetic(budgets, StubNameGenerator(seed),
+                               {name_key(n) for n in existing}, chunk_size=40)
     assert actual == expected
+
+
+def test_one_key_set_keeps_each_name_under_one_label(same_names_generator):
+    """The draws as `augment` makes them: the budgets, then test_gold, both
+    against one key set that starts with the base splits' names. With a
+    generator that offers every country the same names, each key is still
+    under one label across the synthetic partitions and test_gold."""
+    countries = ("arcadia", "borelia", "cascadia", "dorvania")
+    base = [NameRecord(n, "arcadia")
+            for n in StubNameGenerator(seed=1).generate("arcadia", 40)]
+    taken = {r.key for r in base}
+    generator = same_names_generator(seed=3)
+    synthetic = collect_synthetic([AugmentBudget(c, 0, 60) for c in countries],
+                                  generator, taken, chunk_size=25)
+    gold = collect_synthetic([AugmentBudget(c, 0, 20) for c in countries],
+                             generator, taken, chunk_size=25)
+    records = [r for c in sorted(synthetic) for r in synthetic[c]]
+    partitions = [*split_corpus(records, SplitConfig((3, 1, 1), seed=3)),
+                  *gold.values()]
+    labels = {}
+    for partition in partitions:
+        for record in partition:
+            labels.setdefault(record.key, []).append(record.label)
+    assert all(len(v) == 1 for v in labels.values())
+    assert len({v[0] for v in labels.values()}) > 1
+    assert sum(map(len, gold.values())) > 0
+    assert not labels.keys() & {r.key for r in base}
+    assert taken == labels.keys() | {r.key for r in base}
 
 
 def test_collect_builds_one_record_per_kept_name(monkeypatch):
@@ -335,7 +371,7 @@ def test_collect_builds_one_record_per_kept_name(monkeypatch):
 
     monkeypatch.setattr(enrichment, "NameRecord", CountingRecord)
     out = collect_synthetic([AugmentBudget(c, 0, 500) for c in ("a", "b")],
-                            CountingGenerator(seed=5), existing_names=[],
+                            CountingGenerator(seed=5), taken=set(),
                             chunk_size=100)
     kept = [r.full_name for country in sorted(out) for r in out[country]]
     assert len(generated) > len(kept)  # some candidates were dropped

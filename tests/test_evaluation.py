@@ -146,8 +146,30 @@ def test_bucket_report_partitions_by_training_count():
     assert report.tail_labels == ("tail",)
     assert report.head.n_records == 2  # "other" is in no bucket
     assert report.tail.n_records == 1
-    assert report.head_accuracy == 0.5
-    assert report.tail_accuracy == 1.0
+    assert report.head.accuracy == 0.5
+    assert report.tail.accuracy == 1.0
+    # Per-class F1 over all four pairs. head: P 1/1, R 1/2; tail: P 1/2
+    # (the head name predicted as tail counts), R 1/1. Each bucket's
+    # macro-F1 is its one label's F1.
+    assert report.head.macro_f1 == pytest.approx(2 / 3)
+    assert report.tail.macro_f1 == pytest.approx(2 / 3)
+
+
+def test_bucket_macro_f1_is_the_mean_over_the_bucket_labels():
+    taxonomy = register_taxonomy("t", ["h1", "h2", "t1", "t2"])
+    train_counts = {"h1": 50, "h2": 50, "t1": 5, "t2": 5}
+    pairs = [("h1", "h1"), ("h1", "h1"), ("h2", "t1"),
+             ("t1", "t1"), ("t2", "h1")]
+    report = bucket_report(pairs, taxonomy, train_counts, threshold=10)
+    # h1: P 2/3, R 1, F1 4/5; h2: no prediction, F1 0; t1: P 1/2, R 1,
+    # F1 2/3; t2: no prediction, F1 0.
+    assert report.head.macro_f1 == pytest.approx((4 / 5 + 0) / 2)
+    assert report.tail.macro_f1 == pytest.approx((2 / 3 + 0) / 2)
+    assert report.head.accuracy == pytest.approx(2 / 3)
+    assert report.tail.accuracy == 0.5
+    # A bucket label with no gold name and no prediction is left out.
+    report = bucket_report(pairs[:4], taxonomy, train_counts, threshold=10)
+    assert report.tail.macro_f1 == pytest.approx(2 / 3)
 
 
 def test_bucket_report_empty_bucket_is_zero():
@@ -155,7 +177,7 @@ def test_bucket_report_empty_bucket_is_zero():
     report = bucket_report([("a", "a")], taxonomy, {"a": 50}, threshold=10)
     assert report.tail_labels == ()
     assert report.tail.n_records == 0
-    assert report.tail_macro_f1 == 0.0
+    assert report.tail.macro_f1 == 0.0
 
 
 # --- Wilson intervals ---

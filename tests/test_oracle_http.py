@@ -160,7 +160,7 @@ def test_collect_against_down_oracle_sends_one_retry_loop(oracle_server):
     oracle = make_oracle(oracle_server, max_retries=2)
     out = collect_synthetic([AugmentBudget("brazil", 0, 5),
                              AugmentBudget("chile", 0, 1)], oracle,
-                            existing_names=[], chunk_size=5)
+                            taken=set(), chunk_size=5)
     assert out["brazil"] == []
     assert [r.full_name for r in out["chile"]] == ["Ana Silva"]
     assert oracle.calls == len(oracle_server.requests) == 4
