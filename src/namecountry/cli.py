@@ -263,6 +263,8 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     splits_dir = args.splits_dir or out_dir / "splits"
     output_dir = args.output_dir or splits_dir
 
+    if aug_cfg["gold_per_country"] <= 0:
+        raise ValueError("gold_per_country must be positive")
     if not splits_dir.is_dir():
         raise CommandError(f"{splits_dir}: not a directory")
     base = corpus_mod.CorpusSplits.load(splits_dir, corpus_mod.BASE_SPLITS)
@@ -274,8 +276,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
         overrides=aug_cfg["overrides"])
     base_records = [r for name in corpus_mod.BASE_SPLITS for r in base[name]]
     gold_budgets = [enrichment.AugmentBudget(c, 0, aug_cfg["gold_per_country"])
-                    for c in sorted({r.label for r in base_records})
-                    if aug_cfg["gold_per_country"] > 0]
+                    for c in sorted({r.label for r in base_records})]
     # The keys no synthetic name may take: the base names, then each name a
     # draw keeps. Both draws share it, so no name is drawn twice. It holds
     # ~550k keys at paper shape, so it is dropped before assembly.
@@ -286,6 +287,12 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     gold = enrichment.collect_synthetic(
         gold_budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
     del taken
+    missing: Counter = Counter()  # country -> names the generator fell short
+    for draw_budgets, drawn in ((budgets, synthetic), (gold_budgets, gold)):
+        for budget in draw_budgets:
+            gap = budget.requested - len(drawn.get(budget.country, ()))
+            if gap > 0:
+                missing[budget.country] += gap
     synth_records = [r for c in sorted(synthetic) for r in synthetic[c]]
     synth_parts = ([], [], [])
     if synth_records:
@@ -306,7 +313,8 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     print(f"augment: +{len(synth_records)} synthetic -> "
           f"train_aug={sizes['train_aug']} val_aug={sizes['val_aug']} "
           f"test_filter_aug={sizes['test_filter_aug']} "
-          f"test_gold={sizes['test_gold']}")
+          f"test_gold={sizes['test_gold']} "
+          f"(short: {len(missing)} countries, {missing.total()} names)")
     return 0
 
 

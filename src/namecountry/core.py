@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import json
 import os
 import sys
@@ -89,15 +90,27 @@ def read_jsonl(path: str | Path, what: str,
                parse: Callable[[object], T]) -> Iterator[tuple[int, T]]:
     """Yield `(line number, parse(value))` for each non-blank JSONL line.
 
-    A line that is not JSON, or a KeyError, TypeError or ValueError from
-    `parse`, raises InputFormatError `bad <what> (...)` at that line.
+    Each line decodes as `json.loads` decodes it. The C scanner reads the
+    value at index 0, taken only when the rest of the line is JSON whitespace
+    (space, tab, LF, CR; not `str.strip()`'s wider set); every other line
+    (leading whitespace, a BOM, extra data, a decode error) goes to
+    `json.loads`, so values and error texts are its own. A line that is not
+    JSON, or a KeyError, TypeError or ValueError from `parse`, raises
+    InputFormatError `bad <what> (...)` at that line.
     """
+    scan_once = json.scanner.make_scanner(json.JSONDecoder())
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                item = parse(json.loads(line))
+                try:
+                    value, end = scan_once(line, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end < 0 or line[end:].strip(" \t\n\r"):
+                    if not line.strip():
+                        continue
+                    value = json.loads(line)
+                item = parse(value)
             # JSONDecodeError is a ValueError.
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"bad {what} ({exc})", path=path,
@@ -141,6 +154,12 @@ def normalize_label(label: str) -> str:
     return unicodedata.normalize("NFC", label).strip().lower()
 
 
+@functools.lru_cache(maxsize=1024)
+def _interned_label(label: str) -> str:
+    """`normalize_label(label)`, interned, computed once per distinct label."""
+    return sys.intern(normalize_label(label))
+
+
 class Provenance(enum.Enum):
     """How a name-label pair entered the corpus."""
 
@@ -164,12 +183,17 @@ class NameRecord:
         if not normalized:
             raise RecordError("full_name is empty after whitespace normalization")
         object.__setattr__(self, "full_name", normalized)
-        object.__setattr__(self, "label",
-                           sys.intern(normalize_label(self.label)))
+        # A label that is not a string fails in normalize_label, with its
+        # own message, before the cache would fail to hash it.
+        label = self.label
+        object.__setattr__(self, "label", _interned_label(label)
+                           if isinstance(label, str) else normalize_label(label))
 
     @property
     def key(self) -> str:
-        return name_key(self.full_name)
+        """`name_key(full_name)`. `full_name` is stored normalized and
+        `normalize_name` is idempotent, so casefolding it is that key."""
+        return self.full_name.casefold()
 
 
 @dataclass(frozen=True)
@@ -298,21 +322,18 @@ def load_mapping(path: str | Path, from_taxonomy: Taxonomy,
 
 # --- NameRecord JSONL serialization (fields: name, label, provenance) ---
 
-def record_to_dict(record: NameRecord) -> dict:
-    out = {"name": record.full_name, "label": record.label,
-           "provenance": record.provenance.value}
-    if record.source_id is not None:
-        out["source_id"] = record.source_id
-    return out
+_PROVENANCES = {p.value: p for p in Provenance}
 
 
 def record_from_dict(obj: dict) -> NameRecord:
-    record = NameRecord(
-        full_name=obj["name"],
-        label=obj["label"],
-        provenance=Provenance(obj.get("provenance", "extracted")),
-        source_id=obj.get("source_id"),
-    )
+    full_name, label = obj["name"], obj["label"]
+    provenance = obj.get("provenance", "extracted")
+    try:
+        provenance = _PROVENANCES[provenance]
+    except (KeyError, TypeError):  # raises Provenance's own ValueError
+        provenance = Provenance(provenance)
+    record = NameRecord(full_name=full_name, label=label,
+                        provenance=provenance, source_id=obj.get("source_id"))
     if record.source_id is not None and not isinstance(record.source_id, str):
         raise TypeError(f"source_id must be a string, not "
                         f"{type(record.source_id).__name__}")
@@ -347,12 +368,28 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
-    """Write records as JSONL through `atomic_open`; returns the number written."""
+    """Write records as JSONL through `atomic_open`; returns the number written.
+
+    Each line is the bytes of `json.dumps({"name": ..., "label": ...,
+    "provenance": ...[, "source_id": ...]}, ensure_ascii=False)` plus LF,
+    built from the string encoder `json.dumps` itself uses, with the label
+    and provenance fields encoded once per distinct value. Lines are written
+    one at a time, so memory stays flat in the number of records.
+    """
+    encode = json.encoder.encode_basestring
+    provenances = {p: ', "provenance": ' + encode(p.value) for p in Provenance}
+    labels: dict[str, str] = {}
     count = 0
     with atomic_open(path) as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), ensure_ascii=False))
-            fh.write("\n")
+            label = labels.get(record.label)
+            if label is None:
+                label = labels[record.label] = ', "label": ' + encode(record.label)
+            line = ('{"name": ' + encode(record.full_name) + label
+                    + provenances[record.provenance])
+            if record.source_id is not None:
+                line += ', "source_id": ' + encode(record.source_id)
+            fh.write(line + "}\n")
             count += 1
     return count
 

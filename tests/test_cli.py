@@ -376,6 +376,43 @@ def test_augment_keeps_each_name_under_one_label(chain, tmp_path, monkeypatch,
     assert all(len(v) == 1 for v in labels.values())
 
 
+def test_augment_summary_counts_the_shortfall(chain, tmp_path, monkeypatch,
+                                              capsys, same_names_generator):
+    """The `augment:` line gives the countries a draw left short and the
+    names missing. With every country offered the same names, 2 of 4 get 0
+    of their 120 synthetic names and 3 get 0 of their 20 test_gold names."""
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+    argv = ["--config", str(chain.fx / "pipeline.json"), "--out-dir", str(out),
+            "augment"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(
+        " test_gold=80 (short: 0 countries, 0 names)\n")
+    monkeypatch.setattr("namecountry.cli._make_generator",
+                        lambda config, seed: same_names_generator(seed))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "augment: +240 synthetic -> train_aug=624 val_aug=108 "
+        "test_filter_aug=105 test_gold=20 (short: 3 countries, 300 names)\n")
+
+
+@pytest.mark.parametrize("gold", [0, -5])
+def test_augment_rejects_gold_per_country_below_one(chain, tmp_path, capsys,
+                                                    gold):
+    config = json.loads((chain.fx / "pipeline.json").read_text())
+    config["augment"]["gold_per_country"] = gold
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
+                 "augment", "--splits-dir", str(chain.out / "splits"),
+                 "--output-dir", str(tmp_path / "splits")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gold_per_country must be positive"]
+    assert not (tmp_path / "splits").exists()
+    assert not any((tmp_path / "out").rglob("*"))  # main makes it empty
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6)
     | st.floats() | st.text(max_size=8),

@@ -1,7 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from namecountry.core import (
     DuplicateLabelError,
@@ -20,9 +22,9 @@ from namecountry.core import (
     name_key,
     normalize_label,
     normalize_name,
+    read_jsonl,
     read_records,
     record_from_dict,
-    record_to_dict,
     register_taxonomy,
     write_json,
     write_records,
@@ -60,6 +62,26 @@ def test_normalize_name_idempotent(s):
 @given(st.text())
 def test_name_key_idempotent_under_normalization(s):
     assert name_key(normalize_name(s)) == name_key(s)
+
+
+# NFD letters, combining marks (also right after whitespace), whitespace runs
+# (U+2000/U+2001 NFC-decompose to U+2002/U+2003), and case pairs that
+# casefold to longer strings.
+NAME_PIECES = st.sampled_from([
+    "e", "\u0301", "\u0327", "A", " ", "  ", "\t", "\n", "\u2000", "\u2001",
+    "\u3000", "\xa0", "\x85", "\x1c", "\u2028", "ß", "İ", "ﬁ", "Σ", "ς",
+    "\U0001d49c"])
+NAME_TEXT = st.lists(NAME_PIECES | st.characters(blacklist_categories=("Cs",)),
+                     max_size=12).map("".join)
+
+
+@given(NAME_TEXT)
+def test_record_key_is_name_key_of_the_raw_name(raw):
+    """`NameRecord.key` casefolds the stored name; that equals `name_key` of
+    whatever the record was built from."""
+    if not normalize_name(raw):
+        return
+    assert NameRecord(raw, "alfa").key == name_key(raw)
 
 
 def test_name_record_normalizes_fields():
@@ -171,13 +193,16 @@ def test_table_readers_name_their_columns(tmp_path, tiny_taxonomy, load, text,
     assert str(exc_info.value) == f"{path}:3: expected `{columns}`, got {text!r}"
 
 
-def test_record_dict_round_trip():
+def test_record_dict_round_trip(tmp_path):
     record = NameRecord("Wei Zhang", "china",
                         provenance=Provenance.SYNTHETIC, source_id="a1")
-    obj = record_to_dict(record)
+    path = tmp_path / "records.jsonl"
+    write_records(path, [record])
+    obj = json.loads(path.read_text(encoding="utf-8"))
     assert obj == {"name": "Wei Zhang", "label": "china",
                    "provenance": "synthetic", "source_id": "a1"}
     assert record_from_dict(obj) == record
+    assert read_records(path) == [record]
 
 
 def test_record_from_dict_defaults_provenance():
@@ -233,6 +258,125 @@ def test_read_records_rejects_missing_fields(tmp_path):
     path.write_text(json.dumps({"name": "A B"}) + "\n", encoding="utf-8")
     with pytest.raises(InputFormatError):
         read_records(path)
+
+
+# --- record codec parity with json.dumps / json.loads ---
+
+# Characters json.dumps escapes (quote, backslash, controls) or writes raw
+# with ensure_ascii=False (U+2028, U+00A0, non-BMP). Names keep the ones
+# normalize_name does not take for whitespace; labels and source ids keep
+# all of them inside.
+CODEC_PIECES = st.sampled_from([
+    '"', "\\", "\x00", "\x08", "\x1b", "\x1f", "\x7f", "\x85", "\xa0",
+    "\u2028", "\u2029", "\ufeff", "é", "e\u0301", "\U0001f600", "\U0001d49c",
+    "Ab", " "])
+CODEC_TEXT = st.lists(CODEC_PIECES | st.characters(blacklist_categories=("Cs",)),
+                      min_size=1, max_size=10).map("".join)
+RECORDS = st.builds(NameRecord, CODEC_TEXT.filter(normalize_name), CODEC_TEXT,
+                    st.sampled_from(Provenance), st.none() | CODEC_TEXT)
+
+
+def reference_line(record):
+    obj = {"name": record.full_name, "label": record.label,
+           "provenance": record.provenance.value}
+    if record.source_id is not None:
+        obj["source_id"] = record.source_id
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=200)
+@given(st.lists(RECORDS, max_size=8))
+def test_write_records_bytes_match_json_dumps(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        assert write_records(path, records) == len(records)
+        assert path.read_bytes() == "".join(
+            map(reference_line, records)).encode("utf-8")
+        assert read_records(path) == records
+
+
+def test_write_records_covers_every_provenance(tmp_path):
+    records = [NameRecord('Ana "Bea" \\ Cruz\x01', "alfa\u2028", p, s)
+               for p in Provenance for s in (None, "id\x00\U0001f600")]
+    path = tmp_path / "records.jsonl"
+    write_records(path, records)
+    assert path.read_text(encoding="utf-8") == "".join(
+        map(reference_line, records))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | CODEC_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(CODEC_TEXT, inner, max_size=3), max_leaves=6)
+# Around a value: JSON whitespace, which json.loads skips, and characters
+# str.strip() takes for whitespace but json.loads does not.
+AROUND = st.sampled_from(["", " ", "\t", "  \t", "\r", "\x1c", "\x1f", "\x85",
+                          "\xa0", "\u2028", "\ufeff"])
+JSONL_LINES = (st.tuples(AROUND, JSON_VALUES.map(json.dumps), AROUND,
+                         st.sampled_from(["", "", " 1", "}", "]", '"x"']))
+               .map("".join)
+               | st.sampled_from(["", "   ", "\x1c", "NaN", "-Infinity",
+                                  '{"a": NaN}', "[1, 2", '{"a" 1}', "nul",
+                                  '"\\ud800"', "[[[{}]]]", "\ufeff{}", "{} {}"]))
+
+
+def reference_read(path):
+    """`read_jsonl` as it was: strip-blank lines skipped, json.loads the rest."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append((lineno, repr(json.loads(line))))
+            except ValueError as exc:
+                return out, f"{path}:{lineno}: bad value ({exc})"
+    return out, None
+
+
+@settings(max_examples=300)
+@given(st.lists(JSONL_LINES, min_size=1, max_size=5))
+def test_read_jsonl_matches_json_loads(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.jsonl"
+        path.write_text("".join(l + "\n" for l in lines), encoding="utf-8",
+                        newline="")
+        expected, error = reference_read(path)
+        got = []
+        try:
+            for lineno, value in read_jsonl(path, "value", lambda v: v):
+                got.append((lineno, repr(value)))
+        except InputFormatError as exc:
+            assert str(exc) == error
+        else:
+            assert error is None
+        assert got == expected
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"name": "A B"}, "'label'"),
+    ({"label": "alfa"}, "'name'"),
+    ([1], "list indices must be integers or slices, not str"),
+    ({"name": "A B", "label": ["alfa"]},
+     "normalize() argument 2 must be str, not list"),
+    ({"name": "A B", "label": {"x": 1}},
+     "normalize() argument 2 must be str, not dict"),
+    ({"name": 5, "label": "alfa"}, "normalize() argument 2 must be str, not int"),
+    ({"name": "A B", "label": "alfa", "provenance": ["x"]},
+     "['x'] is not a valid Provenance"),
+    ({"name": "A B", "label": "alfa", "provenance": "made up"},
+     "'made up' is not a valid Provenance"),
+    ({"name": "A B", "label": "alfa", "source_id": 3},
+     "source_id must be a string, not int")])
+def test_bad_record_errors_name_the_fault(tmp_path, obj, message):
+    """Unhashable labels and provenances fail as they did before the label
+    cache and the provenance table: with the message of the call that
+    rejects them."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as exc_info:
+        read_records(path)
+    assert str(exc_info.value) == f"{path}:1: bad record ({message})"
 
 
 # --- the atomic writer ---

@@ -1,7 +1,7 @@
-"""Source guards: one atomic writer, one reader per input format, one retry
-loop and one classifier forward pass in the package, none of the constructs
-its kernels and bench were rid of, and every package name the bench's tracer
-wraps."""
+"""Source guards: one atomic writer, one reader per input format, one record
+encoder, one retry loop and one classifier forward pass in the package, none
+of the constructs its kernels and bench were rid of, and every package name
+the bench's tracer wraps."""
 import functools
 import importlib.util
 from pathlib import Path
@@ -28,8 +28,13 @@ def test_one_writer_and_one_retry_loop():
 
 
 def test_one_reader_per_input_format():
-    assert where("json.loads(line)") == ["core.py"]  # in core.read_jsonl
+    assert where("json.loads(line)") == ["core.py"]  # core.read_jsonl's fallback
     assert where('.split("\\t")') == ["core.py"]  # in core.read_table
+
+
+def test_one_record_encoder():
+    # core.write_records builds each line from json's own string encoder.
+    assert where("encode_basestring") == ["core.py"]
 
 
 def test_no_scatter_add_or_thread_pool():
