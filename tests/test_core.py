@@ -3,7 +3,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from namecountry.core import (
     DuplicateLabelError,
@@ -286,6 +286,8 @@ def reference_line(record):
 
 @settings(max_examples=200)
 @given(st.lists(RECORDS, max_size=8))
+@example([NameRecord('Ana "Bea" \\ Cruz\x01', "alfa\u2028", p, s)
+          for p in Provenance for s in (None, "id\x00\U0001f600")])
 def test_write_records_bytes_match_json_dumps(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
@@ -293,15 +295,6 @@ def test_write_records_bytes_match_json_dumps(records):
         assert path.read_bytes() == "".join(
             map(reference_line, records)).encode("utf-8")
         assert read_records(path) == records
-
-
-def test_write_records_covers_every_provenance(tmp_path):
-    records = [NameRecord('Ana "Bea" \\ Cruz\x01', "alfa\u2028", p, s)
-               for p in Provenance for s in (None, "id\x00\U0001f600")]
-    path = tmp_path / "records.jsonl"
-    write_records(path, records)
-    assert path.read_text(encoding="utf-8") == "".join(
-        map(reference_line, records))
 
 
 JSON_VALUES = st.recursive(
@@ -321,7 +314,8 @@ JSONL_LINES = (st.tuples(AROUND, JSON_VALUES.map(json.dumps), AROUND,
 
 
 def reference_read(path):
-    """`read_jsonl` as it was: strip-blank lines skipped, json.loads the rest."""
+    """The reference reader: skip lines `str.strip()` blanks, `json.loads`
+    the rest."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -369,9 +363,8 @@ def test_read_jsonl_matches_json_loads(lines):
     ({"name": "A B", "label": "alfa", "source_id": 3},
      "source_id must be a string, not int")])
 def test_bad_record_errors_name_the_fault(tmp_path, obj, message):
-    """Unhashable labels and provenances fail as they did before the label
-    cache and the provenance table: with the message of the call that
-    rejects them."""
+    """A label or provenance that the lookup tables cannot hash fails with
+    the message of the call that rejects it."""
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(InputFormatError) as exc_info:
