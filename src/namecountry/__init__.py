@@ -24,7 +24,6 @@ from .core import (
 )
 from .corpus import (
     CorpusSplits,
-    LeakageError,
     SplitConfig,
     assemble_augmented_splits,
     audit_splits,
@@ -81,7 +80,6 @@ __all__ = [
     "EvalReport",
     "InputFormatError",
     "LabelMapping",
-    "LeakageError",
     "ModelConfig",
     "NameRecord",
     "NormalizationTable",

@@ -4,7 +4,7 @@ bias, and audit.
 Every command writes a manifest (config hash, seed, input/output digests,
 no timestamps) so identical inputs and seed reproduce identical digests.
 Outputs are written atomically; a failing command leaves no partial files.
-Exit codes: 0 success, 1 leakage/audit violations, 2 everything else.
+Exit codes: 0 success, 1 audit failure, 2 everything else.
 """
 from __future__ import annotations
 
@@ -613,9 +613,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = args.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.handler(args, config, seed, out_dir)
-    except corpus_mod.LeakageError as exc:
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return 1
     except _exit_2_errors() as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, CommandError) else 2

@@ -255,14 +255,15 @@ class StubNameValidator:
 
     A name passes when a large enough fraction of its letters belongs to the
     country's syllable inventory. `strictness` assigns "strict" or "lenient"
-    per country; strictness for unlisted countries defaults to strict with a
-    one-time warning, since the right per-country choice is configuration.
+    per country; strictness for unlisted countries defaults to strict with
+    one warning per validator (naming the first such country), since the
+    right per-country choice is configuration.
     """
 
     strictness: dict[str, str] = field(default_factory=dict)
     strict_fraction: float = 0.8
     lenient_fraction: float = 0.5
-    _warned: set[str] = field(default_factory=set, repr=False, compare=False)
+    _warned: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for country, mode in self.strictness.items():
@@ -273,10 +274,11 @@ class StubNameValidator:
     def judge(self, name: str, country: str) -> bool:
         mode = self.strictness.get(country)
         if mode is None:
-            if country not in self._warned:
-                self._warned.add(country)
+            if not self._warned:
+                self._warned = True
                 log.warning("no validator strictness configured for %r; "
-                            "defaulting to strict", country)
+                            "defaulting to strict for every unlisted "
+                            "country", country)
             mode = "strict"
         required = (self.strict_fraction if mode == "strict"
                     else self.lenient_fraction)

@@ -25,7 +25,7 @@ from namecountry.classifier import (
 )
 from namecountry.cli import DEFAULT_CONFIG, load_config, main
 from namecountry.core import (
-    NameRecord, name_key, register_taxonomy, write_records,
+    NameRecord, Provenance, name_key, register_taxonomy, write_records,
 )
 
 
@@ -578,6 +578,22 @@ def test_audit_exits_1_on_leaky_splits(chain, tmp_path, capsys):
     report = json.loads((tmp_path / "audit_report.json").read_text())
     assert report["clean"] is False
     assert report["violations"]["train_oag_vs_val_oag"] == ["shared name"]
+
+    # A synthetic training name that is also a test_oag name (but not in
+    # test_filter) is a leak too.
+    aug = tmp_path / "aug"
+    write_records(aug / "train_oag.jsonl", [NameRecord("Real Name", "alfa")])
+    write_records(aug / "test_oag.jsonl", [NameRecord("Held Out", "alfa")])
+    write_records(aug / "train_aug.jsonl", [
+        NameRecord("Real Name", "alfa"),
+        NameRecord("held out", "alfa", provenance=Provenance.SYNTHETIC)])
+    code = main(["--out-dir", str(tmp_path), "audit",
+                 "--splits-dir", str(aug)])
+    assert code == 1
+    assert "train_aug_vs_test_oag: 'held out'" in capsys.readouterr().err
+    report = json.loads((tmp_path / "audit_report.json").read_text())
+    assert report["clean"] is False
+    assert report["violations"]["train_aug_vs_test_oag"] == ["held out"]
 
 
 def test_audit_missing_dir_exits_2(chain, tmp_path, capsys):

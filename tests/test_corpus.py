@@ -7,7 +7,6 @@ from namecountry.core import NameRecord, Provenance
 from namecountry.corpus import (
     CorpusSplits,
     EmptyCorpusError,
-    LeakageError,
     SplitConfig,
     assemble_augmented_splits,
     audit_is_clean,
@@ -287,22 +286,32 @@ def test_assemble_augmented_splits_concatenates():
     assert out.train_oag == base_splits().train_oag
 
 
-def test_assemble_rejects_synth_partition_overlap():
-    shared = synthetic("alfa", 1, "x")
-    with pytest.raises(LeakageError):
-        assemble_augmented_splits(base_splits(), shared, shared, [])
+def leaky(name):
+    return [NameRecord(name, "alfa", provenance=Provenance.SYNTHETIC)]
 
 
-def test_assemble_rejects_synth_train_in_eval():
-    leaky = [NameRecord("V0 Alfa", "alfa", provenance=Provenance.SYNTHETIC)]
-    with pytest.raises(LeakageError):
-        assemble_augmented_splits(base_splits(), leaky, [], [])
-
-
-def test_assemble_rejects_synth_eval_in_train():
-    leaky = [NameRecord("N0 Alfa", "alfa", provenance=Provenance.SYNTHETIC)]
-    with pytest.raises(LeakageError):
-        assemble_augmented_splits(base_splits(), [], leaky, [])
+# Assembly only concatenates; each leak it is handed is an audit finding.
+@pytest.mark.parametrize("synth_train, synth_val, synth_test, check, key", [
+    pytest.param(leaky("X0 Alfa"), leaky("X0 Alfa"), [],
+                 "train_aug_vs_val_aug", "x0 alfa",
+                 id="synth_partition_overlap"),
+    pytest.param(leaky("V0 Alfa"), [], [], "train_aug_vs_val_aug", "v0 alfa",
+                 id="synth_train_in_val"),
+    pytest.param(leaky("T0 Alfa"), [], [], "train_aug_vs_test_oag", "t0 alfa",
+                 id="synth_train_in_test_oag"),
+    pytest.param([], leaky("N0 Alfa"), [], "train_aug_vs_val_aug", "n0 alfa",
+                 id="synth_val_in_train"),
+    pytest.param([], [], leaky("N0 Alfa"), "train_aug_vs_test_filter_aug",
+                 "n0 alfa", id="synth_test_in_train"),
+])
+def test_audit_flags_leaky_assembly(synth_train, synth_val, synth_test,
+                                    check, key):
+    splits = assemble_augmented_splits(base_splits(), synth_train, synth_val,
+                                       synth_test)
+    violations = audit_splits(splits)
+    assert violations[check] == [key]
+    flagged = {name for name, keys in violations.items() if keys}
+    assert flagged == {check}
 
 
 # --- audit ---
@@ -368,6 +377,26 @@ def test_audit_requires_validated_provenance_in_test_filter():
     bundle.test_filter.append(NameRecord("T0 Alfa", "alfa"))
     violations = audit_splits(bundle)
     assert violations["test_filter_subset_of_test_oag"] == ["T0 Alfa"]
+
+
+def test_audit_check_names():
+    # The one leakage rule's table: a check cannot silently drop out.
+    assert sorted(audit_splits(CorpusSplits())) == [
+        "test_filter_real_only",
+        "test_filter_subset_of_test_oag",
+        "test_gold_synthetic_only",
+        "test_oag_real_only",
+        "train_aug_vs_test_filter_aug",
+        "train_aug_vs_test_gold",
+        "train_aug_vs_test_oag",
+        "train_aug_vs_val_aug",
+        "train_oag_real_only",
+        "train_oag_vs_test_filter",
+        "train_oag_vs_test_gold",
+        "train_oag_vs_test_oag",
+        "train_oag_vs_val_oag",
+        "val_oag_real_only",
+    ]
 
 
 def test_write_split_manifest(tmp_path):

@@ -477,6 +477,14 @@ def test_stub_validator_unlisted_country_defaults_strict(caplog):
         validator.judge("Qwyx Wyxq", "atlantis")
     warnings = [r for r in caplog.records if "atlantis" in r.getMessage()]
     assert len(warnings) == 1  # warned once, not per call
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        other = StubNameValidator()
+        assert not other.judge("Qwyx Wyxq", "atlantis")
+        assert not other.judge("Qwyx Wyxq", "lemuria")
+    warnings = [r for r in caplog.records
+                if "no validator strictness" in r.getMessage()]
+    assert len(warnings) == 1  # once per validator, not per country
 
 
 def test_stub_validator_unknown_mode():
