@@ -42,7 +42,7 @@ import codecs
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -430,9 +430,7 @@ class EpochStats:
     lr: float
 
     def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "val_accuracy": self.val_accuracy,
-                "val_macro_f1": self.val_macro_f1, "lr": self.lr}
+        return asdict(self)
 
 
 @dataclass

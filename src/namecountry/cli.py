@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import logging
@@ -23,9 +24,9 @@ from typing import Sequence
 from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
-    InputFormatError, RecordError, TaxonomyError, UnknownLabelError,
-    atomic_open, json_type, load_mapping, load_taxonomy, read_jsonl,
-    read_records, read_text, require_json, write_json, write_records,
+    UnknownLabelError, atomic_open, json_type, load_mapping, load_taxonomy,
+    read_jsonl, read_records, read_text, require_json, write_json,
+    write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -57,9 +58,7 @@ CONFIG_ELEMENTS = {"split.ratios": "a number", "augment.ratios": "a number",
 
 
 class CommandError(Exception):
-    def __init__(self, message: str, exit_code: int = 2):
-        super().__init__(message)
-        self.exit_code = exit_code
+    """Bad input found by a command itself; `main` prints it and exits 2."""
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -216,7 +215,7 @@ def cmd_extract(args, config: dict, seed: int, out_dir: Path) -> int:
     records = extraction.read_affiliations(args.input)
     labeled, stats = extraction.build_labeled_corpus(records, table, taxonomy)
     write_records(output, labeled)
-    write_json(stats_path, stats.to_dict())
+    write_json(stats_path, stats)
     _write_manifest(out_dir, "extract", config, seed,
                     [("input", args.input), ("taxonomy", args.taxonomy),
                      ("aliases", args.aliases)],
@@ -380,12 +379,12 @@ def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
         report = evaluation.evaluate(pairs, model.taxonomy)
         taxonomy_name = model.taxonomy.name
 
-    payload = {"taxonomy": taxonomy_name, **report.to_dict()}
+    payload = {"taxonomy": taxonomy_name, **dataclasses.asdict(report)}
     if args.train_split:
         counts = Counter(r.label for r in read_records(args.train_split))
         buckets = evaluation.bucket_report(pairs, model.taxonomy, counts,
                                            threshold=args.bucket_threshold)
-        payload["buckets"] = buckets.to_dict()
+        payload["buckets"] = buckets
     write_json(output, payload)
     outputs = [("output", output)]
     if args.table:
@@ -420,7 +419,7 @@ def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
         names, model_name=bench_cfg["model_name"],
         model_type=bench_cfg["model_type"],
         cost_per_million=bench_cfg["cost_per_million"])
-    write_json(output, report.to_dict())
+    write_json(output, report)
     outputs = [("output", output)]
     if args.table:
         with atomic_open(args.table) as fh:
@@ -443,7 +442,7 @@ def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
     mapping = load_mapping(args.mapping, model.taxonomy, target)
     records = _read_bias_records(args.records)
     report = evaluation.bias_report(records, model, mapping)
-    write_json(output, report.to_dict())
+    write_json(output, report)
     _write_manifest(out_dir, "bias", config, seed,
                     [("model", args.model), ("records", args.records),
                      ("mapping", args.mapping),
@@ -582,15 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_2_errors() -> tuple[type[BaseException], ...]:
     """The exceptions `main` turns into one `error:` line and exit 2.
 
-    Called only while an exception is being matched. CheckpointError and
-    InsufficientNamesError are ValueErrors; TrainingError is looked up in
-    `sys.modules`, as only a handler that has imported the classifier can
-    raise it.
+    Called only while an exception is being matched. The core's input,
+    record and taxonomy errors, CheckpointError and InsufficientNamesError
+    are ValueErrors; TrainingError is looked up in `sys.modules`, as only a
+    handler that has imported the classifier can raise it.
     """
-    errors = (CommandError, InputFormatError, TaxonomyError, UnknownLabelError,
-              RecordError, enrichment.OracleTransportError, FileNotFoundError,
-              IsADirectoryError, NotADirectoryError, PermissionError,
-              ValueError)
+    errors = (CommandError, UnknownLabelError, enrichment.OracleTransportError,
+              FileNotFoundError, IsADirectoryError, NotADirectoryError,
+              PermissionError, ValueError)
     classifier = sys.modules.get(f"{__package__}.classifier")
     return errors + (classifier.TrainingError,) if classifier else errors
 
@@ -615,7 +613,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args, config, seed, out_dir)
     except _exit_2_errors() as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, CommandError) else 2
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -360,10 +360,23 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
+def _dataclass_fields(obj) -> dict:
+    """`json.dumps` hook: a dataclass instance becomes `asdict(obj)`."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: str | Path, obj) -> None:
-    """Write `obj` atomically as indented, key-sorted UTF-8 JSON plus a newline."""
+    """Write `obj` atomically as indented, key-sorted UTF-8 JSON plus a newline.
+
+    The one report serializer: a dataclass instance, at any depth, is written
+    as its fields, so a report's dataclass is its JSON layout.
+    """
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False))
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
+                            default=_dataclass_fields))
         fh.write("\n")
 
 

@@ -38,11 +38,10 @@ class EmptyCorpusError(ValueError):
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Ratio weights, seed, and optional per-country cap for splitting."""
+    """Ratio weights and seed for splitting."""
 
     ratios: tuple[float, float, float] = (8.0, 1.0, 1.0)
     seed: int = 0
-    per_country_cap: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.ratios) != 3:
@@ -53,8 +52,6 @@ class SplitConfig:
             raise ValueError("ratios must be finite non-negative numbers")
         if sum(self.ratios) <= 0:
             raise ValueError("ratios must sum to a positive value")
-        if self.per_country_cap is not None and self.per_country_cap < 1:
-            raise ValueError("per_country_cap must be positive")
 
 
 def _country_rng(seed: int, country: str, stage: str = "split") -> random.Random:
@@ -105,8 +102,6 @@ def split_corpus(
         rng = _country_rng(config.seed, country)
         shuffled = list(group)
         rng.shuffle(shuffled)
-        if config.per_country_cap is not None:
-            shuffled = shuffled[: config.per_country_cap]
         n_train, n_val, n_test = largest_remainder_allocation(
             len(shuffled), config.ratios)
         train.extend(shuffled[:n_train])

@@ -68,16 +68,6 @@ class BenchRow:
     latency_ms_per_name: float
     runtime_samples: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "names_per_run": self.names_per_run,
-            "mean_runtime_seconds": self.mean_runtime_seconds,
-            "throughput_names_per_second": self.throughput_names_per_second,
-            "latency_ms_per_name": self.latency_ms_per_name,
-            "runtime_samples": list(self.runtime_samples),
-        }
-
 
 @dataclass(frozen=True)
 class ThroughputReport:
@@ -85,14 +75,6 @@ class ThroughputReport:
     model_type: str
     rows: tuple[BenchRow, ...]
     cost_per_million: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "model_type": self.model_type,
-            "cost_per_million": self.cost_per_million,
-            "rows": [row.to_dict() for row in self.rows],
-        }
 
 
 def benchmark(model: ClassifierModel, config: BenchConfig,

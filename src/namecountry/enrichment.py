@@ -305,6 +305,12 @@ class HttpOracleConfig:
     max_retries: int = 3
     backoff_seconds: float = 0.5
 
+    def __post_init__(self) -> None:
+        if self.timeout_seconds <= 0:
+            raise ValueError("oracle.http.timeout_seconds must be positive")
+        if self.max_retries < 0:
+            raise ValueError("oracle.http.max_retries must be non-negative")
+
 
 class HttpChatOracle:
     """Generator and validation oracle over a chat-completion HTTP API.

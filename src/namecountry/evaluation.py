@@ -54,19 +54,6 @@ class EvalReport:
     per_class: dict[str, ClassMetrics]
     n_records: int
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "weighted_f1": self.weighted_f1,
-            "macro_f1": self.macro_f1,
-            "n_records": self.n_records,
-            "per_class": {
-                label: {"precision": m.precision, "recall": m.recall,
-                        "f1": m.f1, "support": m.support}
-                for label, m in self.per_class.items()
-            },
-        }
-
 
 def evaluate(pairs: Sequence[LabelPair], taxonomy: Taxonomy) -> EvalReport:
     """Metric bundle over (gold, predicted) pairs.
@@ -122,17 +109,6 @@ class BucketReport:
     head: BucketMetrics
     tail: BucketMetrics
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "head_labels": list(self.head_labels),
-            "tail_labels": list(self.tail_labels),
-            "head": {"accuracy": self.head.accuracy,
-                     "macro_f1": self.head.macro_f1},
-            "tail": {"accuracy": self.tail.accuracy,
-                     "macro_f1": self.tail.macro_f1},
-        }
-
 
 def bucket_report(pairs: Sequence[LabelPair], taxonomy: Taxonomy,
                   train_counts: Mapping[str, int],
@@ -168,14 +144,6 @@ class DuplicationReport:
     share_two_plus: float
     share_three_plus: float
     per_country: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "distinct_names": self.distinct_names,
-            "share_two_plus": self.share_two_plus,
-            "share_three_plus": self.share_three_plus,
-            "per_country": self.per_country,
-        }
 
 
 def duplication_report(corpus: Sequence[NameRecord]) -> DuplicationReport:
@@ -246,20 +214,6 @@ class BiasReport:
     hallucinated_distribution: dict[str, float]
     n_records: int
     n_incorrect: int
-
-    def to_dict(self) -> dict:
-        return {
-            "groups": {
-                g: {"correct": s.correct, "total": s.total,
-                    "accuracy": s.accuracy,
-                    "ci_lower": s.ci_lower, "ci_upper": s.ci_upper}
-                for g, s in self.groups.items()
-            },
-            "gold_distribution": self.gold_distribution,
-            "hallucinated_distribution": self.hallucinated_distribution,
-            "n_records": self.n_records,
-            "n_incorrect": self.n_incorrect,
-        }
 
 
 def bias_report(

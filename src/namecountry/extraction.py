@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -19,6 +19,7 @@ from .core import (
     Provenance,
     RecordError,
     Taxonomy,
+    normalize_label,
     read_jsonl,
     read_table,
     require_json,
@@ -55,9 +56,10 @@ class NormalizationTable:
             alias = _canon(raw_alias)
             if not alias:
                 raise ValueError("empty alias")
-            if alias in aliases and aliases[alias] != label.strip().lower():
+            label = normalize_label(label)
+            if alias in aliases and aliases[alias] != label:
                 raise ValueError(f"conflicting alias {alias!r}")
-            aliases[alias] = label.strip().lower()
+            aliases[alias] = label
         return NormalizationTable(aliases)
 
     @staticmethod
@@ -153,13 +155,7 @@ class ExtractionStats:
     deduplicated: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "raw": self.raw,
-            "retained": self.retained,
-            "ambiguous": self.ambiguous,
-            "unresolved": self.unresolved,
-            "deduplicated": self.deduplicated,
-        }
+        return asdict(self)
 
 
 def build_labeled_corpus(

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -122,6 +123,16 @@ def test_evaluate_artifacts(chain):
     assert report["buckets"]["threshold"] == 200
     assert report["buckets"]["tail_labels"] == ["cascadia", "dorvania"]
     assert report["buckets"]["head_labels"] == ["arcadia", "borelia"]
+    # Each bucket's size: the test names whose gold label is in it.
+    gold = Counter(json.loads(l)["label"] for l in
+                   (chain.out / "splits" / "test_filter_aug.jsonl")
+                   .read_text().splitlines())
+    assert report["buckets"]["head"]["n_records"] == (
+        gold["arcadia"] + gold["borelia"])
+    assert report["buckets"]["tail"]["n_records"] == (
+        gold["cascadia"] + gold["dorvania"])
+    assert (report["buckets"]["head"]["n_records"]
+            + report["buckets"]["tail"]["n_records"] == report["n_records"])
     table = (chain.out / "eval_table.txt").read_text()
     assert table.splitlines()[0].split() == ["Model", "Taxonomy", "Acc",
                                              "W-F1", "M-F1"]
@@ -469,6 +480,26 @@ def test_mistyped_config_exits_2(tmp_path, capsys, config, key):
     assert code == 2
     assert len(err) == 1 and err[0].startswith(
         f"error: config {path}: {key} must be "), err
+
+
+@pytest.mark.parametrize("http, key", [
+    ({"max_retries": -1}, "max_retries"),
+    ({"timeout_seconds": 0}, "timeout_seconds")])
+def test_split_rejects_bad_http_oracle_config(chain, tmp_path, capsys, http,
+                                              key):
+    # Checked when the oracle is built, before a request is sent or a file
+    # is written.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": {"kind": "http", "http": {
+        "endpoint": "http://127.0.0.1:9/v1", **http}}}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out),
+                 "split", "--input", str(chain.out / "corpus.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(
+        f"error: oracle.http.{key} must be"), err
+    assert list(out.iterdir()) == []  # no splits/, no manifest
 
 
 def test_unknown_strictness_exits_2(chain, tmp_path, capsys):

@@ -29,7 +29,12 @@ from namecountry.core import (
     write_json,
     write_records,
 )
-from namecountry.extraction import NormalizationTable
+from namecountry.engine import BenchRow, ThroughputReport
+from namecountry.evaluation import (
+    BiasReport, BucketMetrics, BucketReport, ClassMetrics, DuplicationReport,
+    EvalReport, GroupStats,
+)
+from namecountry.extraction import ExtractionStats, NormalizationTable
 
 
 def test_normalize_name_collapses_whitespace():
@@ -403,6 +408,66 @@ def test_write_json_format(tmp_path):
     write_json(path, {"b": 1, "a": ["Jörg"]})
     assert path.read_text(encoding="utf-8") == (
         '{\n  "a": [\n    "Jörg"\n  ],\n  "b": 1\n}\n')
+
+
+def _leaf_paths(value, prefix=""):
+    """Dotted paths to the leaves of a JSON value; a list is `[]`, typed by
+    its first element."""
+    if isinstance(value, dict):
+        return [path for key, item in value.items()
+                for path in _leaf_paths(item, f"{prefix}.{key}".lstrip("."))]
+    if isinstance(value, list):
+        return _leaf_paths(value[0], prefix + "[]") if value else [prefix + "[]"]
+    return [prefix]
+
+
+REPORT_LAYOUTS = [
+    (EvalReport(0.5, 0.5, 0.5, {"alfa": ClassMetrics(0.5, 1.0, 0.6, 2)}, 2),
+     ["accuracy", "macro_f1", "n_records", "per_class.alfa.f1",
+      "per_class.alfa.precision", "per_class.alfa.recall",
+      "per_class.alfa.support", "weighted_f1"]),
+    (BucketReport(200, ("alfa",), ("bravo", "charlie"),
+                  BucketMetrics(0.5, 0.4, 6), BucketMetrics(0.0, 0.0, 2)),
+     ["head.accuracy", "head.macro_f1", "head.n_records", "head_labels[]",
+      "tail.accuracy", "tail.macro_f1", "tail.n_records", "tail_labels[]",
+      "threshold"]),
+    (BiasReport({"east": GroupStats(1, 2, 0.5, 0.1, 0.9)}, {"east": 1.0},
+                {"east": 1.0}, 2, 1),
+     ["gold_distribution.east", "groups.east.accuracy",
+      "groups.east.ci_lower", "groups.east.ci_upper", "groups.east.correct",
+      "groups.east.total", "hallucinated_distribution.east", "n_incorrect",
+      "n_records"]),
+    (ThroughputReport("m1", "local",
+                      (BenchRow(2, 2, 0.1, 20.0, 50.0, (0.1, 0.1)),), 1.5),
+     ["cost_per_million", "model_name", "model_type", "rows[].batch_size",
+      "rows[].latency_ms_per_name", "rows[].mean_runtime_seconds",
+      "rows[].names_per_run", "rows[].runtime_samples[]",
+      "rows[].throughput_names_per_second"]),
+    (ExtractionStats(4, 2, 1, 1, 0),
+     ["ambiguous", "deduplicated", "raw", "retained", "unresolved"]),
+    (DuplicationReport(3, 0.5, 0.0, {"alfa": 0.5}),
+     ["distinct_names", "per_country.alfa", "share_three_plus",
+      "share_two_plus"]),
+]
+
+
+# Each report's dataclass is its JSON layout: write_json writes any dataclass,
+# nested ones and tuples included, as its fields.
+@pytest.mark.parametrize("report, layout", REPORT_LAYOUTS,
+                         ids=[type(r).__name__ for r, _ in REPORT_LAYOUTS])
+def test_write_json_report_layout(tmp_path, report, layout):
+    path = tmp_path / "report.json"
+    write_json(path, report)
+    assert _leaf_paths(json.loads(path.read_text(encoding="utf-8"))) == layout
+
+
+def test_write_json_rejects_other_objects(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        write_json(path, {"names": {"Wei Zhang"}})
+    with pytest.raises(TypeError, match="type is not JSON serializable"):
+        write_json(path, ExtractionStats)  # a dataclass type, not an instance
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_records_failure_keeps_previous_file(tmp_path):

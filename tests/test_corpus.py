@@ -107,12 +107,6 @@ def test_split_deterministic_and_seed_sensitive():
     assert first != other
 
 
-def test_split_per_country_cap():
-    train, val, test = split_corpus(
-        make_records("alfa", 100), SplitConfig(per_country_cap=10))
-    assert (len(train), len(val), len(test)) == (8, 1, 1)
-
-
 def test_split_empty_corpus():
     with pytest.raises(EmptyCorpusError):
         split_corpus([], SplitConfig())
@@ -125,8 +119,6 @@ def test_split_config_validation():
         SplitConfig(ratios=(8, -1, 1))
     with pytest.raises(ValueError):
         SplitConfig(ratios=(0, 0, 0))
-    with pytest.raises(ValueError):
-        SplitConfig(per_country_cap=0)
     # Ratios can come from a JSON config: only finite numbers pass.
     for bad in (None, "8", True, [8], float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite non-negative numbers"):

@@ -127,7 +127,7 @@ def test_report_round_trip_and_table(tmp_path):
     report = benchmark(model, config, name_pool(8), model_name="m1",
                        model_type="local", cost_per_million=1.5)
     path = tmp_path / "bench.json"
-    write_json(path, report.to_dict())
+    write_json(path, report)
     payload = json.loads(path.read_text())
     assert payload["model_name"] == "m1"
     assert payload["rows"][0]["batch_size"] == 2

@@ -1,6 +1,7 @@
 """Extraction rules are pinned by a 50-case hand-labeled fixture plus unit
 tests for each normalization stage."""
 import importlib.resources
+import unicodedata
 
 import pytest
 
@@ -66,6 +67,20 @@ def test_normalization_table_conflict():
                                            ("U.K.", "united kingdom")])
     assert table.aliases["uk"] == "united kingdom"
     assert table.aliases["u.k"] == "united kingdom"
+
+
+def test_alias_target_is_normalized_like_a_taxonomy_label():
+    nfc = "côte d'ivoire"
+    nfd = unicodedata.normalize("NFD", nfc)
+    taxonomy = register_taxonomy("ivory_nfd", [nfc])
+    table = NormalizationTable.from_pairs([("ivory coast", nfd),
+                                           ("CI", f" {nfd.upper()} ")])
+    # An NFD alias target resolves, as the same bare NFD string does.
+    assert normalize_country("Ivory Coast", table, taxonomy) == nfc
+    assert normalize_country("CI", table, taxonomy) == nfc
+    assert normalize_country(nfd, table, taxonomy) == nfc
+    # Targets equal once normalized are not a conflict.
+    NormalizationTable.from_pairs([("ci", nfd), ("CI", nfc)])
 
 
 def test_fifty_case_fixture(oag_taxonomy, alias_table):

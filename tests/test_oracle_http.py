@@ -166,6 +166,18 @@ def test_collect_against_down_oracle_sends_one_retry_loop(oracle_server):
     assert oracle.calls == len(oracle_server.requests) == 4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_retries", -1), ("timeout_seconds", 0), ("timeout_seconds", -2.5)])
+def test_config_rejects_negative_retries_and_non_positive_timeout(field,
+                                                                  value):
+    with pytest.raises(ValueError, match=f"oracle.http.{field} must be"):
+        HttpOracleConfig(endpoint="http://127.0.0.1:9/v1", model="m",
+                         **{field: value})
+    # The boundaries that stay allowed: no retries and no backoff.
+    HttpOracleConfig(endpoint="http://127.0.0.1:9/v1", model="m",
+                     max_retries=0, backoff_seconds=0.0)
+
+
 def test_strip_list_marker():
     assert _strip_list_marker("- Anh Tran") == "Anh Tran"
     assert _strip_list_marker("* Anh Tran") == "Anh Tran"

@@ -1,7 +1,7 @@
 """Source guards: one atomic writer, one reader per input format, one record
-encoder, one retry loop, one leakage check and one classifier forward pass in
-the package, none of the constructs its kernels and bench were rid of, and
-every package name the bench's tracer wraps."""
+encoder, one report serializer, one retry loop, one leakage check and one
+classifier forward pass in the package, none of the constructs its kernels
+and bench were rid of, and every package name the bench's tracer wraps."""
 import functools
 import importlib.util
 from pathlib import Path
@@ -35,6 +35,12 @@ def test_one_reader_per_input_format():
 def test_one_record_encoder():
     # core.write_records builds each line from json's own string encoder.
     assert where("encode_basestring") == ["core.py"]
+
+
+def test_one_report_serializer():
+    # core.write_json writes a report's dataclass as its fields; the two
+    # to_dict methods left are one-line asdict calls the bench relies on.
+    assert where("def to_dict") == ["classifier.py", "extraction.py"]
 
 
 def test_one_leakage_check():
