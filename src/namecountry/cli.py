@@ -5,12 +5,19 @@ Every command writes a manifest (config hash, seed, input/output digests,
 no timestamps) so identical inputs and seed reproduce identical digests.
 Outputs are written atomically; a failing command leaves no partial files.
 Exit codes: 0 success, 1 audit failure, 2 everything else.
+
+A command's handler runs with the cyclic garbage collector off, and `main`
+puts back the state it found. The data stages hold hundreds of thousands of
+records, keys and lists, none of which form reference cycles, so reference
+counting frees them; the collector would only rescan them, generation 2
+most of all. This is the one place the package switches the collector.
 """
 from __future__ import annotations
 
 import argparse
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -77,7 +84,10 @@ def load_config(path: str | Path | None) -> dict:
     A key that has a default keeps its JSON type: a section stays an object
     and a leaf keeps its type, except that an integer may stand for a float.
     The elements of the arrays and objects in CONFIG_ELEMENTS are checked
-    the same way. Anything else raises CommandError naming the dotted key.
+    the same way, and those objects take any key. Inside a section, a key
+    with no default is unknown (a misspelt `learning_rate` would otherwise
+    train at the default); the top level may carry keys of its own. Anything
+    else raises CommandError naming the dotted key.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -100,9 +110,11 @@ def _check_type(name: str, expected: str, value) -> None:
 def _check_types(defaults: dict, loaded: dict, where: str,
                  prefix: str = "") -> None:
     for key, value in loaded.items():
-        if key not in defaults:
-            continue
         dotted = f"{prefix}{key}"
+        if key not in defaults:
+            if prefix:
+                raise CommandError(f"{where}unknown key {dotted}")
+            continue
         _check_type(where + dotted, json_type(defaults[key]), value)
         element = CONFIG_ELEMENTS.get(dotted)
         if element and isinstance(value, list):
@@ -610,7 +622,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _deep_merge(config, {"seed": seed})
         out_dir = args.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.handler(args, config, seed, out_dir)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return args.handler(args, config, seed, out_dir)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     except _exit_2_errors() as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2

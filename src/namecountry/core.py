@@ -122,20 +122,25 @@ def read_table(path: str | Path,
                columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line number, fields)` for each line of a tab-separated file.
 
-    Blank lines and lines starting with '#' are skipped; fields are split on
-    tabs after the line is trimmed. A line with other than `len(columns)`
-    fields raises InputFormatError naming the expected columns.
+    Lines end where the file's lines end (LF, CR or CRLF), as `read_jsonl`
+    reads them: a `\x85`, `\x1c` or U+2028 inside a line neither splits it
+    nor shifts the numbers of the lines after it. Blank lines and lines
+    starting with '#' are skipped; fields are split on tabs after the line
+    is trimmed. A line with other than `len(columns)` fields raises
+    InputFormatError naming the expected columns.
     """
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split("\t")
-        if len(fields) != len(columns):
-            raise InputFormatError(
-                f"expected `{'<TAB>'.join(columns)}`, got {line!r}",
-                path=path, line=lineno)
-        yield lineno, fields
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = stripped.split("\t")
+            if len(fields) != len(columns):
+                raise InputFormatError(
+                    f"expected `{'<TAB>'.join(columns)}`, got {line!r}",
+                    path=path, line=lineno)
+            yield lineno, fields
 
 
 def normalize_name(name: str) -> str:
@@ -168,32 +173,49 @@ class Provenance(enum.Enum):
     SYNTHETIC = "synthetic"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NameRecord:
     """A full name paired with a country label and a provenance tag; slotted,
-    with the label interned, as an augmented corpus holds ~10^5 per country."""
+    with the label interned, as an augmented corpus holds ~10^5 per country.
+
+    `__init__` is written by hand, not generated: it normalizes the name once
+    and sets each slot once through the class's slot descriptors, where the
+    generated frozen `__init__` plus a `__post_init__` would set four fields
+    and then two of them again. The data chain builds one for every record
+    it reads or draws.
+    """
 
     full_name: str
     label: str
     provenance: Provenance = Provenance.EXTRACTED
     source_id: str | None = None
 
-    def __post_init__(self) -> None:
-        normalized = normalize_name(self.full_name)
+    def __init__(self, full_name: str, label: str,
+                 provenance: Provenance = Provenance.EXTRACTED,
+                 source_id: str | None = None) -> None:
+        normalized = normalize_name(full_name)
         if not normalized:
             raise RecordError("full_name is empty after whitespace normalization")
-        object.__setattr__(self, "full_name", normalized)
+        _set_full_name(self, normalized)
         # A label that is not a string fails in normalize_label, with its
         # own message, before the cache would fail to hash it.
-        label = self.label
-        object.__setattr__(self, "label", _interned_label(label)
-                           if isinstance(label, str) else normalize_label(label))
+        _set_label(self, _interned_label(label) if isinstance(label, str)
+                   else normalize_label(label))
+        _set_provenance(self, provenance)
+        _set_source_id(self, source_id)
 
     @property
     def key(self) -> str:
         """`name_key(full_name)`. `full_name` is stored normalized and
         `normalize_name` is idempotent, so casefolding it is that key."""
         return self.full_name.casefold()
+
+
+# The slot setters NameRecord.__init__ writes through; the frozen
+# `__setattr__` would refuse them.
+_set_full_name, _set_label, _set_provenance, _set_source_id = (
+    NameRecord.__dict__[f].__set__
+    for f in ("full_name", "label", "provenance", "source_id"))
 
 
 @dataclass(frozen=True)
@@ -332,8 +354,7 @@ def record_from_dict(obj: dict) -> NameRecord:
         provenance = _PROVENANCES[provenance]
     except (KeyError, TypeError):  # raises Provenance's own ValueError
         provenance = Provenance(provenance)
-    record = NameRecord(full_name=full_name, label=label,
-                        provenance=provenance, source_id=obj.get("source_id"))
+    record = NameRecord(full_name, label, provenance, obj.get("source_id"))
     if record.source_id is not None and not isinstance(record.source_id, str):
         raise TypeError(f"source_id must be a string, not "
                         f"{type(record.source_id).__name__}")

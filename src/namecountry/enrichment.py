@@ -200,6 +200,17 @@ def country_letters(country: str) -> frozenset[str]:
     return frozenset("".join(country_syllables(country)))
 
 
+@functools.lru_cache(maxsize=None)
+def _draw_table(country: str) -> tuple[tuple[str, ...], tuple[str, ...], int, int]:
+    """What `synth_name` draws from: the country's syllables, the same
+    syllables capitalized (for a token's first), their count and the number
+    of random bits an index takes."""
+    syllables = country_syllables(country)
+    n = len(syllables)
+    return (syllables, tuple(s.capitalize() for s in syllables), n,
+            n.bit_length())
+
+
 def synth_name(rng: random.Random, country: str) -> str:
     """Draw one two-token full name from the country's syllable inventory.
 
@@ -207,24 +218,31 @@ def synth_name(rng: random.Random, country: str) -> str:
     rejection sampling `Random.choice` does, written inline over
     `rng.getrandbits`, so the names and the generator state afterwards are
     those of `rng.choice((2, 3))` then `rng.choice(syllables)` per syllable;
-    `test_synth_name_matches_random_choice_stream` pins this.
+    `test_synth_name_matches_random_choice_stream` pins this. A token's first
+    syllable comes from the capitalized table, which is what capitalizing the
+    lowercase token gives, and the draws of a token are unrolled: two
+    syllables, then a third when `extra` is 1.
     """
-    syllables = country_syllables(country)
-    n = len(syllables)
-    bits = n.bit_length()
+    syllables, capitalized, n, bits = _draw_table(country)
     getrandbits = rng.getrandbits
     name = ""
     for separator in ("", " "):
         extra = getrandbits(2)  # choice((2, 3)): 2 + extra syllables
         while extra >= 2:
             extra = getrandbits(2)
-        token = ""
-        for _ in range(2 + extra):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        token = capitalized[i] + syllables[j]
+        if extra:
             i = getrandbits(bits)
             while i >= n:
                 i = getrandbits(bits)
             token += syllables[i]
-        name += separator + token.capitalize()
+        name += separator + token
     return name
 
 

@@ -5,6 +5,7 @@ evaluate -> bench -> bias -> audit) against the generated fixture tree;
 individual tests then assert on the artifacts.
 """
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from namecountry import fixtures
+from namecountry import cli, fixtures
 from namecountry.classifier import (
     ClassifierModel, ModelConfig, Tokenizer, init_params, save_model,
 )
@@ -480,6 +481,61 @@ def test_mistyped_config_exits_2(tmp_path, capsys, config, key):
     assert code == 2
     assert len(err) == 1 and err[0].startswith(
         f"error: config {path}: {key} must be "), err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"train": {"learning_rat": 0.01}}, "train.learning_rat"),
+    ({"oracle": {"http": {"retries": 2}}}, "oracle.http.retries"),
+    ({"split": {"ratios": [8, 1, 1], "cap": 5}}, "split.cap")])
+def test_unknown_config_key_exits_2(tmp_path, capsys, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
+                 "split", "--input", str(tmp_path / "corpus.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [f"error: config {path}: unknown key {key}"]
+    assert not (tmp_path / "out" / "splits").exists()
+
+
+def test_free_form_config_objects_take_any_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"augment": {"overrides": {"any land": 3}},
+                                "oracle": {"strictness": {"x": "lenient"}}}),
+                    encoding="utf-8")
+    config = load_config(path)
+    assert config["augment"]["overrides"] == {"any land": 3}
+    assert config["oracle"]["strictness"] == {"x": "lenient"}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("result, code", [
+    (0, 0), (1, 1), (cli.CommandError("bad input"), 2),
+    (RuntimeError("escapes"), None)], ids=["exit0", "exit1", "exit2", "raises"])
+def test_main_runs_handler_without_gc_and_restores_it(
+        tmp_path, monkeypatch, enabled, result, code):
+    inside = []
+
+    def handler(args, config, seed, out_dir):
+        inside.append(gc.isenabled())
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    monkeypatch.setattr(cli, "cmd_audit", handler)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(["--out-dir", str(tmp_path), "audit"])
+        else:
+            assert main(["--out-dir", str(tmp_path), "audit"]) == code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False]
+    assert after is enabled
 
 
 @pytest.mark.parametrize("http, key", [

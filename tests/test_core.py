@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -100,6 +102,94 @@ def test_name_record_normalizes_fields():
 def test_name_record_rejects_empty_name():
     with pytest.raises(RecordError):
         NameRecord(full_name="   ", label="china")
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceRecord:
+    """NameRecord as a generated frozen `__init__` plus `__post_init__`, the
+    rule the hand-written `NameRecord.__init__` must keep."""
+
+    full_name: str
+    label: str
+    provenance: Provenance = Provenance.EXTRACTED
+    source_id: str | None = None
+
+    def __post_init__(self) -> None:
+        normalized = normalize_name(self.full_name)
+        if not normalized:
+            raise RecordError("full_name is empty after whitespace normalization")
+        object.__setattr__(self, "full_name", normalized)
+        object.__setattr__(self, "label", sys.intern(normalize_label(self.label)))
+
+
+def outcome(call, *args, **kwargs):
+    """`(value, None)`, or `(None, (type, message))` of what `call` raised."""
+    try:
+        return call(*args, **kwargs), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+RECORD_FIELDS = ("full_name", "label", "provenance", "source_id")
+
+
+def same_record(record, reference):
+    assert [getattr(record, f) for f in RECORD_FIELDS] == [
+        getattr(reference, f) for f in RECORD_FIELDS]
+    assert record.label is reference.label  # both interned
+    assert hash(record) == hash(reference)
+    assert repr(record) == repr(reference).replace(
+        "ReferenceRecord", "NameRecord", 1)
+    assert dataclasses.asdict(record) == dataclasses.asdict(reference)
+    assert not hasattr(record, "__dict__")
+
+
+RECORD_NAMES = NAME_TEXT | st.sampled_from(["", "  ", None, 5, b"A B"])
+RECORD_LABELS = NAME_TEXT | st.sampled_from([" CHINA ", None, 5, ["alfa"]])
+RECORD_ARGS = st.tuples(RECORD_NAMES, RECORD_LABELS,
+                        st.sampled_from(Provenance), st.none() | NAME_TEXT)
+
+
+@settings(max_examples=300)
+@given(st.lists(RECORD_ARGS, min_size=2, max_size=2), st.booleans(),
+       RECORD_NAMES, RECORD_LABELS)
+@example([("  Wei  Zhang ", " CHINA ", Provenance.EXTRACTED, None),
+          ("Wei Zhang", "china", Provenance.EXTRACTED, None)], False,
+         "e\u0301 x", "Alfa")
+def test_name_record_matches_post_init_rule(args, keywords, new_name,
+                                            new_label):
+    """The one-pass `__init__` stores, compares, hashes, prints, replaces,
+    refuses assignment and fails exactly as the generated one with
+    `__post_init__` did, positional or by keyword."""
+    built = []
+    for a in args:
+        if keywords:
+            pair = [outcome(cls, **dict(zip(RECORD_FIELDS, a)))
+                    for cls in (NameRecord, ReferenceRecord)]
+        else:
+            pair = [outcome(cls, *a) for cls in (NameRecord, ReferenceRecord)]
+        (record, error), (reference, reference_error) = pair
+        assert error == reference_error
+        if record is not None:
+            same_record(record, reference)
+            built.append((record, reference))
+    if len(built) == 2:
+        (a, ref_a), (b, ref_b) = built
+        assert (a == b) == (ref_a == ref_b)
+    for record, reference in built:
+        for change in ({"full_name": new_name}, {"label": new_label}):
+            replaced, error = outcome(dataclasses.replace, record, **change)
+            ref_replaced, ref_error = outcome(dataclasses.replace, reference,
+                                              **change)
+            assert error == ref_error
+            if replaced is not None:
+                same_record(replaced, ref_replaced)
+        for name in RECORD_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError) as got:
+                setattr(record, name, "x")
+            with pytest.raises(dataclasses.FrozenInstanceError) as want:
+                setattr(reference, name, "x")
+            assert str(got.value) == str(want.value)
 
 
 def test_register_taxonomy_orders_and_indexes():
@@ -266,6 +356,34 @@ def test_read_records_rejects_missing_fields(tmp_path):
 
 
 # --- record codec parity with json.dumps / json.loads ---
+
+# Separators str.splitlines() ends a line at but a file's lines do not.
+INLINE_SEPARATORS = ["\x85", "\x1c", "\u2028"]
+
+
+@pytest.mark.parametrize("sep", INLINE_SEPARATORS)
+def test_taxonomy_line_with_inline_separator_is_one_label(tmp_path, sep):
+    path = tmp_path / "tax.txt"
+    path.write_text(f"alfa\nbeta{sep}gamma\n", encoding="utf-8")
+    assert load_taxonomy(path).labels == ("alfa", f"beta{sep}gamma")
+    path.write_text(f"alfa{sep}x\nbeta\tgamma\n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as exc_info:
+        load_taxonomy(path)
+    assert str(exc_info.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize("sep", INLINE_SEPARATORS)
+def test_alias_line_with_inline_separator_is_one_alias(tmp_path, sep):
+    path = tmp_path / "aliases.tsv"
+    path.write_text(f"foo{sep}bar\tAlfa\r\nbravo\tBravo\n", encoding="utf-8")
+    table = NormalizationTable.from_file(path)
+    assert table.aliases == {f"foo{sep}bar": "alfa", "bravo": "bravo"}
+    path.write_text(f"a{sep}b\talfa\nbroken \n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as exc_info:
+        NormalizationTable.from_file(path)
+    assert str(exc_info.value) == (
+        f"{path}:2: expected `alias<TAB>label`, got 'broken '")
+
 
 # Characters json.dumps escapes (quote, backslash, controls) or writes raw
 # with ensure_ascii=False (U+2028, U+00A0, non-BMP). Names keep the ones

@@ -325,6 +325,25 @@ def test_audit_clean_bundle():
     assert all(v == [] for v in violations.values())
 
 
+def test_audit_keys_each_evaluation_split_once(monkeypatch):
+    """test_oag and test_gold are scored against both training splits but
+    keyed once each for the overlap checks (test_oag once more for the
+    test_filter subset check)."""
+    bundle = clean_bundle()
+    keyed = Counter()
+    key = NameRecord.key
+
+    def counting_key(record):
+        keyed[record.full_name] += 1
+        return key.fget(record)
+
+    monkeypatch.setattr(NameRecord, "key", property(counting_key))
+    audit_splits(bundle)
+    assert bundle.test_gold and bundle.test_oag
+    assert {keyed[r.full_name] for r in bundle.test_gold} == {1}
+    assert {keyed[r.full_name] for r in bundle.test_oag} == {2}
+
+
 def test_audit_detects_train_test_overlap():
     bundle = clean_bundle()
     bundle.test_oag.append(NameRecord("N0 Alfa", "alfa"))

@@ -357,9 +357,9 @@ def test_collect_builds_one_record_per_kept_name(monkeypatch):
     built = []
 
     class CountingRecord(NameRecord):
-        def __post_init__(self):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self.full_name)
-            super().__post_init__()
 
     generated = []
 

@@ -1,7 +1,8 @@
 """Source guards: one atomic writer, one reader per input format, one record
-encoder, one report serializer, one retry loop, one leakage check and one
-classifier forward pass in the package, none of the constructs its kernels
-and bench were rid of, and every package name the bench's tracer wraps."""
+encoder, one report serializer, one retry loop, one leakage check, one
+switch of the garbage collector and one classifier forward pass in the
+package, none of the constructs its kernels and bench were rid of, and every
+package name the bench's tracer wraps."""
 import functools
 import importlib.util
 from pathlib import Path
@@ -47,6 +48,12 @@ def test_one_leakage_check():
     # Train/evaluation overlap is named only in corpus.audit_splits.
     assert where("_vs_") == ["corpus.py"]
     assert where("LeakageError") == []
+
+
+def test_one_collector_switch():
+    # cli.main runs a command's handler with the cyclic collector off and
+    # puts its state back; nothing else in the package touches it.
+    assert where("gc.disable(") == ["cli.py"]
 
 
 def test_no_scatter_add_or_thread_pool():
