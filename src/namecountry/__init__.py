@@ -12,7 +12,6 @@ from .core import (
     Taxonomy,
     TaxonomyError,
     UnknownLabelError,
-    identity_mapping,
     load_mapping,
     load_taxonomy,
     name_key,
@@ -42,7 +41,6 @@ from .extraction import (
     AffiliationRecord,
     NormalizationTable,
     build_labeled_corpus,
-    label_author,
     normalize_country,
 )
 
@@ -107,8 +105,6 @@ __all__ = [
     "evaluate",
     "evaluate_mapped",
     "fit_tokenizer",
-    "identity_mapping",
-    "label_author",
     "load_mapping",
     "load_model",
     "load_taxonomy",

@@ -20,12 +20,12 @@ own tokens in position order, divided by its token count (_token_taps,
 tap_tables, _conv_pool). Padding adds no work, and rows with no tokens
 pool to zeros.
 
-Scoring keeps predict(name) bit-identical to any batched evaluation
-containing the same name. Its tap tables span the whole vocabulary and are
-computed once per model. A BLAS product's low-order bits depend on its
-shape, so scoring runs exactly one BLAS product per block of
-SCORE_BLOCK_ROWS rows, the head, on a block zero-padded to that constant
-shape. Memory is bounded by the block, not the batch.
+Scoring keeps predict_batch([name]) bit-identical to any batched
+evaluation containing the same name. Its tap tables span the whole
+vocabulary and are computed once per model. A BLAS product's low-order
+bits depend on its shape, so scoring runs exactly one BLAS product per
+block of SCORE_BLOCK_ROWS rows, the head, on a block zero-padded to that
+constant shape. Memory is bounded by the block, not the batch.
 
 Training works in the batch's own vocabulary: its tap tables span the K
 distinct ids of its tokens, plus PAD, and tokens index them by local id.
@@ -49,7 +49,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    NameRecord, Taxonomy, atomic_open, normalize_name, register_taxonomy,
+    NameRecord, Taxonomy, atomic_open, json_type, normalize_name,
+    register_taxonomy, require_json,
 )
 from .evaluation import evaluate
 
@@ -112,9 +113,10 @@ class _CodePage(dict):
 class Tokenizer:
     """Character vocabulary with reserved PAD=0 and UNK=1 indices.
 
-    encode() always yields exactly max_len indices (truncate or pad). Only
-    single characters are ever matched: an entry of `chars` that is longer
-    than one character keeps its index but never occurs in an encoding.
+    encode_batch() yields exactly max_len indices per name (truncate or
+    pad). Only single characters are ever matched: an entry of `chars` that
+    is longer than one character keeps its index but never occurs in an
+    encoding.
     """
 
     chars: tuple[str, ...]
@@ -137,9 +139,6 @@ class Tokenizer:
     @property
     def vocab_size(self) -> int:
         return len(self.chars) + 2
-
-    def encode(self, name: str) -> np.ndarray:
-        return self.encode_batch([name])[0]
 
     def encode_batch(self, names: Sequence[str]) -> np.ndarray:
         """Token ids, shape (len(names), max_len), int32.
@@ -360,6 +359,10 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     return loss, grads
 
 
+# AdamW's moment decay rates and denominator guard, Adam's published defaults.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """Adam with decoupled weight decay; state arrays follow the param dtype.
 
@@ -367,12 +370,8 @@ class AdamW:
     allocates nothing. Grads must share their parameter's dtype.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], weight_decay: float = 0.0):
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -383,28 +382,28 @@ class AdamW:
              grads: dict[str, np.ndarray], lr: float) -> None:
         """One update, evaluated as these expressions would be:
 
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
-            param -= lr * ((m / bias1) / (sqrt(v / bias2) + eps)
+            m = BETA1 * m + (1 - BETA1) * grad
+            v = BETA2 * v + (1 - BETA2) * grad * grad
+            param -= lr * ((m / bias1) / (sqrt(v / bias2) + EPS)
                            + weight_decay * param)
         """
         self.step_count += 1
-        bias1 = 1.0 - self.beta1 ** self.step_count
-        bias2 = 1.0 - self.beta2 ** self.step_count
+        bias1 = 1.0 - BETA1 ** self.step_count
+        bias2 = 1.0 - BETA2 ** self.step_count
         for key, param in params.items():
             grad = grads[key]
             m = self._m[key]
             v = self._v[key]
             update, denom = self._work[key]
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, grad, out=update)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, grad, out=update)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, grad, out=update)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, grad, out=update)
             v += np.multiply(update, grad, out=update)
             np.divide(m, bias1, out=update)
             np.divide(v, bias2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             update /= denom
             if self.weight_decay:
                 update += np.multiply(self.weight_decay, param, out=denom)
@@ -453,9 +452,6 @@ class ClassifierModel:
 
     def __post_init__(self) -> None:
         self._taps = tap_tables(self.params["embedding"], self.params["conv_w"])
-
-    def predict(self, name: str) -> np.ndarray:
-        return self.predict_batch([name])[0]
 
     def predict_batch(self, names: Sequence[str]) -> np.ndarray:
         if not names:
@@ -611,7 +607,7 @@ def load_model(path: str | Path) -> ClassifierModel:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     try:
         dtype = np.dtype(header["dtype"])
-        shapes = [(entry["name"], tuple(int(d) for d in entry["shape"]))
+        shapes = [(entry["name"], _shape(entry["shape"]))
                   for entry in header["params"]]
         tokenizer = Tokenizer(tuple(header["chars"]), header["max_len"])
         labels = header["taxonomy"]["labels"]
@@ -651,6 +647,17 @@ def load_model(path: str | Path) -> ClassifierModel:
         raise CheckpointError(f"{path}: trailing bytes after parameter data")
     _check_shapes(path, params, tokenizer.vocab_size, len(taxonomy))
     return ClassifierModel(tokenizer, taxonomy, params)
+
+
+def _shape(dims) -> tuple[int, ...]:
+    """A header shape: an array of JSON integers. int() would also take
+    "9", 2.5 and true, and raise OverflowError on Infinity."""
+    require_json("shape", dims, list)
+    for d in dims:
+        if json_type(d) != "an integer":
+            raise TypeError(f"shape dimension must be an integer, "
+                            f"not {json_type(d)}")
+    return tuple(dims)
 
 
 def _check_shapes(path: str | Path, params: dict[str, np.ndarray],

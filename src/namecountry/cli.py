@@ -84,10 +84,10 @@ def load_config(path: str | Path | None) -> dict:
     A key that has a default keeps its JSON type: a section stays an object
     and a leaf keeps its type, except that an integer may stand for a float.
     The elements of the arrays and objects in CONFIG_ELEMENTS are checked
-    the same way, and those objects take any key. Inside a section, a key
-    with no default is unknown (a misspelt `learning_rate` would otherwise
-    train at the default); the top level may carry keys of its own. Anything
-    else raises CommandError naming the dotted key.
+    the same way, and those objects take any key. Any other key with no
+    default is unknown, at the top level as in a section (a misspelt
+    `augment` or `learning_rate` would otherwise run at the default).
+    Anything else raises CommandError naming the dotted key.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -112,9 +112,7 @@ def _check_types(defaults: dict, loaded: dict, where: str,
     for key, value in loaded.items():
         dotted = f"{prefix}{key}"
         if key not in defaults:
-            if prefix:
-                raise CommandError(f"{where}unknown key {dotted}")
-            continue
+            raise CommandError(f"{where}unknown key {dotted}")
         _check_type(where + dotted, json_type(defaults[key]), value)
         element = CONFIG_ELEMENTS.get(dotted)
         if element and isinstance(value, list):
@@ -598,9 +596,9 @@ def _exit_2_errors() -> tuple[type[BaseException], ...]:
     are ValueErrors; TrainingError is looked up in `sys.modules`, as only a
     handler that has imported the classifier can raise it.
     """
-    errors = (CommandError, UnknownLabelError, enrichment.OracleTransportError,
-              FileNotFoundError, IsADirectoryError, NotADirectoryError,
-              PermissionError, ValueError)
+    errors = (CommandError, UnknownLabelError, FileNotFoundError,
+              IsADirectoryError, NotADirectoryError, PermissionError,
+              ValueError)
     classifier = sys.modules.get(f"{__package__}.classifier")
     return errors + (classifier.TrainingError,) if classifier else errors
 
@@ -619,7 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config["seed"]
-        config = _deep_merge(config, {"seed": seed})
+        config["seed"] = seed
         out_dir = args.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
         gc_was_enabled = gc.isenabled()

@@ -312,21 +312,13 @@ class LabelMapping:
         object.__setattr__(self, "table", dict(self.table))
 
     def __call__(self, label: str) -> str:
-        return map_label(self, label)
-
-
-def map_label(mapping: LabelMapping, label: str) -> str:
-    """Map one source label through the table. Raises UnknownLabelError for non-members."""
-    label = normalize_label(label)
-    try:
-        return mapping.table[label]
-    except KeyError:
-        raise UnknownLabelError(
-            f"label {label!r} is not in taxonomy {mapping.from_taxonomy.name!r}") from None
-
-
-def identity_mapping(taxonomy: Taxonomy) -> LabelMapping:
-    return LabelMapping(taxonomy, taxonomy, {l: l for l in taxonomy})
+        """Map one source label through the table. Raises UnknownLabelError for non-members."""
+        label = normalize_label(label)
+        try:
+            return self.table[label]
+        except KeyError:
+            raise UnknownLabelError(
+                f"label {label!r} is not in taxonomy {self.from_taxonomy.name!r}") from None
 
 
 def load_mapping(path: str | Path, from_taxonomy: Taxonomy,

@@ -17,10 +17,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
-    NameRecord, Provenance, name_key, read_records, write_json, write_records,
+    NameRecord, Provenance, read_records, write_json, write_records,
 )
 
 log = logging.getLogger(__name__)

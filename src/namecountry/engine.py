@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import read_records, read_text
+from .core import open_text, read_records
 from .classifier import ClassifierModel
 from .evaluation import _render_table
 
@@ -126,9 +126,14 @@ def render_throughput_table(report: ThroughputReport) -> str:
 
 
 def read_name_file(path: str | Path) -> list[str]:
-    """Names from a JSONL record file or a plain one-name-per-line file."""
+    """Names from a JSONL record file or a plain one-name-per-line file.
+
+    A plain file's lines end where the file's lines end (LF, CR or CRLF), as
+    `core.read_table` reads them: a `\x85`, `\x1c` or U+2028 inside a name
+    does not split it. Each line is trimmed, and blank lines are skipped.
+    """
     path = Path(path)
     if path.suffix == ".jsonl":
         return [record.full_name for record in read_records(path)]
-    return [line.strip() for line in
-            read_text(path).splitlines() if line.strip()]
+    with open_text(path) as fh:
+        return [name for name in map(str.strip, fh) if name]

@@ -16,7 +16,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence
 
 from .core import NameRecord, Provenance, name_key
 
@@ -38,13 +38,11 @@ MAX_TOKEN_REPEATS = 3
 MAX_STALLED_CHUNKS = 3
 
 
-@runtime_checkable
 class GeneratorOracle(Protocol):
     def generate(self, country: str, n: int) -> list[str]:
         """Return at most n candidate full names for the country."""
 
 
-@runtime_checkable
 class ValidationOracle(Protocol):
     def judge(self, name: str, country: str) -> bool:
         """Accept or reject a name/country pair."""

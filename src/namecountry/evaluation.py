@@ -22,23 +22,6 @@ LabelPair = tuple[str, str]
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    taxonomy: Taxonomy
-    counts: np.ndarray  # rows = gold, cols = predicted
-
-    @staticmethod
-    def from_pairs(pairs: Sequence[LabelPair], taxonomy: Taxonomy) -> "ConfusionMatrix":
-        counts = np.zeros((len(taxonomy), len(taxonomy)), dtype=np.int64)
-        for gold, predicted in pairs:
-            counts[taxonomy.index_of(gold), taxonomy.index_of(predicted)] += 1
-        return ConfusionMatrix(taxonomy, counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class ClassMetrics:
     precision: float
     recall: float
@@ -60,8 +43,9 @@ def evaluate(pairs: Sequence[LabelPair], taxonomy: Taxonomy) -> EvalReport:
 
     An empty input yields an all-zero report rather than an error.
     """
-    matrix = ConfusionMatrix.from_pairs(pairs, taxonomy)
-    counts = matrix.counts
+    counts = np.zeros((len(taxonomy), len(taxonomy)), dtype=np.int64)
+    for gold, guess in pairs:  # rows = gold, cols = predicted
+        counts[taxonomy.index_of(gold), taxonomy.index_of(guess)] += 1
     support = counts.sum(axis=1)
     predicted = counts.sum(axis=0)
     true_positive = np.diag(counts)
@@ -79,7 +63,7 @@ def evaluate(pairs: Sequence[LabelPair], taxonomy: Taxonomy) -> EvalReport:
         if sup or pred:
             included_f1.append(f1)
 
-    total = matrix.total
+    total = int(counts.sum())
     accuracy = float(true_positive.sum()) / total if total else 0.0
     weighted = (sum(m.f1 * m.support for m in per_class.values()) / total
                 if total else 0.0)
@@ -175,9 +159,12 @@ def duplication_report(corpus: Sequence[NameRecord]) -> DuplicationReport:
     )
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+# Standard normal quantile of the 95% two-sided confidence intervals.
+Z_95 = 1.96
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     The boundary cases return exact endpoints (successes=0 gives lower bound
     0.0, successes=trials gives upper bound 1.0); these are algebraically
@@ -188,11 +175,11 @@ def wilson_interval(successes: int, trials: int,
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p_hat = successes / trials
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / trials
     center = (p_hat + z2 / (2 * trials)) / denom
-    half = (z * math.sqrt(p_hat * (1 - p_hat) / trials
-                          + z2 / (4 * trials * trials))) / denom
+    half = (Z_95 * math.sqrt(p_hat * (1 - p_hat) / trials
+                             + z2 / (4 * trials * trials))) / denom
     lower = 0.0 if successes == 0 else max(0.0, center - half)
     upper = 1.0 if successes == trials else min(1.0, center + half)
     return lower, upper
@@ -220,7 +207,6 @@ def bias_report(
     records: Sequence[tuple[str, str, bool]],
     model,
     mapping: LabelMapping,
-    z: float = 1.96,
 ) -> BiasReport:
     """Group-level accuracy and answer-distribution comparison.
 
@@ -253,7 +239,7 @@ def bias_report(
     for group in sorted(group_total):
         total = group_total[group]
         correct_n = group_correct.get(group, 0)
-        lower, upper = wilson_interval(correct_n, total, z)
+        lower, upper = wilson_interval(correct_n, total)
         groups[group] = GroupStats(correct_n, total, correct_n / total,
                                    lower, upper)
     n = len(records)

@@ -134,16 +134,6 @@ def _record_for(record: AffiliationRecord, labels: set[str]) -> NameRecord | Non
         return None
 
 
-def label_author(record: AffiliationRecord, table: NormalizationTable,
-                 taxonomy: Taxonomy) -> NameRecord | None:
-    """Label one author, or None when the label would be absent or ambiguous.
-
-    Each affiliation is run through extract + normalize; the author is kept
-    only when the resulting set of distinct labels has size exactly 1.
-    """
-    return _record_for(record, _resolve_labels(record, table, taxonomy))
-
-
 @dataclass
 class ExtractionStats:
     """Bookkeeping for one corpus build. raw = retained + ambiguous + unresolved + deduplicated."""
@@ -165,6 +155,8 @@ def build_labeled_corpus(
 ) -> tuple[list[NameRecord], ExtractionStats]:
     """Label every author and deduplicate exact (full_name, label) pairs.
 
+    Each affiliation is run through extract + normalize; an author is kept
+    only when the resulting set of distinct labels has size exactly 1.
     Labeled records are ordered by source_id before deduplication so repeated
     runs over the same input are byte-identical regardless of how the input
     stream was produced.

@@ -57,7 +57,7 @@ from namecountry.evaluation import (
     evaluate_mapped,
     wilson_interval,
 )
-from namecountry.extraction import NormalizationTable, label_author
+from namecountry.extraction import NormalizationTable, build_labeled_corpus
 
 
 def _data_path(name):
@@ -73,8 +73,8 @@ def test_criterion_01_extraction_matches_hand_labeled_table():
     mismatches = []
     for record in fixtures.extraction_records():
         expected = fixtures.EXTRACTION_EXPECTED[record.author_id]
-        got = label_author(record, aliases, taxonomy)
-        got_label = got.label if got is not None else None
+        got, _ = build_labeled_corpus([record], aliases, taxonomy)
+        got_label = got[0].label if got else None
         if got_label != expected:
             mismatches.append((record.author_id, expected, got_label))
     elapsed = time.perf_counter() - start

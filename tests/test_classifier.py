@@ -43,19 +43,20 @@ def tiny_corpus():
 def test_tokenizer_encode_pads_and_truncates():
     tokenizer = Tokenizer(("a", "b", "c"), max_len=5)
     assert tokenizer.vocab_size == 5
-    encoded = tokenizer.encode("ab")
+    encoded = tokenizer.encode_batch(["ab"])[0]
     assert encoded.tolist() == [2, 3, PAD, PAD, PAD]
-    assert tokenizer.encode("abcabc").tolist() == [2, 3, 4, 2, 3]
+    assert tokenizer.encode_batch(["abcabc"])[0].tolist() == [2, 3, 4, 2, 3]
 
 
 def test_tokenizer_unknown_char_is_unk():
     tokenizer = Tokenizer(("a", "b"), max_len=4)
-    assert tokenizer.encode("axb").tolist() == [2, UNK, 3, PAD]
+    assert tokenizer.encode_batch(["axb"])[0].tolist() == [2, UNK, 3, PAD]
 
 
 def test_tokenizer_normalizes_before_encoding():
     tokenizer = Tokenizer(("a", "b", " "), max_len=6)
-    assert np.array_equal(tokenizer.encode("  a   b "), tokenizer.encode("a b"))
+    assert np.array_equal(tokenizer.encode_batch(["  a   b "])[0],
+                          tokenizer.encode_batch(["a b"])[0])
 
 
 def test_tokenizer_validation():
@@ -775,7 +776,7 @@ def test_predict_matches_predict_batch_bitwise():
     names = ["Ababa Dab01", "Efe Gef05"]
     batch = model.predict_batch(names)
     for i, name in enumerate(names):
-        assert np.array_equal(model.predict(name), batch[i])
+        assert np.array_equal(model.predict_batch([name])[0], batch[i])
 
 
 def test_predict_batch_empty_input():

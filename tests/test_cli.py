@@ -486,7 +486,8 @@ def test_mistyped_config_exits_2(tmp_path, capsys, config, key):
 @pytest.mark.parametrize("config, key", [
     ({"train": {"learning_rat": 0.01}}, "train.learning_rat"),
     ({"oracle": {"http": {"retries": 2}}}, "oracle.http.retries"),
-    ({"split": {"ratios": [8, 1, 1], "cap": 5}}, "split.cap")])
+    ({"split": {"ratios": [8, 1, 1], "cap": 5}}, "split.cap"),
+    ({"augmnet": {"budget": 10}}, "augmnet")])
 def test_unknown_config_key_exits_2(tmp_path, capsys, config, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -597,11 +598,10 @@ def test_undecodable_file_error_names_it(chain, tmp_path, capsys, kind):
 
 def test_config_accepts_integer_for_float(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"train": {"weight_decay": 0},
-                                "new_key": "free"}), encoding="utf-8")
+    path.write_text(json.dumps({"train": {"weight_decay": 0}}),
+                    encoding="utf-8")
     config = load_config(path)
     assert config["train"]["weight_decay"] == 0
-    assert config["new_key"] == "free"
 
 
 def _default_paths(section, prefix=()):
@@ -824,13 +824,20 @@ def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
     ("name", "", "'' is not a single"),
     ("name", "a\\b", "is not a single"),
     ("name", "a\0b", "is not a single"),
-    ("name", 7, "7 is not a single")])
+    ("name", 7, "7 is not a single"),
+    ("shape", (0, [float("inf"), 3]), "an integer, not a number"),
+    ("shape", (0, [9.0, 3]), "an integer, not a number"),
+    ("shape", (0, ["9", 3]), "an integer, not a string"),
+    ("shape", (0, [True, 3]), "an integer, not a boolean"),
+    ("shape", (4, "3"), "shape must be an array, not a string")])
 def test_evaluate_refuses_checkpoint_header(fuzz_checkpoint, tmp_path, capsys,
                                             kind, edit, message):
     """Header labels go through register_taxonomy's checks and must already
     be in its normal form; max_len is bounded by MAX_LEN_LIMIT; the taxonomy
-    name, which names evaluate's manifest, is one file name component. A
-    refused checkpoint writes nothing, inside the out directory or out of it."""
+    name, which names evaluate's manifest, is one file name component; a
+    parameter shape is an array of JSON integers (Infinity, 9.0, "9" and
+    true are not). A refused checkpoint writes nothing, inside the out
+    directory or out of it."""
     blob, records = fuzz_checkpoint
     model = tmp_path / "model.bin"
     model.write_bytes(_edit_checkpoint(blob, kind, edit))

@@ -17,10 +17,8 @@ from namecountry.core import (
     TaxonomyError,
     UnknownLabelError,
     atomic_open,
-    identity_mapping,
     load_mapping,
     load_taxonomy,
-    map_label,
     name_key,
     normalize_label,
     normalize_name,
@@ -242,14 +240,15 @@ def test_map_label_and_call(tiny_taxonomy):
     target = register_taxonomy("coarse", ["west", "east"])
     mapping = LabelMapping(tiny_taxonomy, target,
                            {"alfa": "west", "bravo": "east", "charlie": "west"})
-    assert map_label(mapping, "ALFA ") == "west"
+    assert mapping("ALFA ") == "west"
     assert mapping("charlie") == "west"
     with pytest.raises(UnknownLabelError):
         mapping("delta")
 
 
 def test_identity_mapping(tiny_taxonomy):
-    mapping = identity_mapping(tiny_taxonomy)
+    mapping = LabelMapping(tiny_taxonomy, tiny_taxonomy,
+                           {l: l for l in tiny_taxonomy})
     for label in tiny_taxonomy:
         assert mapping(label) == label
 

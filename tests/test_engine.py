@@ -100,7 +100,7 @@ def test_benchmark_predictions_bit_identical_to_plain_scoring():
             plain = model.predict_batch(names)
             assert np.array_equal(benched, plain)
             for i, name in enumerate(names):
-                assert np.array_equal(model.predict(name), plain[i])
+                assert np.array_equal(model.predict_batch([name])[0], plain[i])
 
 
 def test_benchmark_batches_are_disjoint_per_size():
@@ -147,3 +147,13 @@ def test_read_name_file_plain_and_jsonl(tmp_path):
     jsonl = tmp_path / "names.jsonl"
     write_records(jsonl, [NameRecord("Ada Fec", "c0")])
     assert read_name_file(jsonl) == ["Ada Fec"]
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\x1c", "\u2028"])
+def test_read_name_file_splits_only_at_line_ends(tmp_path, separator):
+    """A plain file's lines end at LF, CR or CRLF only; str.splitlines()
+    would also split at NEL, the file separator and U+2028."""
+    plain = tmp_path / "names.txt"
+    plain.write_text(f"Ana{separator}Silva\nBo Li\r\nCe Du\r\n \n",
+                     encoding="utf-8", newline="")
+    assert read_name_file(plain) == [f"Ana{separator}Silva", "Bo Li", "Ce Du"]

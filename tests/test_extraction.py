@@ -12,7 +12,6 @@ from namecountry.extraction import (
     NormalizationTable,
     build_labeled_corpus,
     extract_country_candidate,
-    label_author,
     normalize_country,
     read_affiliations,
 )
@@ -87,22 +86,22 @@ def test_fifty_case_fixture(oag_taxonomy, alias_table):
     """Every hand-labeled case must resolve exactly as recorded."""
     for record in fixtures.extraction_records():
         expected = fixtures.EXTRACTION_EXPECTED[record.author_id]
-        got = label_author(record, alias_table, oag_taxonomy)
-        got_label = got.label if got is not None else None
+        got, _ = build_labeled_corpus([record], alias_table, oag_taxonomy)
+        got_label = got[0].label if got else None
         assert got_label == expected, record.author_id
 
 
 def test_ambiguous_author_excluded(oag_taxonomy, alias_table):
     record = AffiliationRecord("a", "Jean Dupont",
                                ("CNRS, France", "MPI, Germany"))
-    assert label_author(record, alias_table, oag_taxonomy) is None
+    assert build_labeled_corpus([record], alias_table, oag_taxonomy)[0] == []
 
 
 def test_same_country_twice_is_not_ambiguous(oag_taxonomy, alias_table):
     record = AffiliationRecord("a", "Jean Dupont",
                                ("CNRS, France", "INRIA, france"))
-    got = label_author(record, alias_table, oag_taxonomy)
-    assert got is not None and got.label == "france"
+    got, _ = build_labeled_corpus([record], alias_table, oag_taxonomy)
+    assert [r.label for r in got] == ["france"]
 
 
 def test_build_labeled_corpus_stats(oag_taxonomy, alias_table):

@@ -1,8 +1,9 @@
 """Source guards: one atomic writer, one reader per input format, one record
 encoder, one report serializer, one retry loop, one leakage check, one
 switch of the garbage collector and one classifier forward pass in the
-package, none of the constructs its kernels and bench were rid of, and every
-package name the bench's tracer wraps."""
+package, none of the constructs its kernels and bench were rid of, every
+package name the bench's tracer wraps, and no export that only tests use."""
+import ast
 import functools
 import importlib.util
 from pathlib import Path
@@ -91,3 +92,24 @@ def test_bench_trace_targets_exist():
         assert wrapped and all(n == 0 for n in tracer.fired.values())
         for owner, attr, original in wrapped:
             assert getattr(owner, attr) is original, (owner, attr)
+
+
+def _used_names(path):
+    """Names a module's code loads: not its definitions, imports, comments
+    or docstrings."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used():
+    # A package export that only tests call is either wired in or deleted.
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    paths = [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name not in ("__init__.py", "fixtures.py")]
+    used = set().union(*map(_used_names, paths + sorted(bench.glob("*.py"))))
+    assert sorted(set(namecountry.__all__) - used) == []
