@@ -82,8 +82,13 @@ PARAM_ORDER = ("embedding", "conv_w", "conv_b", "head_w", "head_b")
 # name about 3x faster than 256 and batch 10000 no slower.
 SCORE_BLOCK_ROWS = 64
 
+# Names per predict_labels chunk: bounds its probability rows (chunk by
+# classes) whatever the number of names. Scoring is bit-identical across
+# batch shapes, so the labels do not depend on it.
+PREDICT_CHUNK_ROWS = 1024
 
-class TrainingError(RuntimeError):
+
+class TrainingError(ValueError):
     pass
 
 
@@ -460,14 +465,10 @@ class ClassifierModel:
         return score_batch(self.params, self.tokenizer.encode_batch(names),
                            taps=self._taps)
 
-    def predict_label(self, name: str) -> str:
-        return self.predict_labels([name])[0]
-
-    def predict_labels(self, names: Sequence[str],
-                       chunk_size: int = 1024) -> list[str]:
+    def predict_labels(self, names: Sequence[str]) -> list[str]:
         labels = []
-        for start in range(0, len(names), chunk_size):
-            probs = self.predict_batch(names[start:start + chunk_size])
+        for start in range(0, len(names), PREDICT_CHUNK_ROWS):
+            probs = self.predict_batch(names[start:start + PREDICT_CHUNK_ROWS])
             # np.argmax returns the first maximum: lowest index wins ties
             for row in probs.argmax(axis=1):
                 labels.append(self.taxonomy.labels[int(row)])
@@ -631,46 +632,44 @@ def load_model(path: str | Path) -> ClassifierModel:
         raise CheckpointError(f"{path}: parameters "
                               f"{[name for name, _ in shapes]} are not "
                               f"{list(PARAM_ORDER)}")
+    # Scoring indexes the tap tables by token id and the head by label, so
+    # the header's counts and the embedding and hidden widths fix every
+    # shape, and the shapes fix the bytes that follow the header.
+    declared = dict(shapes)
+    e = (declared["embedding"] or (0,))[-1]
+    h = (declared["conv_b"] or (0,))[-1]
+    v, c = tokenizer.vocab_size, len(taxonomy)
+    expected = {"embedding": (v, e), "conv_w": (3, e, h), "conv_b": (h,),
+                "head_w": (h, c), "head_b": (c,)}
+    for name in PARAM_ORDER:
+        if declared[name] != expected[name]:
+            raise CheckpointError(
+                f"{path}: {name} has shape {declared[name]}; the header "
+                f"({v} token ids, {c} labels) and the other parameters "
+                f"imply {expected[name]}")
+    offset = 12 + header_len
+    size = sum(map(math.prod, expected.values())) * dtype.itemsize
+    if len(blob) - offset != size:
+        raise CheckpointError(f"{path}: {len(blob) - offset} bytes of "
+                              f"parameter data, where the shapes take {size}")
     little = dtype.newbyteorder("<")
     params: dict[str, np.ndarray] = {}
-    offset = 12 + header_len
-    for name, shape in shapes:
-        if any(d < 0 for d in shape):
-            raise CheckpointError(f"{path}: negative dimension in {name} {shape}")
-        count = math.prod(shape)
-        if offset + count * dtype.itemsize > len(blob):
-            raise CheckpointError(f"{path}: truncated parameter data")
+    for name in PARAM_ORDER:
+        count = math.prod(expected[name])
         raw = np.frombuffer(blob, dtype=little, count=count, offset=offset)
-        params[name] = raw.astype(dtype).reshape(shape).copy()
+        params[name] = raw.astype(dtype).reshape(expected[name])
         offset += count * dtype.itemsize
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after parameter data")
-    _check_shapes(path, params, tokenizer.vocab_size, len(taxonomy))
     return ClassifierModel(tokenizer, taxonomy, params)
 
 
 def _shape(dims) -> tuple[int, ...]:
-    """A header shape: an array of JSON integers. int() would also take
-    "9", 2.5 and true, and raise OverflowError on Infinity."""
+    """A header shape: an array of non-negative JSON integers. int() would
+    also take "9", 2.5 and true, and raise OverflowError on Infinity."""
     require_json("shape", dims, list)
     for d in dims:
         if json_type(d) != "an integer":
             raise TypeError(f"shape dimension must be an integer, "
                             f"not {json_type(d)}")
+        if d < 0:
+            raise ValueError(f"shape dimension {d} is negative")
     return tuple(dims)
-
-
-def _check_shapes(path: str | Path, params: dict[str, np.ndarray],
-                  vocab_size: int, n_classes: int) -> None:
-    """Parameter shapes must agree with each other and with the header:
-    scoring indexes the tap tables by token id and the head by label."""
-    e = (params["embedding"].shape or (0,))[-1]
-    h = (params["conv_b"].shape or (0,))[-1]
-    expected = {"embedding": (vocab_size, e), "conv_w": (3, e, h),
-                "conv_b": (h,), "head_w": (h, n_classes), "head_b": (n_classes,)}
-    for name in PARAM_ORDER:
-        if params[name].shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: {name} has shape {params[name].shape}; the header "
-                f"({vocab_size} token ids, {n_classes} labels) and the other "
-                f"parameters imply {expected[name]}")

@@ -4,7 +4,11 @@ bias, and audit.
 Every command writes a manifest (config hash, seed, input/output digests,
 no timestamps) so identical inputs and seed reproduce identical digests.
 Outputs are written atomically; a failing command leaves no partial files.
-Exit codes: 0 success, 1 audit failure, 2 everything else.
+Exit codes: 0 success, 1 audit failure, 2 bad input: an error's class alone
+decides. Every exception the package defines is a ValueError, so `main`
+turns any ValueError, or any OSError (a file a command cannot read or
+write), into one `error:` line and exit 2; anything else is a fault in the
+program and keeps its traceback.
 
 A command's handler runs with the cyclic garbage collector off, and `main`
 puts back the state it found. The data stages hold hundreds of thousands of
@@ -31,9 +35,8 @@ from typing import Sequence
 from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
-    UnknownLabelError, atomic_open, json_type, load_mapping, load_taxonomy,
-    read_jsonl, read_records, read_text, require_json, write_json,
-    write_records,
+    atomic_open, json_type, load_mapping, load_taxonomy, read_jsonl,
+    read_records, read_text, require_json, write_json, write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -64,18 +67,8 @@ CONFIG_ELEMENTS = {"split.ratios": "a number", "augment.ratios": "a number",
                    "oracle.strictness": "a string"}
 
 
-class CommandError(Exception):
+class CommandError(ValueError):
     """Bad input found by a command itself; `main` prints it and exits 2."""
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -89,16 +82,17 @@ def load_config(path: str | Path | None) -> dict:
     `augment` or `learning_rate` would otherwise run at the default).
     Anything else raises CommandError naming the dotted key.
     """
+    config = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
+        return config
     try:
         loaded = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CommandError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(loaded, dict):
         raise CommandError(f"config {path}: top level must be an object")
-    _check_types(DEFAULT_CONFIG, loaded, f"config {path}: ")
-    return _deep_merge(DEFAULT_CONFIG, loaded)
+    _check_types(config, loaded, f"config {path}: ")
+    return config
 
 
 def _check_type(name: str, expected: str, value) -> None:
@@ -107,13 +101,16 @@ def _check_type(name: str, expected: str, value) -> None:
         raise CommandError(f"{name} must be {expected}, not {got}")
 
 
-def _check_types(defaults: dict, loaded: dict, where: str,
+def _check_types(config: dict, loaded: dict, where: str,
                  prefix: str = "") -> None:
+    """Check each key of `loaded` against its default in `config` and
+    write it there: a section key by key, any other value whole. The
+    free-form objects default to {}, so writing one whole merges it."""
     for key, value in loaded.items():
         dotted = f"{prefix}{key}"
-        if key not in defaults:
+        if key not in config:
             raise CommandError(f"{where}unknown key {dotted}")
-        _check_type(where + dotted, json_type(defaults[key]), value)
+        _check_type(where + dotted, json_type(config[key]), value)
         element = CONFIG_ELEMENTS.get(dotted)
         if element and isinstance(value, list):
             for i, item in enumerate(value):
@@ -122,7 +119,9 @@ def _check_types(defaults: dict, loaded: dict, where: str,
             for name, item in value.items():
                 _check_type(f"{where}{dotted}.{name}", element, item)
         elif isinstance(value, dict):
-            _check_types(defaults[key], value, where, f"{dotted}.")
+            _check_types(config[key], value, where, f"{dotted}.")
+            continue
+        config[key] = value
 
 
 def config_hash(config: dict) -> str:
@@ -284,7 +283,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
         threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
         overrides=aug_cfg["overrides"])
     base_records = [r for name in corpus_mod.BASE_SPLITS for r in base[name]]
-    gold_budgets = [enrichment.AugmentBudget(c, 0, aug_cfg["gold_per_country"])
+    gold_budgets = [enrichment.AugmentBudget(c, aug_cfg["gold_per_country"])
                     for c in sorted({r.label for r in base_records})]
     # The keys no synthetic name may take: the base names, then each name a
     # draw keeps. Both draws share it, so no name is drawn twice. It holds
@@ -588,27 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_2_errors() -> tuple[type[BaseException], ...]:
-    """The exceptions `main` turns into one `error:` line and exit 2.
-
-    Called only while an exception is being matched. The core's input,
-    record and taxonomy errors, CheckpointError and InsufficientNamesError
-    are ValueErrors; TrainingError is looked up in `sys.modules`, as only a
-    handler that has imported the classifier can raise it.
-    """
-    errors = (CommandError, UnknownLabelError, FileNotFoundError,
-              IsADirectoryError, NotADirectoryError, PermissionError,
-              ValueError)
-    classifier = sys.modules.get(f"{__package__}.classifier")
-    return errors + (classifier.TrainingError,) if classifier else errors
-
-
-def _error_text(exc: BaseException) -> str:
-    if isinstance(exc, KeyError) and exc.args:
-        return str(exc.args[0])
-    return str(exc)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -627,8 +605,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         finally:
             if gc_was_enabled:
                 gc.enable()
-    except _exit_2_errors() as exc:
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

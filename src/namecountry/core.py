@@ -21,14 +21,14 @@ T = TypeVar("T")
 
 
 class TaxonomyError(ValueError):
-    """Invalid taxonomy or mapping definition."""
+    """Invalid taxonomy or mapping definition, or a label outside one."""
 
 
 class DuplicateLabelError(TaxonomyError):
     """A label occurs more than once after normalization."""
 
 
-class UnknownLabelError(KeyError):
+class UnknownLabelError(TaxonomyError):
     """A label is not a member of the expected taxonomy."""
 
 

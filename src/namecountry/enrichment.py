@@ -51,12 +51,11 @@ class ValidationOracle(Protocol):
 @dataclass(frozen=True)
 class AugmentBudget:
     country: str
-    existing_count: int
     requested: int
 
     def __post_init__(self) -> None:
-        if self.existing_count < 0 or self.requested < 0:
-            raise ValueError("counts must be non-negative")
+        if self.requested < 0:
+            raise ValueError("requested must be non-negative")
 
 
 def compute_budgets(
@@ -86,7 +85,7 @@ def compute_budgets(
             requested = overrides.get(country, budget)
         else:
             requested = 0
-        budgets.append(AugmentBudget(country, count, requested))
+        budgets.append(AugmentBudget(country, requested))
     return budgets
 
 
@@ -308,7 +307,7 @@ class StubNameValidator:
 
 # --- HTTP chat-completion oracle ------------------------------------------
 
-class OracleTransportError(RuntimeError):
+class OracleTransportError(ValueError):
     """HTTP oracle failed after exhausting its retries."""
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -212,28 +213,23 @@ def bias_report(
 
     Each record is (gold_name, answered_name, correct). Gold names of all
     records and answered names of incorrect records are classified by the
-    model (any object with predict_label(name) -> label in the mapping's
-    source taxonomy), mapped into the coarse taxonomy, and tallied per group.
+    model in one call (any object with predict_labels(names) -> labels in
+    the mapping's source taxonomy), mapped into the coarse taxonomy, and
+    tallied per group.
     """
     if tuple(model.taxonomy.labels) != tuple(mapping.from_taxonomy.labels):
         raise ValueError("model taxonomy does not match the mapping's "
                          "source taxonomy")
 
-    classify: Callable[[str], str] = lambda name: mapping(model.predict_label(name))
-
-    group_total: dict[str, int] = {}
-    group_correct: dict[str, int] = {}
-    hallucinated: dict[str, int] = {}
-    n_incorrect = 0
-    for gold_name, answered_name, correct in records:
-        group = classify(gold_name)
-        group_total[group] = group_total.get(group, 0) + 1
-        if correct:
-            group_correct[group] = group_correct.get(group, 0) + 1
-        else:
-            n_incorrect += 1
-            answer_group = classify(answered_name)
-            hallucinated[answer_group] = hallucinated.get(answer_group, 0) + 1
+    n = len(records)
+    names = [gold for gold, _, _ in records]
+    names += [answered for _, answered, correct in records if not correct]
+    classified = [mapping(label) for label in model.predict_labels(names)]
+    group_total = Counter(classified[:n])
+    group_correct = Counter(group for group, (_, _, correct)
+                            in zip(classified, records) if correct)
+    hallucinated = Counter(classified[n:])
+    n_incorrect = len(classified) - n
 
     groups = {}
     for group in sorted(group_total):
@@ -242,7 +238,6 @@ def bias_report(
         lower, upper = wilson_interval(correct_n, total)
         groups[group] = GroupStats(correct_n, total, correct_n / total,
                                    lower, upper)
-    n = len(records)
     gold_dist = {g: group_total[g] / n for g in sorted(group_total)} if n else {}
     hall_dist = ({g: hallucinated[g] / n_incorrect for g in sorted(hallucinated)}
                  if n_incorrect else {})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from namecountry import classifier
 from namecountry.core import (
     NameRecord, UnknownLabelError, normalize_name, register_taxonomy,
 )
@@ -543,7 +544,7 @@ def test_train_learns_separable_data():
                                    max_epochs=5, seed=0),
                        ModelConfig(embedding_dim=8, hidden_dim=16))
     assert log.epochs[-1].val_accuracy > 0.95
-    assert model.predict_label("Ababa Dab99") == "alfa"
+    assert model.predict_labels(["Ababa Dab99"]) == ["alfa"]
 
 
 def test_train_logs_are_deterministic():
@@ -792,11 +793,14 @@ def test_predict_labels_tie_breaks_to_lowest_index():
     for key in ("head_w", "head_b"):
         params[key] = np.zeros_like(params[key])  # force a three-way tie
     model = ClassifierModel(tokenizer, taxonomy, params)
-    assert model.predict_label("ab") == "first"
+    assert model.predict_labels(["ab"]) == ["first"]
 
 
-def test_predict_labels_chunking_consistent():
+def test_predict_labels_chunking_consistent(monkeypatch):
     model = trained_model()
     names = [f"Aba Dab{i:02d}" for i in range(10)]
-    assert (model.predict_labels(names, chunk_size=3)
-            == model.predict_labels(names, chunk_size=100))
+    labels = {}
+    for rows in (3, 100):
+        monkeypatch.setattr(classifier, "PREDICT_CHUNK_ROWS", rows)
+        labels[rows] = model.predict_labels(names)
+    assert labels[3] == labels[100]

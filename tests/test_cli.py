@@ -5,6 +5,7 @@ evaluate -> bench -> bias -> audit) against the generated fixture tree;
 individual tests then assert on the artifacts.
 """
 import contextlib
+import copy
 import gc
 import hashlib
 import io
@@ -19,7 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from namecountry import cli, fixtures
 from namecountry.classifier import (
@@ -215,6 +216,18 @@ def test_missing_input_exits_2_without_partial_output(chain, tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not (out / "splits").exists()
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
+    # An OSError is a file the command cannot write: exit 2, not a traceback.
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    code = main(["--out-dir", str(taken), "audit"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "File exists" in err[0] and str(taken) in err[0], err
+    assert taken.read_text(encoding="utf-8") == "keep"
 
 
 def test_invalid_config_exits_2(chain, tmp_path, capsys):
@@ -604,6 +617,66 @@ def test_config_accepts_integer_for_float(tmp_path):
     assert config["train"]["weight_decay"] == 0
 
 
+def deep_merge(base, override):
+    """The overlay load_config used to apply after checking a config."""
+    merged = copy.deepcopy(base)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            merged[key] = deep_merge(merged[key], value)
+        else:
+            merged[key] = copy.deepcopy(value)
+    return merged
+
+
+def _config_values(default, dotted=""):
+    """Values load_config accepts in place of `default` at `dotted`: any
+    subset of a section's keys, and leaves of their default's JSON type."""
+    element = cli.CONFIG_ELEMENTS.get(dotted)
+    if isinstance(default, dict) and element is None:
+        return st.fixed_dictionaries({}, optional={
+            key: _config_values(value, f"{dotted}.{key}".lstrip("."))
+            for key, value in default.items()})
+    leaf = {"a number": st.floats(allow_nan=False) | st.integers(),
+            "an integer": st.integers(), "a string": st.text(max_size=6)}
+    if isinstance(default, dict):
+        return st.dictionaries(st.text(max_size=6), leaf[element], max_size=3)
+    if isinstance(default, list):
+        return st.lists(leaf[element], max_size=4)
+    return leaf[cli.json_type(default)]
+
+
+FULL_CONFIG = {
+    "seed": 7,
+    "split": {"ratios": [7, 2, 1.5], "filter_cap": 10},
+    "augment": {"threshold": 60, "overrides": {"arcadia": 3, "b": 0},
+                "ratios": [], "gold_per_country": 2},
+    "train": {"learning_rate": 1, "max_len": 12},
+    "bench": {"batch_sizes": [2, 5], "model_type": "x"},
+    "oracle": {"kind": "http", "strictness": {"arcadia": "lenient"},
+               "http": {"endpoint": "http://h", "max_retries": 0}}}
+
+
+# One walk both checks a config and writes it over the defaults, and gives
+# what checking and then overlaying gave: the same keys, types and hash.
+@settings(max_examples=150, deadline=None)
+@given(_config_values(DEFAULT_CONFIG))
+@example(FULL_CONFIG)
+def test_load_config_matches_the_overlay(loaded):
+    defaults = copy.deepcopy(DEFAULT_CONFIG)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(loaded), encoding="utf-8")
+        config = load_config(path)
+    expected = deep_merge(DEFAULT_CONFIG, json.loads(json.dumps(loaded)))
+    assert config == expected
+    assert json.dumps(config) == json.dumps(expected)  # key order, int/float
+    assert cli.config_hash(config) == cli.config_hash(expected)
+    config["oracle"]["http"]["model"] = "changed"
+    config["augment"]["overrides"]["changed"] = 1
+    config["split"]["ratios"].append(1)
+    assert DEFAULT_CONFIG == defaults
+
+
 def _default_paths(section, prefix=()):
     for key, value in section.items():
         yield prefix + (key,)
@@ -697,7 +770,9 @@ def test_evaluate_unknown_gold_label_exits_2(chain, tmp_path, capsys):
                      "--input", str(bad),
                      "--output", str(tmp_path / "report.json"))
     assert code == 2
-    assert "atlantis" in capsys.readouterr().err
+    # An UnknownLabelError prints its message, not a KeyError's repr of it.
+    assert capsys.readouterr().err.splitlines() == [
+        "error: label 'atlantis' is not in taxonomy 'taxonomy_fixture4'"]
     assert not (tmp_path / "report.json").exists()
 
 
@@ -748,7 +823,9 @@ MAX_LENS = (st.integers(-2, 48) | st.none() | st.booleans() | st.floats()
             | st.text(max_size=3) | st.lists(st.integers(0, 9), max_size=2))
 CHARS = (st.lists(st.sampled_from([" ", "A", "a", "b", "ab", "", "\x00", "\u00e9"])
                   | JSON_VALUES, max_size=9) | JSON_VALUES)
-SHAPES = st.lists(st.integers(-1, 12), max_size=4) | JSON_VALUES
+SHAPES = (st.lists(st.integers(-1, 12) | st.sampled_from([2**63, 10**30]),
+                   max_size=4)
+          | JSON_VALUES)
 LABELS = (st.lists(st.sampled_from(["alfa", "bravo", "charlie", "Alfa",
                                     " bravo", "", "delta"]), max_size=4)
           | JSON_VALUES)
@@ -789,8 +866,8 @@ def _edit_checkpoint(blob: bytes, kind: str, edit) -> bytes:
 # A damaged checkpoint either still scores or is refused with one `error:`
 # line: bytes flipped or cut, or a header whose chars are not strings, are
 # longer than one character or repeat, whose max_len is no integer, whose
-# labels are not a taxonomy's, or whose shapes are wrong. max_len stays
-# small, so no example allocates much.
+# labels are not a taxonomy's, or whose shapes are wrong or huge. max_len
+# stays small, so no example allocates much.
 @settings(max_examples=200, deadline=None)
 @given(edit=CHECKPOINT_EDITS)
 def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
@@ -829,15 +906,19 @@ def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
     ("shape", (0, [9.0, 3]), "an integer, not a number"),
     ("shape", (0, ["9", 3]), "an integer, not a string"),
     ("shape", (0, [True, 3]), "an integer, not a boolean"),
-    ("shape", (4, "3"), "shape must be an array, not a string")])
+    ("shape", (4, "3"), "shape must be an array, not a string"),
+    ("shape", (0, [0, 10**30]), "embedding has shape"),
+    ("shape", (2, [0, 10**30]), "conv_w has shape"),
+    ("shape", (1, [3, -1, 4]), "dimension -1 is negative")])
 def test_evaluate_refuses_checkpoint_header(fuzz_checkpoint, tmp_path, capsys,
                                             kind, edit, message):
     """Header labels go through register_taxonomy's checks and must already
     be in its normal form; max_len is bounded by MAX_LEN_LIMIT; the taxonomy
     name, which names evaluate's manifest, is one file name component; a
-    parameter shape is an array of JSON integers (Infinity, 9.0, "9" and
-    true are not). A refused checkpoint writes nothing, inside the out
-    directory or out of it."""
+    parameter shape is an array of non-negative JSON integers (Infinity,
+    9.0, "9" and true are not), checked against the header before any
+    parameter is read, however large. A refused checkpoint writes nothing,
+    inside the out directory or out of it."""
     blob, records = fuzz_checkpoint
     model = tmp_path / "model.bin"
     model.write_bytes(_edit_checkpoint(blob, kind, edit))

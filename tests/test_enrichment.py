@@ -48,7 +48,7 @@ def test_compute_budgets_threshold_is_strict():
 def test_compute_budgets_sorted_and_counts_carried():
     budgets = compute_budgets({"zulu": 10, "alfa": 7000})
     assert [b.country for b in budgets] == ["alfa", "zulu"]
-    assert budgets[1].existing_count == 10
+    assert [b.requested for b in budgets] == [0, 5000]
 
 
 def test_compute_budgets_overrides():
@@ -69,7 +69,7 @@ def test_compute_budgets_validation():
     with pytest.raises(ValueError):
         compute_budgets({}, budget=0)
     with pytest.raises(ValueError):
-        AugmentBudget("a", -1, 0)
+        AugmentBudget("a", -1)
     # Every override is checked, whether or not its country is counted.
     for amount in ("x", 1.5, True, -1, None):
         with pytest.raises(ValueError, match="override for 'z'"):
@@ -93,7 +93,7 @@ def test_collect_enforces_first_token_repetition_cap():
         "Anh Tran", "Anh Nguyen", "Anh Le", "Anh Pham", "Anh Hoang",
         "Binh Vo", "Chi Dang",
     ])
-    out = collect_synthetic([AugmentBudget("vietnam", 10, 5)], generator,
+    out = collect_synthetic([AugmentBudget("vietnam", 5)], generator,
                             taken=set(), chunk_size=10)
     names = [r.full_name for r in out["vietnam"]]
     # only the first three "Anh" survive the 3-repeat cap
@@ -104,7 +104,7 @@ def test_collect_enforces_last_token_repetition_cap():
     generator = ScriptedGenerator([
         "An Tran", "Binh Tran", "Chi Tran", "Duc Tran", "Em Tran", "Phuc Vo",
     ])
-    out = collect_synthetic([AugmentBudget("vietnam", 10, 4)], generator,
+    out = collect_synthetic([AugmentBudget("vietnam", 4)], generator,
                             taken=set(), chunk_size=10)
     names = [r.full_name for r in out["vietnam"]]
     assert names == ["An Tran", "Binh Tran", "Chi Tran", "Phuc Vo"]
@@ -114,7 +114,7 @@ def test_collect_skips_duplicates_and_existing():
     generator = ScriptedGenerator([
         "Ana Silva", "ana  silva", "Bea Costa", "Caro Dias",
     ])
-    out = collect_synthetic([AugmentBudget("brazil", 10, 3)], generator,
+    out = collect_synthetic([AugmentBudget("brazil", 3)], generator,
                             taken={name_key("BEA COSTA")}, chunk_size=10)
     names = [r.full_name for r in out["brazil"]]
     assert names == ["Ana Silva", "Caro Dias"]  # budget left partially unfilled
@@ -122,7 +122,7 @@ def test_collect_skips_duplicates_and_existing():
 
 def test_collect_records_are_synthetic_and_labeled():
     generator = ScriptedGenerator(["Ana Silva", "Bea Costa"])
-    out = collect_synthetic([AugmentBudget("brazil", 10, 2)], generator,
+    out = collect_synthetic([AugmentBudget("brazil", 2)], generator,
                             taken=set(), chunk_size=10)
     for record in out["brazil"]:
         assert record.provenance is Provenance.SYNTHETIC
@@ -132,7 +132,7 @@ def test_collect_records_are_synthetic_and_labeled():
 def test_collect_skips_zero_request_countries():
     generator = ScriptedGenerator(["Ana Silva"])
     out = collect_synthetic(
-        [AugmentBudget("brazil", 9000, 0), AugmentBudget("chile", 10, 1)],
+        [AugmentBudget("brazil", 0), AugmentBudget("chile", 1)],
         generator, taken=set(), chunk_size=10)
     assert set(out) == {"chile"}
 
@@ -140,7 +140,7 @@ def test_collect_skips_zero_request_countries():
 def test_collect_chunked_requests():
     names = [f"Tok{i} Last{i}" for i in range(10)]
     generator = ScriptedGenerator(names)
-    out = collect_synthetic([AugmentBudget("x", 0, 10)], generator,
+    out = collect_synthetic([AugmentBudget("x", 10)], generator,
                             taken=set(), chunk_size=4)
     assert len(out["x"]) == 10
     assert generator.calls == 3  # 4 + 4 + 2
@@ -157,7 +157,7 @@ def test_collect_stops_after_stalled_chunks():
             return ["Same Name"] * n
 
     generator = Repeater()
-    out = collect_synthetic([AugmentBudget("x", 0, 5)], generator,
+    out = collect_synthetic([AugmentBudget("x", 5)], generator,
                             taken=set(), chunk_size=2)
     assert [r.full_name for r in out["x"]] == ["Same Name"]
     # 1 productive + MAX_STALLED_CHUNKS stalled
@@ -169,8 +169,8 @@ def test_collect_generator_failure_moves_to_next_country():
     # first country keeps its first chunk and the next is still collected.
     generator = ScriptedGenerator(["Ana Silva", "Bea Costa", "Caio Lima",
                                    "Duda Reis"], fail_calls={2})
-    out = collect_synthetic([AugmentBudget("brazil", 0, 3),
-                             AugmentBudget("chile", 0, 2)], generator,
+    out = collect_synthetic([AugmentBudget("brazil", 3),
+                             AugmentBudget("chile", 2)], generator,
                             taken=set(), chunk_size=2)
     assert [r.full_name for r in out["brazil"]] == ["Ana Silva", "Bea Costa"]
     assert [r.full_name for r in out["chile"]] == ["Caio Lima", "Duda Reis"]
@@ -183,14 +183,14 @@ def test_collect_partial_fill_after_retry_exhaustion():
         def generate(self, country, n):
             raise enrichment.OracleTransportError("down after 3 retries")
 
-    out = collect_synthetic([AugmentBudget("brazil", 0, 5)], AlwaysDown(),
+    out = collect_synthetic([AugmentBudget("brazil", 5)], AlwaysDown(),
                             taken=set(), chunk_size=10)
     assert out["brazil"] == []  # left unfilled, no exception
 
 
 def test_collect_drops_unparseable_names():
     generator = ScriptedGenerator(["   ", "Ana Silva"])
-    out = collect_synthetic([AugmentBudget("brazil", 0, 1)], generator,
+    out = collect_synthetic([AugmentBudget("brazil", 1)], generator,
                             taken=set(), chunk_size=10)
     assert [r.full_name for r in out["brazil"]] == ["Ana Silva"]
 
@@ -200,7 +200,7 @@ def test_collect_drops_unparseable_names():
 def test_collect_respects_budget_and_repetition_invariants(requested,
                                                            chunk_size, seed):
     generator = StubNameGenerator(seed=seed)
-    out = collect_synthetic([AugmentBudget("testland", 0, requested)],
+    out = collect_synthetic([AugmentBudget("testland", requested)],
                             generator, taken={name_key("Existing Name")},
                             chunk_size=chunk_size)
     records = out["testland"]
@@ -297,8 +297,8 @@ class EdgeGenerator:
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("chunk_size", [1, 3, 7, 200])
 def test_collect_matches_reference_filter_loop(seed, chunk_size):
-    budgets = [AugmentBudget("brazil", 0, 40), AugmentBudget("vietnam", 0, 9),
-               AugmentBudget("chile", 0, 0)]
+    budgets = [AugmentBudget("brazil", 40), AugmentBudget("vietnam", 9),
+               AugmentBudget("chile", 0)]
     existing = ["EXISTING name", "Kim  Ly Ha"]
     expected_gen, actual_gen = EdgeGenerator(seed), EdgeGenerator(seed)
     expected = reference_collect(budgets, expected_gen, existing, chunk_size)
@@ -317,7 +317,7 @@ def test_collect_matches_reference_filter_loop(seed, chunk_size):
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_collect_matches_reference_on_stub_generator(seed):
-    budgets = [AugmentBudget(c, 0, 300) for c in ("brazil", "x", "vietnam")]
+    budgets = [AugmentBudget(c, 300) for c in ("brazil", "x", "vietnam")]
     existing = StubNameGenerator(seed=seed + 1).generate("brazil", 50)
     expected = reference_collect(budgets, StubNameGenerator(seed), existing, 40)
     actual = collect_synthetic(budgets, StubNameGenerator(seed),
@@ -335,9 +335,9 @@ def test_one_key_set_keeps_each_name_under_one_label(same_names_generator):
             for n in StubNameGenerator(seed=1).generate("arcadia", 40)]
     taken = {r.key for r in base}
     generator = same_names_generator(seed=3)
-    synthetic = collect_synthetic([AugmentBudget(c, 0, 60) for c in countries],
+    synthetic = collect_synthetic([AugmentBudget(c, 60) for c in countries],
                                   generator, taken, chunk_size=25)
-    gold = collect_synthetic([AugmentBudget(c, 0, 20) for c in countries],
+    gold = collect_synthetic([AugmentBudget(c, 20) for c in countries],
                              generator, taken, chunk_size=25)
     records = [r for c in sorted(synthetic) for r in synthetic[c]]
     partitions = [*split_corpus(records, SplitConfig((3, 1, 1), seed=3)),
@@ -370,7 +370,7 @@ def test_collect_builds_one_record_per_kept_name(monkeypatch):
             return names
 
     monkeypatch.setattr(enrichment, "NameRecord", CountingRecord)
-    out = collect_synthetic([AugmentBudget(c, 0, 500) for c in ("a", "b")],
+    out = collect_synthetic([AugmentBudget(c, 500) for c in ("a", "b")],
                             CountingGenerator(seed=5), taken=set(),
                             chunk_size=100)
     kept = [r.full_name for country in sorted(out) for r in out[country]]

@@ -228,13 +228,13 @@ def test_wilson_contains_point_estimate(pair):
 # --- bias report ---
 
 class FirstLetterModel:
-    """predict_label by first letter: A* -> alfa, otherwise bravo."""
+    """predict_labels by first letter: A* -> alfa, otherwise bravo."""
 
     def __init__(self, taxonomy):
         self.taxonomy = taxonomy
 
-    def predict_label(self, name):
-        return "alfa" if name.startswith("A") else "bravo"
+    def predict_labels(self, names):
+        return ["alfa" if name.startswith("A") else "bravo" for name in names]
 
 
 def bias_fixture():

@@ -158,8 +158,8 @@ def test_collect_against_down_oracle_sends_one_retry_loop(oracle_server):
         oracle_server.responses.append((500, {"error": "down"}))
     oracle_server.responses.append((200, chat_payload("Ana Silva")))
     oracle = make_oracle(oracle_server, max_retries=2)
-    out = collect_synthetic([AugmentBudget("brazil", 0, 5),
-                             AugmentBudget("chile", 0, 1)], oracle,
+    out = collect_synthetic([AugmentBudget("brazil", 5),
+                             AugmentBudget("chile", 1)], oracle,
                             taken=set(), chunk_size=5)
     assert out["brazil"] == []
     assert [r.full_name for r in out["chile"]] == ["Ana Silva"]

@@ -1,10 +1,12 @@
 """Source guards: one atomic writer, one reader per input format, one record
 encoder, one report serializer, one retry loop, one leakage check, one
-switch of the garbage collector and one classifier forward pass in the
-package, none of the constructs its kernels and bench were rid of, every
-package name the bench's tracer wraps, and no export that only tests use."""
+switch of the garbage collector, one exit rule for bad input and one
+classifier forward pass in the package, none of the constructs its kernels
+and bench were rid of, every package name the bench's tracer wraps, and no
+export that only tests use."""
 import ast
 import functools
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -55,6 +57,23 @@ def test_one_collector_switch():
     # cli.main runs a command's handler with the cyclic collector off and
     # puts its state back; nothing else in the package touches it.
     assert where("gc.disable(") == ["cli.py"]
+
+
+def test_one_exit_rule():
+    # cli.main turns an OSError or ValueError into exit 2 by its class
+    # alone, so every exception the package defines is a ValueError and no
+    # other module catches that pair.
+    errors = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"namecountry.{path.stem}")
+        for node in ast.parse(SOURCES[path.name]).body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, BaseException):
+                    errors.append(cls)
+                    assert issubclass(cls, ValueError), cls
+    assert len(errors) >= 10
+    assert where("except (OSError, ValueError)") == ["cli.py"]
 
 
 def test_no_scatter_add_or_thread_pool():
