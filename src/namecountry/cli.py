@@ -301,13 +301,20 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
             gap = budget.requested - len(drawn.get(budget.country, ()))
             if gap > 0:
                 missing[budget.country] += gap
+    # Each intermediate is let go once consumed, like `taken`, so the audit
+    # and the writes below hold the bundle and nothing beside it.
     synth_records = [r for c in sorted(synthetic) for r in synthetic[c]]
+    del synthetic
+    n_synthetic = len(synth_records)
     synth_parts = ([], [], [])
     if synth_records:
         synth_parts = corpus_mod.split_corpus(
             synth_records, corpus_mod.SplitConfig(ratios=ratios, seed=seed))
+    del synth_records
     splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
+    del synth_parts, base
     splits.test_gold = [r for c in sorted(gold) for r in gold[c]]
+    del gold
 
     violations = corpus_mod.audit_splits(splits)
     if not corpus_mod.audit_is_clean(violations):
@@ -318,7 +325,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
                     _split_inputs(splits_dir, corpus_mod.BASE_SPLITS),
                     [("output_dir", p) for p in written])
     sizes = splits.sizes()
-    print(f"augment: +{len(synth_records)} synthetic -> "
+    print(f"augment: +{n_synthetic} synthetic -> "
           f"train_aug={sizes['train_aug']} val_aug={sizes['val_aug']} "
           f"test_filter_aug={sizes['test_filter_aug']} "
           f"test_gold={sizes['test_gold']} "
@@ -477,16 +484,34 @@ def _read_bias_records(path: Path) -> list[tuple[str, str, bool]]:
                                                _bias_record)]
 
 
+class _SplitFiles:
+    """The split files under a directory, read when a split is asked for.
+
+    Indexing reads `<split>.jsonl` (an absent file is an empty split) and
+    notes its size. Nothing else is kept, so `audit_splits` holds one
+    split's records at a time.
+    """
+
+    def __init__(self, splits_dir: Path) -> None:
+        self.splits_dir = splits_dir
+        self.sizes = dict.fromkeys(corpus_mod.SPLIT_NAMES, 0)
+
+    def __getitem__(self, split: str) -> list:
+        records = corpus_mod.read_split(self.splits_dir, split)
+        self.sizes[split] = len(records)
+        return records
+
+
 def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:
     splits_dir = args.splits_dir or out_dir / "splits"
     output = args.output or out_dir / "audit_report.json"
     if not splits_dir.is_dir():
         raise CommandError(f"{splits_dir}: not a directory")
-    splits = corpus_mod.CorpusSplits.load(splits_dir)
+    splits = _SplitFiles(splits_dir)
     violations = corpus_mod.audit_splits(splits)
     clean = corpus_mod.audit_is_clean(violations)
     write_json(output, {"clean": clean, "violations": violations,
-                         "sizes": splits.sizes()})
+                         "sizes": splits.sizes})
     _write_manifest(out_dir, "audit", config, seed,
                     _split_inputs(splits_dir, corpus_mod.SPLIT_NAMES),
                     [("output", output)])

@@ -8,6 +8,12 @@ every random choice derives from an explicit seed so runs are reproducible
 byte for byte. There is one leakage check: audit_splits, run on the finished
 bundle, reports every training name found in an evaluation split;
 assemble_augmented_splits only concatenates.
+
+The audit's memory rule: it holds the keys of the evaluation splits, plus
+one split's records or one chunk of a training split's keys at a time. It
+asks for each split once, evaluation splits first, and walks a training
+split AUDIT_CHUNK_RECORDS records at a time, so a caller that reads a split
+only when asked (the audit command) never holds two splits at once.
 """
 from __future__ import annotations
 
@@ -212,16 +218,19 @@ class CorpusSplits:
         return written + [manifest]
 
     @staticmethod
-    def load(in_dir: str | Path,
-             names: Sequence[str] = SPLIT_NAMES) -> "CorpusSplits":
+    def load(in_dir: str | Path, names: Sequence[str]) -> "CorpusSplits":
         """Read the named splits present under in_dir; the rest stay empty."""
-        in_dir = Path(in_dir)
         splits = CorpusSplits()
         for split in names:
-            path = in_dir / f"{split}.jsonl"
-            if path.exists():
-                getattr(splits, split).extend(read_records(path))
+            setattr(splits, split, read_split(in_dir, split))
         return splits
+
+
+def read_split(in_dir: str | Path, split: str) -> list[NameRecord]:
+    """The records of `<split>.jsonl` under in_dir; an absent file is an
+    empty split."""
+    path = Path(in_dir) / f"{split}.jsonl"
+    return read_records(path) if path.exists() else []
 
 
 def assemble_augmented_splits(
@@ -248,7 +257,22 @@ def assemble_augmented_splits(
     )
 
 
-def audit_splits(splits: CorpusSplits) -> dict[str, list[str]]:
+# A training split is keyed this many records at a time, each chunk's keys
+# intersected with the evaluation keys, so the audit never holds a training
+# split's whole key set (train_aug's is ~340k keys at paper shape).
+AUDIT_CHUNK_RECORDS = 4096
+
+# Each training split, with the splits a model trained on it is scored on.
+# test_oag and test_gold are scored against both.
+_SCORED_ON = (
+    ("train_oag", ("val_oag", "test_oag", "test_filter", "test_gold")),
+    ("train_aug", ("val_aug", "test_oag", "test_filter_aug", "test_gold")),
+)
+_SHARED = ("test_oag", "test_gold")
+_REAL_ONLY = ("train_oag", "val_oag", "test_oag", "test_filter")
+
+
+def audit_splits(splits) -> dict[str, list[str]]:
     """Scan all splits for invariant violations; empty lists mean a clean bill.
 
     This is the package's one train/evaluation overlap check. Checks: no
@@ -258,47 +282,59 @@ def audit_splits(splits: CorpusSplits) -> dict[str, list[str]]:
     test_gold is synthetic-only; real-only splits carry no synthetic
     records; and test_filter is a validated subset of test_oag by
     (name, label).
+
+    `splits` is a CorpusSplits or anything indexable by split name. Each
+    split is asked for once, evaluation splits first (test_oag, test_gold,
+    then each family's validation and filtered test split before its
+    training split), and let go once checked. The audit keeps the keys of
+    the evaluation splits a family is scored on, plus one split's records or
+    one chunk of a training split's keys at a time.
     """
-    violations: dict[str, list[str]] = {}
+    overlap: dict[tuple[str, str], set[str]] = {
+        (train, split): set()
+        for train, scored_on in _SCORED_ON for split in scored_on}
+    found: dict[str, set[str]] = {"test_gold_synthetic_only": set()}
+    found.update((f"{split}_real_only", set()) for split in _REAL_ONLY)
+    found["test_filter_subset_of_test_oag"] = set()
 
-    def record_violation(check: str, names: Iterable[str]) -> None:
-        violations[check] = sorted(names)
+    def read(split: str) -> Sequence[NameRecord]:
+        """The split's records, after the checks on its records alone."""
+        records = splits[split]
+        if split in _REAL_ONLY:
+            found[f"{split}_real_only"].update(
+                r.full_name for r in records
+                if r.provenance is Provenance.SYNTHETIC)
+        if split == "test_gold":
+            found["test_gold_synthetic_only"].update(
+                r.full_name for r in records
+                if r.provenance is not Provenance.SYNTHETIC)
+        elif split == "test_filter":
+            found["test_filter_subset_of_test_oag"].update(
+                r.full_name for r in records
+                if (r.key, r.label) not in test_oag_pairs
+                or r.provenance is not Provenance.VALIDATED)
+        return records
 
-    def keys(records: Sequence[NameRecord]) -> set[str]:
-        return {r.key for r in records}
-
-    # test_oag and test_gold are scored against both training splits, so
-    # they are keyed once; every other split is keyed when it is checked.
-    shared = {name: keys(splits[name]) for name in ("test_oag", "test_gold")}
-    for train_name, eval_names in (
-        ("train_oag", ("val_oag", "test_oag", "test_filter", "test_gold")),
-        ("train_aug", ("val_aug", "test_oag", "test_filter_aug", "test_gold")),
-    ):
-        train_keys = keys(splits[train_name])
-        for eval_name in eval_names:
-            eval_keys = (shared[eval_name] if eval_name in shared
-                         else keys(splits[eval_name]))
-            record_violation(f"{train_name}_vs_{eval_name}",
-                             train_keys & eval_keys)
-
-    record_violation(
-        "test_gold_synthetic_only",
-        {r.full_name for r in splits.test_gold
-         if r.provenance is not Provenance.SYNTHETIC})
-
-    for split in ("train_oag", "val_oag", "test_oag", "test_filter"):
-        record_violation(
-            f"{split}_real_only",
-            {r.full_name for r in splits[split]
-             if r.provenance is Provenance.SYNTHETIC})
-
-    test_oag_pairs = {(r.key, r.label) for r in splits.test_oag}
-    record_violation(
-        "test_filter_subset_of_test_oag",
-        {r.full_name for r in splits.test_filter
-         if (r.key, r.label) not in test_oag_pairs
-         or r.provenance is not Provenance.VALIDATED})
-
+    test_oag_pairs = {(r.key, r.label) for r in read("test_oag")}
+    keys = {"test_oag": {key for key, _ in test_oag_pairs},
+            "test_gold": {r.key for r in read("test_gold")}}
+    for train, scored_on in _SCORED_ON:
+        for split in scored_on:
+            if split not in keys:
+                keys[split] = {r.key for r in read(split)}
+        records = read(train)
+        for start in range(0, len(records), AUDIT_CHUNK_RECORDS):
+            chunk = {r.key for r in records[start:start + AUDIT_CHUNK_RECORDS]}
+            for split in scored_on:
+                overlap[train, split].update(chunk & keys[split])
+        del records
+        # This family's own evaluation keys go before the next is keyed.
+        for split in scored_on:
+            if split not in _SHARED:
+                del keys[split]
+    violations = {f"{train}_vs_{split}": sorted(names)
+                  for (train, split), names in overlap.items()}
+    violations.update((check, sorted(names)) for check, names in found.items())
     return violations
 
 

@@ -285,6 +285,11 @@ class StubNameValidator:
             if mode not in ("strict", "lenient"):
                 raise ValueError(f"unknown strictness {mode!r} for {country!r};"
                                  f" expected 'strict' or 'lenient'")
+        for name in ("strict_fraction", "lenient_fraction"):
+            # `not 0 <= x <= 1` refuses NaN too.
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"oracle.{name} must be between 0 and 1, "
+                                 f"got {getattr(self, name)!r}")
 
     def judge(self, name: str, country: str) -> bool:
         mode = self.strictness.get(country)

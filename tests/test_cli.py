@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -28,7 +29,8 @@ from namecountry.classifier import (
 )
 from namecountry.cli import DEFAULT_CONFIG, load_config, main
 from namecountry.core import (
-    NameRecord, Provenance, name_key, register_taxonomy, write_records,
+    NameRecord, Provenance, name_key, read_records, register_taxonomy,
+    write_records,
 )
 
 
@@ -584,6 +586,35 @@ def test_unknown_strictness_exits_2(chain, tmp_path, capsys):
         "or 'lenient'"]
 
 
+@pytest.mark.parametrize("name", ["strict_fraction", "lenient_fraction"])
+@pytest.mark.parametrize("fraction", [5, -3, 1.5, -0.1])
+def test_split_refuses_validator_fraction_out_of_range(chain, tmp_path, capsys,
+                                                      name, fraction):
+    # A fraction above 1 rejected every name, leaving no test_filter, and
+    # one below 0 accepted every name; both are refused before a write.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": {name: fraction}}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out),
+                 "split", "--input", str(chain.out / "corpus.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: oracle.{name} must be between 0 and 1, got {fraction!r}"]
+    assert list(out.iterdir()) == []  # no splits/, no manifest
+
+
+@pytest.mark.parametrize("fraction", [0, 1])
+def test_split_accepts_validator_fraction_bounds(chain, tmp_path, capsys,
+                                                 fraction):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": {"strict_fraction": fraction,
+                                          "lenient_fraction": fraction}}),
+                   encoding="utf-8")
+    code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                 "split", "--input", str(chain.out / "corpus.jsonl")])
+    assert code == 0, capsys.readouterr().err
+
+
 # Each file kind a command reads whole, plus a JSONL file, which is streamed.
 @pytest.mark.parametrize("kind", ["taxonomy", "aliases", "config", "names",
                                   "names_jsonl"])
@@ -754,6 +785,40 @@ def test_audit_exits_1_on_leaky_splits(chain, tmp_path, capsys):
     report = json.loads((tmp_path / "audit_report.json").read_text())
     assert report["clean"] is False
     assert report["violations"]["train_aug_vs_test_oag"] == ["held out"]
+
+
+def test_audit_holds_one_split_at_a_time(tmp_path, capsys):
+    """The audit command reads a split when the audit asks for it, and the
+    audit keys a training split a chunk at a time: its traced peak stays
+    near what holding train_aug's records takes, well below that plus
+    train_aug's whole key set, which keying the split at once would add."""
+    splits = tmp_path / "splits"
+    write_records(splits / "train_aug.jsonl", [
+        NameRecord(f"Synth{i} Alfa", "alfa", provenance=Provenance.SYNTHETIC)
+        for i in range(50_000)])
+    for split in ("train_oag", "val_oag", "test_oag"):
+        write_records(splits / f"{split}.jsonl",
+                      [NameRecord(f"{split}{i} Alfa", "alfa")
+                       for i in range(50)])
+    for split in ("val_aug", "test_filter_aug", "test_gold"):
+        write_records(splits / f"{split}.jsonl", [
+            NameRecord(f"{split}{i} Alfa", "alfa",
+                       provenance=Provenance.SYNTHETIC) for i in range(50)])
+    tracemalloc.start()
+    try:
+        records = read_records(splits / "train_aug.jsonl")
+        held = tracemalloc.get_traced_memory()[0]
+        keys = {r.key for r in records}
+        keyed = tracemalloc.get_traced_memory()[0] - held
+        del records, keys
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code = main(["--out-dir", str(tmp_path), "audit"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < held + keyed / 2, (peak, held, keyed)
 
 
 def test_audit_missing_dir_exits_2(chain, tmp_path, capsys):

@@ -1,10 +1,18 @@
+import contextlib
+import io
+import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from namecountry.core import NameRecord, Provenance
+from namecountry import corpus
+from namecountry.cli import main
+from namecountry.core import NameRecord, Provenance, write_records
 from namecountry.corpus import (
+    SPLIT_NAMES,
     CorpusSplits,
     EmptyCorpusError,
     SplitConfig,
@@ -241,7 +249,7 @@ def test_corpus_splits_save_load_round_trip(tmp_path):
     assert written == [tmp_path / "train_oag.jsonl",
                        tmp_path / "val_oag.jsonl", tmp_path / "manifest.json"]
     assert not (tmp_path / "test_oag.jsonl").exists()  # empty split: removed
-    loaded = CorpusSplits.load(tmp_path)
+    loaded = CorpusSplits.load(tmp_path, SPLIT_NAMES)
     assert loaded.train_oag == splits.train_oag
     assert loaded.val_oag == splits.val_oag
     assert loaded.test_gold == []
@@ -326,22 +334,26 @@ def test_audit_clean_bundle():
 
 
 def test_audit_keys_each_evaluation_split_once(monkeypatch):
-    """test_oag and test_gold are scored against both training splits but
-    keyed once each for the overlap checks (test_oag once more for the
-    test_filter subset check)."""
+    """Every record is keyed once: test_oag and test_gold are scored against
+    both training splits but keyed once each, and test_oag's subset-check
+    pairs give its overlap keys. test_filter's records are keyed twice,
+    once for their (key, label) pair and once for the overlap checks."""
     bundle = clean_bundle()
+    for split in ("test_filter", "test_filter_aug"):
+        bundle[split].append(NameRecord("T0 Alfa", "alfa",
+                                        provenance=Provenance.VALIDATED))
     keyed = Counter()
     key = NameRecord.key
 
     def counting_key(record):
-        keyed[record.full_name] += 1
+        keyed[id(record)] += 1
         return key.fget(record)
 
     monkeypatch.setattr(NameRecord, "key", property(counting_key))
-    audit_splits(bundle)
-    assert bundle.test_gold and bundle.test_oag
-    assert {keyed[r.full_name] for r in bundle.test_gold} == {1}
-    assert {keyed[r.full_name] for r in bundle.test_oag} == {2}
+    assert audit_is_clean(audit_splits(bundle))
+    for split in SPLIT_NAMES:
+        once = 2 if split == "test_filter" else 1
+        assert {keyed[id(r)] for r in bundle[split]} == {once}, split
 
 
 def test_audit_detects_train_test_overlap():
@@ -410,12 +422,149 @@ def test_audit_check_names():
     ]
 
 
+class RecordingSplits:
+    """A bundle indexable by split name that notes each split asked for."""
+
+    def __init__(self, bundle):
+        self.bundle = bundle
+        self.asked = []
+
+    def __getitem__(self, split):
+        self.asked.append(split)
+        return self.bundle[split]
+
+
+def test_audit_asks_for_each_split_once_evaluation_first():
+    # So a caller that reads a split when asked holds one split at a time.
+    splits = RecordingSplits(clean_bundle())
+    assert audit_splits(splits) == audit_splits(clean_bundle())
+    assert splits.asked == ["test_oag", "test_gold", "val_oag", "test_filter",
+                            "train_oag", "val_aug", "test_filter_aug",
+                            "train_aug"]
+
+
+def audit_splits_keyed_whole(splits):
+    """The audit as it was before training splits were keyed in chunks,
+    kept here as the reference the chunked audit must equal."""
+    violations = {}
+
+    def record_violation(check, names):
+        violations[check] = sorted(names)
+
+    def keys(records):
+        return {r.key for r in records}
+
+    shared = {name: keys(splits[name]) for name in ("test_oag", "test_gold")}
+    for train_name, eval_names in (
+        ("train_oag", ("val_oag", "test_oag", "test_filter", "test_gold")),
+        ("train_aug", ("val_aug", "test_oag", "test_filter_aug", "test_gold")),
+    ):
+        train_keys = keys(splits[train_name])
+        for eval_name in eval_names:
+            eval_keys = (shared[eval_name] if eval_name in shared
+                         else keys(splits[eval_name]))
+            record_violation(f"{train_name}_vs_{eval_name}",
+                             train_keys & eval_keys)
+
+    record_violation(
+        "test_gold_synthetic_only",
+        {r.full_name for r in splits.test_gold
+         if r.provenance is not Provenance.SYNTHETIC})
+
+    for split in ("train_oag", "val_oag", "test_oag", "test_filter"):
+        record_violation(
+            f"{split}_real_only",
+            {r.full_name for r in splits[split]
+             if r.provenance is Provenance.SYNTHETIC})
+
+    test_oag_pairs = {(r.key, r.label) for r in splits.test_oag}
+    record_violation(
+        "test_filter_subset_of_test_oag",
+        {r.full_name for r in splits.test_filter
+         if (r.key, r.label) not in test_oag_pairs
+         or r.provenance is not Provenance.VALIDATED})
+
+    return violations
+
+
+def every_finding_bundle():
+    """A bundle that trips every check: an overlap in each checked pair,
+    a synthetic record in each real-only split, a real record in test_gold,
+    and a stray and an unvalidated test_filter record."""
+    def real(name, provenance=Provenance.EXTRACTED):
+        return NameRecord(name, "alfa", provenance=provenance)
+
+    def synth(name):
+        return NameRecord(name, "alfa", provenance=Provenance.SYNTHETIC)
+
+    bundle = CorpusSplits(
+        train_oag=[real(f"Oag{i} Leak") for i in range(4)] + [synth("Sy Oag")],
+        val_oag=[real("oag0 leak"), synth("Sy Val")],
+        test_oag=[real("OAG1 LEAK"), real("Aug1 Leak"), real("Kept Alfa"),
+                  synth("Sy Test")],
+        test_filter=[real("oag2 leak", Provenance.VALIDATED),
+                     real("Kept Alfa"), real("Stray Alfa", Provenance.VALIDATED),
+                     synth("Sy Filter")],
+        train_aug=[synth(f"Aug{i} Leak") for i in range(4)],
+        val_aug=[synth("aug0 leak")],
+        test_filter_aug=[synth("aug2 leak")],
+        test_gold=[synth("Oag3 Leak"), synth("Aug3 Leak"), real("Real Gold")],
+    )
+    found = audit_splits_keyed_whole(bundle)
+    assert all(found.values()), found  # every check trips
+    return bundle
+
+
+AUDIT_RECORDS = st.builds(
+    NameRecord,
+    st.sampled_from(["Ana Bo", "ana bo", "ANA BO", "Ben Cy", "Cy Dee",
+                     "Dee Eva", "Eva Fu", "Fu Gil"]),
+    st.sampled_from(["alfa", "bravo"]),
+    st.sampled_from(list(Provenance)))
+AUDIT_BUNDLES = st.builds(CorpusSplits, **{
+    split: st.lists(AUDIT_RECORDS, max_size=7) for split in SPLIT_NAMES})
+
+
+# In-process on the bundle, and through the audit command, which reads each
+# split's file when the audit asks for it: an empty split is a missing file
+# or, with `empty_files`, an empty one.
+@pytest.mark.parametrize("chunk", [1, 3, corpus.AUDIT_CHUNK_RECORDS])
+@settings(max_examples=100, deadline=None)
+@given(AUDIT_BUNDLES, st.booleans())
+@example(every_finding_bundle(), False)
+@example(CorpusSplits(), False)
+@example(CorpusSplits(), True)
+@example(CorpusSplits(train_oag=make_records("alfa", 5),
+                      train_aug=make_records("alfa", 5)), False)
+def test_audit_matches_keying_training_splits_whole(chunk, bundle,
+                                                    empty_files):
+    expected = audit_splits_keyed_whole(bundle)
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(corpus, "AUDIT_CHUNK_RECORDS", chunk)
+        violations = audit_splits(bundle)
+        splits_dir = Path(tmp) / "splits"
+        splits_dir.mkdir()
+        for split in SPLIT_NAMES:
+            if bundle[split] or empty_files:
+                write_records(splits_dir / f"{split}.jsonl", bundle[split])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--out-dir", tmp, "audit"])
+        report = json.loads((Path(tmp) / "audit_report.json").read_text())
+    assert violations == expected
+    assert json.dumps(violations) == json.dumps(expected)  # key order too
+    clean = audit_is_clean(expected)
+    assert code == (0 if clean else 1)
+    assert report == {"clean": clean, "violations": expected,
+                      "sizes": bundle.sizes()}
+
+
 def test_write_split_manifest(tmp_path):
     bundle = clean_bundle()
     violations = audit_splits(bundle)
     path = bundle.save(tmp_path, seed=7, ratios=(8, 1, 1),
                        audit=violations)[-1]
-    import json
     assert path == tmp_path / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert manifest["seed"] == 7

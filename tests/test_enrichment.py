@@ -492,5 +492,19 @@ def test_stub_validator_unknown_mode():
         StubNameValidator(strictness={"x": "medium"})
 
 
+@pytest.mark.parametrize("fraction", [0, 1, 0.5])
+def test_stub_validator_accepts_fractions_in_range(fraction):
+    validator = StubNameValidator(strict_fraction=fraction,
+                                  lenient_fraction=fraction)
+    assert validator.strict_fraction == validator.lenient_fraction == fraction
+
+
+@pytest.mark.parametrize("name", ["strict_fraction", "lenient_fraction"])
+@pytest.mark.parametrize("fraction", [5, -3, 1.5, -0.1, float("nan")])
+def test_stub_validator_refuses_fractions_out_of_range(name, fraction):
+    with pytest.raises(ValueError, match=f"oracle.{name} must be between"):
+        StubNameValidator(**{name: fraction})
+
+
 def test_stub_validator_no_letters():
     assert not StubNameValidator(strictness={"x": "lenient"}).judge("12 34", "x")
