@@ -35,8 +35,9 @@ from typing import Sequence
 from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
-    atomic_open, json_type, load_mapping, load_taxonomy, read_jsonl,
-    read_records, read_text, require_json, write_json, write_records,
+    NameRecord, Provenance, atomic_open, json_type, load_mapping,
+    load_taxonomy, normalize_label, read_jsonl, read_records, read_text,
+    require_json, write_json, write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -172,11 +173,33 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
     return path
 
 
-def _make_validator(config: dict) -> enrichment.ValidationOracle:
+def _by_label(mapping: dict, dotted: str, labels, split: str) -> dict:
+    """`mapping` with each key normalized as a record's label is
+    (`normalize_label`), so `Brazil` names the country `brazil`. A key that
+    names no label of `split`, or a second key for one label, is a
+    CommandError naming the dotted key."""
+    by_label: dict = {}
+    keys: dict[str, str] = {}
+    for key, value in mapping.items():
+        label = normalize_label(key)
+        if label not in labels:
+            raise CommandError(f"{dotted}.{key}: no country {label!r} in "
+                               f"{split}")
+        if label in keys:
+            raise CommandError(f"{dotted}.{key}: {label!r} is already named "
+                               f"by {dotted}.{keys[label]}")
+        keys[label] = key
+        by_label[label] = value
+    return by_label
+
+
+def _make_validator(config: dict, labels) -> enrichment.ValidationOracle:
+    """The configured validator for records of `labels` (test_oag's)."""
     oracle = config["oracle"]
     if oracle["kind"] == "stub":
         return enrichment.StubNameValidator(
-            strictness=dict(oracle["strictness"]),
+            strictness=_by_label(oracle["strictness"], "oracle.strictness",
+                                 labels, "test_oag"),
             strict_fraction=oracle["strict_fraction"],
             lenient_fraction=oracle["lenient_fraction"])
     if oracle["kind"] == "http":
@@ -248,8 +271,8 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
                                      test_oag=test)
     if not args.no_filter:
         splits.test_filter = corpus_mod.build_filtered_test(
-            test, _make_validator(config), cap=split_cfg["filter_cap"],
-            seed=seed)
+            test, _make_validator(config, {r.label for r in test}),
+            cap=split_cfg["filter_cap"], seed=seed)
     violations = corpus_mod.audit_splits(splits)
     if not corpus_mod.audit_is_clean(violations):
         _print_violations(violations)
@@ -278,22 +301,23 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     base = corpus_mod.CorpusSplits.load(splits_dir, corpus_mod.BASE_SPLITS)
     if not base.train_oag:
         raise CommandError(f"{splits_dir}: no train_oag split found")
+    counts = Counter(r.label for r in base.train_oag)
     budgets = enrichment.compute_budgets(
-        Counter(r.label for r in base.train_oag),
-        threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
-        overrides=aug_cfg["overrides"])
+        counts, threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
+        overrides=_by_label(aug_cfg["overrides"], "augment.overrides",
+                            counts, "train_oag"))
     base_records = [r for name in corpus_mod.BASE_SPLITS for r in base[name]]
     gold_budgets = [enrichment.AugmentBudget(c, aug_cfg["gold_per_country"])
                     for c in sorted({r.label for r in base_records})]
     # The keys no synthetic name may take: the base names, then each name a
     # draw keeps. Both draws share it, so no name is drawn twice. It holds
-    # ~550k keys at paper shape, so it is dropped before assembly.
+    # ~550k keys at paper shape; while it is alive the draws keep only the
+    # names they drew, and the records are built once it is dropped.
     taken = {r.key for r in base_records}
+    del base_records
     generator = _make_generator(config, seed)
-    synthetic = enrichment.collect_synthetic(
-        budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
-    gold = enrichment.collect_synthetic(
-        gold_budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
+    synthetic = _draw_names(budgets, generator, taken, aug_cfg["chunk_size"])
+    gold = _draw_names(gold_budgets, generator, taken, aug_cfg["chunk_size"])
     del taken
     missing: Counter = Counter()  # country -> names the generator fell short
     for draw_budgets, drawn in ((budgets, synthetic), (gold_budgets, gold)):
@@ -303,8 +327,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
                 missing[budget.country] += gap
     # Each intermediate is let go once consumed, like `taken`, so the audit
     # and the writes below hold the bundle and nothing beside it.
-    synth_records = [r for c in sorted(synthetic) for r in synthetic[c]]
-    del synthetic
+    synth_records = _synthetic_records(synthetic)  # empties `synthetic`
     n_synthetic = len(synth_records)
     synth_parts = ([], [], [])
     if synth_records:
@@ -313,8 +336,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     del synth_records
     splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
     del synth_parts, base
-    splits.test_gold = [r for c in sorted(gold) for r in gold[c]]
-    del gold
+    splits.test_gold = _synthetic_records(gold)  # empties `gold`
 
     violations = corpus_mod.audit_splits(splits)
     if not corpus_mod.audit_is_clean(violations):
@@ -331,6 +353,33 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
           f"test_gold={sizes['test_gold']} "
           f"(short: {len(missing)} countries, {missing.total()} names)")
     return 0
+
+
+def _draw_names(budgets: Sequence[enrichment.AugmentBudget],
+                generator: enrichment.GeneratorOracle, taken: set[str],
+                chunk_size: int) -> dict[str, list[str]]:
+    """Each country's kept synthetic names, drawn by one `collect_synthetic`
+    call per budget, in country order, all against `taken` and `generator`:
+    the draws one call over every budget makes. A country's records are let
+    go once their names are read, so the draws hold names, not records."""
+    names: dict[str, list[str]] = {}
+    for budget in sorted(budgets, key=lambda b: b.country):
+        names.update({country: [r.full_name for r in records]
+                      for country, records in enrichment.collect_synthetic(
+                          [budget], generator, taken,
+                          chunk_size=chunk_size).items()})
+    return names
+
+
+def _synthetic_records(names: dict[str, list[str]]) -> list[NameRecord]:
+    """The synthetic records of `_draw_names`' names, country by country in
+    sorted order. It empties `names`, each country's list once its records
+    are built, so a name is held twice for one country at most."""
+    records: list[NameRecord] = []
+    for country in sorted(names):
+        records.extend(NameRecord(name, country, Provenance.SYNTHETIC)
+                       for name in names.pop(country))
+    return records
 
 
 def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:

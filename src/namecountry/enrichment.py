@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
-from .core import NameRecord, Provenance, name_key
+from .core import NameRecord, Provenance, name_key, normalize_name
 
 log = logging.getLogger(__name__)
 
@@ -113,9 +113,12 @@ def collect_synthetic(
     and collection moves on. Countries are processed in sorted order so the
     result is deterministic for deterministic generators.
 
-    Per candidate the cost is one `name_key` call: every check above runs on
-    that key (first and last token from its split), and a NameRecord is built
-    only for a name that is kept.
+    Each candidate is normalized once (`normalize_name`). The token caps are
+    checked on its first and last tokens, casefolded, before its key (the
+    casefolded name, which is `name_key`) is built and looked up in `taken`;
+    casefolding neither makes nor removes whitespace, so these are the
+    key's own first and last tokens. A NameRecord is built, from the
+    normalized name, only for a name that is kept.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -151,18 +154,21 @@ def _collect_for_country(
         for raw in candidates:
             if len(kept) >= requested:
                 break
-            key = name_key(raw)
-            if not key or key in taken:
+            name = normalize_name(raw)
+            if not name:
                 continue
-            tokens = key.split()
-            first, last = tokens[0], tokens[-1]
+            tokens = name.split(" ")
+            first, last = tokens[0].casefold(), tokens[-1].casefold()
             if (first_counts.get(first, 0) >= MAX_TOKEN_REPEATS
                     or last_counts.get(last, 0) >= MAX_TOKEN_REPEATS):
+                continue
+            key = name.casefold()
+            if key in taken:
                 continue
             taken.add(key)
             first_counts[first] = first_counts.get(first, 0) + 1
             last_counts[last] = last_counts.get(last, 0) + 1
-            kept.append(NameRecord(full_name=raw, label=country,
+            kept.append(NameRecord(full_name=name, label=country,
                                    provenance=Provenance.SYNTHETIC))
             progress += 1
         stalled = 0 if progress else stalled + 1

@@ -423,6 +423,32 @@ def test_augment_summary_counts_the_shortfall(chain, tmp_path, monkeypatch,
         "test_filter_aug=105 test_gold=20 (short: 3 countries, 300 names)\n")
 
 
+def test_augment_draws_hold_names_not_records(chain, tmp_path, monkeypatch):
+    """No synthetic record of an earlier draw is alive when `augment` asks
+    `collect_synthetic` for the next country: the draws keep names only,
+    and the records are built after the shared key set is dropped."""
+    from namecountry import enrichment
+
+    def synthetic_records():
+        return sum(1 for o in gc.get_objects() if type(o) is NameRecord
+                   and o.provenance is Provenance.SYNTHETIC)
+
+    collect = enrichment.collect_synthetic
+    alive = []
+
+    def counting(*args, **kwargs):
+        alive.append(synthetic_records() - before)
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(enrichment, "collect_synthetic", counting)
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+    before = synthetic_records()
+    assert main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(out), "augment"]) == 0
+    assert alive == [0] * 8  # 4 budgets, then 4 test_gold budgets
+
+
 @pytest.mark.parametrize("gold", [0, -5])
 def test_augment_rejects_gold_per_country_below_one(chain, tmp_path, capsys,
                                                     gold):
@@ -584,6 +610,89 @@ def test_unknown_strictness_exits_2(chain, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: unknown strictness 'medium' for 'arcadia'; expected 'strict' "
         "or 'lenient'"]
+
+
+def _edited_pipeline_config(chain, tmp_path, section, key, value):
+    config = json.loads((chain.fx / "pipeline.json").read_text())
+    config[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def _synthetic_labels(splits_dir):
+    return Counter(
+        record.label for split in ("train_aug", "val_aug", "test_filter_aug")
+        for record in read_records(splits_dir / f"{split}.jsonl")
+        if record.provenance is Provenance.SYNTHETIC)
+
+
+@pytest.mark.parametrize("key", ["arcadia", "Arcadia", " ARCADIA "])
+def test_augment_override_keys_are_labels(chain, tmp_path, key):
+    """An override key names a country as a label does: `Arcadia` draws
+    arcadia's budget, where it was once ignored and arcadia drew the
+    default."""
+    cfg = _edited_pipeline_config(chain, tmp_path, "augment", "overrides",
+                                  {key: 35})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "augment",
+                 "--splits-dir", str(chain.out / "splits"),
+                 "--output-dir", str(out / "splits")]) == 0
+    assert _synthetic_labels(out / "splits") == {
+        "arcadia": 35, "borelia": 120, "cascadia": 120, "dorvania": 120}
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"Narnia": 5}, "augment.overrides.Narnia: no country 'narnia' in "
+                    "train_oag"),
+    ({"arcadia": 5, "ARCADIA": 6}, "augment.overrides.ARCADIA: 'arcadia' is "
+                                   "already named by augment.overrides.arcadia"),
+], ids=["unknown", "twice"])
+def test_augment_refuses_override_keys(chain, tmp_path, capsys, overrides,
+                                       error):
+    cfg = _edited_pipeline_config(chain, tmp_path, "augment", "overrides",
+                                  overrides)
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out), "augment",
+                 "--splits-dir", str(chain.out / "splits"),
+                 "--output-dir", str(tmp_path / "splits")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / "splits").exists()
+    assert list(out.iterdir()) == []
+
+
+def test_split_strictness_keys_are_labels(chain, tmp_path):
+    """Strictness keys name countries as labels do: the fixture's lenient
+    countries written in capitals give the same test_filter."""
+    cfg = _edited_pipeline_config(
+        chain, tmp_path, "oracle", "strictness",
+        {c.upper(): "lenient" for c in ("arcadia", "borelia", "cascadia",
+                                        "dorvania")})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "split",
+                 "--input", str(chain.out / "corpus.jsonl")]) == 0
+    assert (out / "splits" / "test_filter.jsonl").read_bytes() == (
+        chain.out / "splits" / "test_filter.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("strictness, error", [
+    ({"narnia": "lenient"}, "oracle.strictness.narnia: no country 'narnia' "
+                            "in test_oag"),
+    ({"Arcadia": "lenient", "arcadia": "strict"},
+     "oracle.strictness.arcadia: 'arcadia' is already named by "
+     "oracle.strictness.Arcadia"),
+], ids=["unknown", "twice"])
+def test_split_refuses_strictness_keys(chain, tmp_path, capsys, strictness,
+                                       error):
+    cfg = _edited_pipeline_config(chain, tmp_path, "oracle", "strictness",
+                                  strictness)
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out), "split",
+                 "--input", str(chain.out / "corpus.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert list(out.iterdir()) == []  # no splits/, no manifest
 
 
 @pytest.mark.parametrize("name", ["strict_fraction", "lenient_fraction"])

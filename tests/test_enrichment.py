@@ -275,15 +275,16 @@ EDGE_NAMES = [
 
 
 class EdgeGenerator:
-    """EDGE_NAMES, shuffled per country; then one name forever, so it stalls."""
+    """EDGE_NAMES, shuffled per country; then one name forever, so it stalls.
+    `calls` lists each call's (country, n)."""
 
     def __init__(self, seed):
         self.seed = seed
         self.queues = {}
-        self.calls = 0
+        self.calls = []
 
     def generate(self, country, n):
-        self.calls += 1
+        self.calls.append((country, n))
         queue = self.queues.get(country)
         if queue is None:
             queue = list(EDGE_NAMES) * 2
@@ -313,6 +314,19 @@ def test_collect_matches_reference_filter_loop(seed, chunk_size):
     assert actual_gen.calls == expected_gen.calls
     assert set(actual) == {"brazil", "vietnam"}
     assert len(actual["brazil"]) < 40  # the run ended in stalled chunks
+    # As `augment` draws: one call per budget, in country order, all sharing
+    # one key set and one generator, gives what one call gives, from the
+    # same generator calls.
+    per_country_gen = EdgeGenerator(seed)
+    per_country_taken = {name_key(n) for n in existing}
+    per_country = {}
+    for budget in sorted(budgets, key=lambda b: b.country):
+        per_country.update(collect_synthetic(
+            [budget], per_country_gen, per_country_taken,
+            chunk_size=chunk_size))
+    assert per_country == actual
+    assert per_country_taken == taken
+    assert per_country_gen.calls == actual_gen.calls
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])

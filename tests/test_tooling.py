@@ -2,8 +2,9 @@
 encoder, one report serializer, one retry loop, one leakage check, one
 switch of the garbage collector, one exit rule for bad input and one
 classifier forward pass in the package, none of the constructs its kernels
-and bench were rid of, every package name the bench's tracer wraps, and no
-export that only tests use."""
+and bench were rid of, every package name the bench's tracer wraps (and
+its data hooks run on the fixture chain), and no export that only tests
+use."""
 import ast
 import functools
 import importlib
@@ -90,14 +91,19 @@ def test_one_forward_pass():
     assert where("np.maximum(hidden, 0") == ["classifier.py"]
 
 
-def test_bench_trace_targets_exist():
-    """perfbench's tracer wraps package names by string; installing every
-    workload's wrappers fails here, not only in a traced bench run, when one
-    of those names is renamed away."""
+def _perfbench_spans():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_trace_targets_exist():
+    """perfbench's tracer wraps package names by string; installing every
+    workload's wrappers fails here, not only in a traced bench run, when one
+    of those names is renamed away."""
+    spans = _perfbench_spans()
     installs = [spans.install_data,
                 *(functools.partial(spans.install_model, workload=w)
                   for w in ("train_paper99", "score_paper99"))]
@@ -111,6 +117,41 @@ def test_bench_trace_targets_exist():
         assert wrapped and all(n == 0 for n in tracer.fired.values())
         for owner, attr, original in wrapped:
             assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_bench_data_hooks_run_on_the_fixture_chain(tmp_path, capsys):
+    """The data chain at fixture scale under perfbench's data wrappers:
+    every wrapper fires and no hook raises. The hooks read what the package
+    returns (`record.key` on `collect_synthetic`'s records,
+    `ExtractionStats.to_dict`, `enforce_no_leakage`'s removed count), so a
+    change to those results fails here, not only in a traced bench run."""
+    from namecountry import cli, fixtures
+    fx, out = tmp_path / "fx", tmp_path / "out"
+    fixtures.write_fixture_tree(fx)
+    spans = _perfbench_spans()
+    tracer = spans.Tracer("tooling")
+    try:
+        spans.install_data(tracer)
+        for stage, *args in [
+                ("extract", "--input", fx / "affiliations.jsonl",
+                 "--taxonomy", fx / "taxonomy_fixture4.txt",
+                 "--aliases", fx / "aliases_fixture.tsv"),
+                ("split", "--input", out / "corpus.jsonl"),
+                ("augment",), ("audit",)]:
+            code = cli.main(["--config", str(fx / "pipeline.json"),
+                             "--out-dir", str(out), stage, *map(str, args)])
+            assert code == 0, (stage, capsys.readouterr().err)
+    finally:
+        tracer.uninstall()
+    assert tracer.fired and min(tracer.fired.values()) > 0, tracer.fired
+    counts = tracer.counts
+    # 4 countries x (120 synthetic + 20 test_gold), none short.
+    assert counts["enrichment.names_requested"] == 560
+    assert counts["enrichment.names_kept"] == 560
+    assert counts["enrichment.countries_short"] == 0
+    assert counts["enrichment.cross_country_duplicates"] == 0
+    assert counts["extraction.raw"] == counts["extraction.retained"] == 600
+    assert counts.get("corpus.enforce_no_leakage.removed") == 0
 
 
 def _used_names(path):
