@@ -189,7 +189,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 2e-5
+    learning_rate: float
     batch_size: int = 64
     max_epochs: int = 10
     warmup_fraction: float = 0.10
@@ -494,7 +494,7 @@ def train(
     train_set: Sequence[NameRecord],
     val_set: Sequence[NameRecord],
     taxonomy: Taxonomy,
-    config: TrainConfig = TrainConfig(),
+    config: TrainConfig,
     model_config: ModelConfig = ModelConfig(),
     tokenizer: Tokenizer | None = None,
     val_scorer: ValScorer | None = None,

@@ -81,7 +81,8 @@ def load_config(path: str | Path | None) -> dict:
     the same way, and those objects take any key. Any other key with no
     default is unknown, at the top level as in a section (a misspelt
     `augment` or `learning_rate` would otherwise run at the default).
-    Anything else raises CommandError naming the dotted key.
+    `oracle.kind` must be "stub" or "http". Anything else raises
+    CommandError naming the dotted key.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
@@ -93,6 +94,10 @@ def load_config(path: str | Path | None) -> dict:
     if not isinstance(loaded, dict):
         raise CommandError(f"config {path}: top level must be an object")
     _check_types(config, loaded, f"config {path}: ")
+    kind = config["oracle"]["kind"]
+    if kind not in ("stub", "http"):
+        raise CommandError(f'config {path}: oracle.kind must be "stub" or '
+                           f'"http", not {kind!r}')
     return config
 
 
@@ -196,24 +201,20 @@ def _by_label(mapping: dict, dotted: str, labels, split: str) -> dict:
 def _make_validator(config: dict, labels) -> enrichment.ValidationOracle:
     """The configured validator for records of `labels` (test_oag's)."""
     oracle = config["oracle"]
-    if oracle["kind"] == "stub":
-        return enrichment.StubNameValidator(
-            strictness=_by_label(oracle["strictness"], "oracle.strictness",
-                                 labels, "test_oag"),
-            strict_fraction=oracle["strict_fraction"],
-            lenient_fraction=oracle["lenient_fraction"])
     if oracle["kind"] == "http":
         return _http_oracle(oracle)
-    raise CommandError(f"unknown oracle kind {oracle['kind']!r}")
+    return enrichment.StubNameValidator(
+        strictness=_by_label(oracle["strictness"], "oracle.strictness",
+                             labels, "test_oag"),
+        strict_fraction=oracle["strict_fraction"],
+        lenient_fraction=oracle["lenient_fraction"])
 
 
 def _make_generator(config: dict, seed: int) -> enrichment.GeneratorOracle:
     oracle = config["oracle"]
-    if oracle["kind"] == "stub":
-        return enrichment.StubNameGenerator(seed=seed)
     if oracle["kind"] == "http":
         return _http_oracle(oracle)
-    raise CommandError(f"unknown oracle kind {oracle['kind']!r}")
+    return enrichment.StubNameGenerator(seed=seed)
 
 
 def _http_oracle(oracle: dict) -> enrichment.HttpChatOracle:

@@ -1,6 +1,5 @@
 """Measurement machinery: classification metrics, cross-taxonomy evaluation,
-head/tail buckets, cross-country name duplication, and group bias analysis
-with Wilson confidence intervals.
+head/tail buckets, and group bias analysis with Wilson confidence intervals.
 
 Macro-F1 convention used throughout: classes with zero gold support and zero
 predictions are excluded from the macro mean; classes that do appear but have
@@ -17,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import LabelMapping, NameRecord, Taxonomy
+from .core import LabelMapping, Taxonomy
 
 LabelPair = tuple[str, str]
 
@@ -121,43 +120,6 @@ def bucket_report(pairs: Sequence[LabelPair], taxonomy: Taxonomy,
     head = tuple(sorted(c for c, n in train_counts.items() if n >= threshold))
     tail = tuple(sorted(c for c, n in train_counts.items() if n < threshold))
     return BucketReport(threshold, head, tail, bucket(head), bucket(tail))
-
-
-@dataclass(frozen=True)
-class DuplicationReport:
-    distinct_names: int
-    share_two_plus: float
-    share_three_plus: float
-    per_country: dict[str, float]
-
-
-def duplication_report(corpus: Sequence[NameRecord]) -> DuplicationReport:
-    """Shares of distinct names appearing under two or more country labels."""
-    labels_by_name: dict[str, set[str]] = {}
-    for record in corpus:
-        labels_by_name.setdefault(record.key, set()).add(record.label)
-    n = len(labels_by_name)
-    two_plus = sum(1 for labels in labels_by_name.values() if len(labels) >= 2)
-    three_plus = sum(1 for labels in labels_by_name.values() if len(labels) >= 3)
-
-    per_country_totals: dict[str, int] = {}
-    per_country_dups: dict[str, int] = {}
-    for labels in labels_by_name.values():
-        duplicated = len(labels) >= 2
-        for label in labels:
-            per_country_totals[label] = per_country_totals.get(label, 0) + 1
-            if duplicated:
-                per_country_dups[label] = per_country_dups.get(label, 0) + 1
-    per_country = {
-        label: per_country_dups.get(label, 0) / total
-        for label, total in sorted(per_country_totals.items())
-    }
-    return DuplicationReport(
-        n,
-        two_plus / n if n else 0.0,
-        three_plus / n if n else 0.0,
-        per_country,
-    )
 
 
 # Standard normal quantile of the 95% two-sided confidence intervals.

@@ -649,10 +649,12 @@ def test_train_epoch_lr_is_last_step_lr():
 def test_train_validates_inputs():
     taxonomy = register_taxonomy("t", ["alfa", "bravo"])
     train_set, val_set = separable_corpus(4)
+    config = TrainConfig(learning_rate=0.01)
     with pytest.raises(ValueError):
-        train([], val_set, taxonomy)
+        train([], val_set, taxonomy, config)
     with pytest.raises(UnknownLabelError):
-        train(train_set + [NameRecord("X Y", "zulu")], val_set, taxonomy)
+        train(train_set + [NameRecord("X Y", "zulu")], val_set, taxonomy,
+              config)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

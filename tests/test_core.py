@@ -31,8 +31,8 @@ from namecountry.core import (
 )
 from namecountry.engine import BenchRow, ThroughputReport
 from namecountry.evaluation import (
-    BiasReport, BucketMetrics, BucketReport, ClassMetrics, DuplicationReport,
-    EvalReport, GroupStats,
+    BiasReport, BucketMetrics, BucketReport, ClassMetrics, EvalReport,
+    GroupStats,
 )
 from namecountry.extraction import ExtractionStats, NormalizationTable
 
@@ -562,9 +562,6 @@ REPORT_LAYOUTS = [
       "rows[].throughput_names_per_second"]),
     (ExtractionStats(4, 2, 1, 1, 0),
      ["ambiguous", "deduplicated", "raw", "retained", "unresolved"]),
-    (DuplicationReport(3, 0.5, 0.0, {"alfa": 0.5}),
-     ["distinct_names", "per_country.alfa", "share_three_plus",
-      "share_two_plus"]),
 ]
 
 

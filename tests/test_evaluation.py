@@ -6,11 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from namecountry.core import NameRecord, LabelMapping, register_taxonomy
+from namecountry.core import LabelMapping, register_taxonomy
 from namecountry.evaluation import (
     bias_report,
     bucket_report,
-    duplication_report,
     evaluate,
     evaluate_mapped,
     render_eval_table,
@@ -279,24 +278,6 @@ def test_bias_report_rejects_taxonomy_mismatch():
     model.taxonomy = other
     with pytest.raises(ValueError):
         bias_report([("Ann X", "Ann X", True)], model, mapping)
-
-
-# --- duplication report ---
-
-def test_duplication_report_hand_computed():
-    corpus = [
-        NameRecord("Aa Aa", "alfa"), NameRecord("Aa Aa", "bravo"),
-        NameRecord("Bb Bb", "alfa"),
-        NameRecord("Cc Cc", "alfa"), NameRecord("Cc Cc", "bravo"),
-        NameRecord("Cc Cc", "charlie"),
-    ]
-    report = duplication_report(corpus)
-    assert report.distinct_names == 3
-    assert report.share_two_plus == pytest.approx(2 / 3)
-    assert report.share_three_plus == pytest.approx(1 / 3)
-    assert report.per_country["alfa"] == pytest.approx(2 / 3)
-    assert report.per_country["bravo"] == pytest.approx(1.0)
-    assert report.per_country["charlie"] == pytest.approx(1.0)
 
 
 def test_render_eval_table():

@@ -3,8 +3,8 @@ encoder, one report serializer, one retry loop, one leakage check, one
 switch of the garbage collector, one exit rule for bad input and one
 classifier forward pass in the package, none of the constructs its kernels
 and bench were rid of, every package name the bench's tracer wraps (and
-its data hooks run on the fixture chain), and no export that only tests
-use."""
+its data hooks run on the fixture chain), no module-level name that only
+tests use, and a README library example that runs."""
 import ast
 import functools
 import importlib
@@ -166,10 +166,35 @@ def _used_names(path):
     return used
 
 
-def test_every_export_is_used():
-    # A package export that only tests call is either wired in or deleted.
+def _defined_names(path):
+    """A module's public functions, classes and constants."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            yield node.target.id
+
+
+def test_every_module_level_name_is_used():
+    # A name that only tests load is either wired in or deleted. fixtures.py
+    # builds test and demo data, so it neither counts as a use nor is held
+    # to the rule.
     bench = Path(__file__).resolve().parent.parent / "perfbench"
-    paths = [p for p in sorted(PACKAGE.glob("*.py"))
-             if p.name not in ("__init__.py", "fixtures.py")]
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "fixtures.py"]
     used = set().union(*map(_used_names, paths + sorted(bench.glob("*.py"))))
-    assert sorted(set(namecountry.__all__) - used) == []
+    unused = [f"{path.name}:{name}" for path in paths
+              for name in _defined_names(path)
+              if not name.startswith("_") and name not in used]
+    assert unused == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Library use\n")[1].split("\n## ")[0]
+    example = section.split("```python\n")[1].split("```")[0]
+    exec(compile(example, "README.md", "exec"), {})
+    macro_f1 = float(capsys.readouterr().out)
+    assert 0.0 <= macro_f1 <= 1.0
