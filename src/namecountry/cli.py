@@ -28,15 +28,15 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # classifier, engine and evaluation (and with them numpy) are imported by the
 # handlers that use them, so the data stages start without numpy.
 from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
-    NameRecord, Provenance, atomic_open, json_type, load_mapping,
-    load_taxonomy, normalize_label, read_jsonl, read_records, read_text,
+    NameRecord, atomic_open, json_type, load_mapping, load_taxonomy,
+    normalize_label, read_jsonl, read_records, read_text, record_from_dict,
     require_json, write_json, write_records,
 )
 
@@ -312,32 +312,31 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
                     for c in sorted({r.label for r in base_records})]
     # The keys no synthetic name may take: the base names, then each name a
     # draw keeps. Both draws share it, so no name is drawn twice. It holds
-    # ~550k keys at paper shape; while it is alive the draws keep only the
-    # names they drew, and the records are built once it is dropped.
+    # ~550k keys at paper shape and is augment's peak.
     taken = {r.key for r in base_records}
     del base_records
     generator = _make_generator(config, seed)
-    synthetic = _draw_names(budgets, generator, taken, aug_cfg["chunk_size"])
-    gold = _draw_names(gold_budgets, generator, taken, aug_cfg["chunk_size"])
+    synthetic = corpus_mod.SyntheticRecords(_draw_names(
+        budgets, generator, taken, aug_cfg["chunk_size"]))
+    base.test_gold = corpus_mod.SyntheticRecords(_draw_names(
+        gold_budgets, generator, taken, aug_cfg["chunk_size"]))
     del taken
     missing: Counter = Counter()  # country -> names the generator fell short
-    for draw_budgets, drawn in ((budgets, synthetic), (gold_budgets, gold)):
+    for draw_budgets, drawn in ((budgets, synthetic),
+                                (gold_budgets, base.test_gold)):
+        counts = drawn.counts()
         for budget in draw_budgets:
-            gap = budget.requested - len(drawn.get(budget.country, ()))
+            gap = budget.requested - counts.get(budget.country, 0)
             if gap > 0:
                 missing[budget.country] += gap
-    # Each intermediate is let go once consumed, like `taken`, so the audit
-    # and the writes below hold the bundle and nothing beside it.
-    synth_records = _synthetic_records(synthetic)  # empties `synthetic`
-    n_synthetic = len(synth_records)
-    synth_parts = ([], [], [])
-    if synth_records:
-        synth_parts = corpus_mod.split_corpus(
-            synth_records, corpus_mod.SplitConfig(ratios=ratios, seed=seed))
-    del synth_records
+    # The synthetic records stay names: the bundle builds them as the audit
+    # and the writes below walk it, a record at a time.
+    n_synthetic = len(synthetic)
+    synth_parts = synthetic.split(
+        corpus_mod.SplitConfig(ratios=ratios, seed=seed))
+    del synthetic
     splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
     del synth_parts, base
-    splits.test_gold = _synthetic_records(gold)  # empties `gold`
 
     violations = corpus_mod.audit_splits(splits)
     if not corpus_mod.audit_is_clean(violations):
@@ -358,29 +357,17 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
 
 def _draw_names(budgets: Sequence[enrichment.AugmentBudget],
                 generator: enrichment.GeneratorOracle, taken: set[str],
-                chunk_size: int) -> dict[str, list[str]]:
+                chunk_size: int) -> Iterator[tuple[str, list[str]]]:
     """Each country's kept synthetic names, drawn by one `collect_synthetic`
     call per budget, in country order, all against `taken` and `generator`:
     the draws one call over every budget makes. A country's records are let
-    go once their names are read, so the draws hold names, not records."""
-    names: dict[str, list[str]] = {}
+    go once their names are read, before the next country is drawn, so the
+    draws hold names, not records."""
     for budget in sorted(budgets, key=lambda b: b.country):
-        names.update({country: [r.full_name for r in records]
-                      for country, records in enrichment.collect_synthetic(
-                          [budget], generator, taken,
-                          chunk_size=chunk_size).items()})
-    return names
-
-
-def _synthetic_records(names: dict[str, list[str]]) -> list[NameRecord]:
-    """The synthetic records of `_draw_names`' names, country by country in
-    sorted order. It empties `names`, each country's list once its records
-    are built, so a name is held twice for one country at most."""
-    records: list[NameRecord] = []
-    for country in sorted(names):
-        records.extend(NameRecord(name, country, Provenance.SYNTHETIC)
-                       for name in names.pop(country))
-    return records
+        drawn = enrichment.collect_synthetic([budget], generator, taken,
+                                             chunk_size=chunk_size)
+        yield budget.country, [r.full_name
+                               for r in drawn.pop(budget.country, ())]
 
 
 def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
@@ -535,21 +522,25 @@ def _read_bias_records(path: Path) -> list[tuple[str, str, bool]]:
 
 
 class _SplitFiles:
-    """The split files under a directory, read when a split is asked for.
+    """The split files under a directory, read as a split is walked.
 
-    Indexing reads `<split>.jsonl` (an absent file is an empty split) and
-    notes its size. Nothing else is kept, so `audit_splits` holds one
-    split's records at a time.
+    Indexing returns a generator over the records of `<split>.jsonl` (an
+    absent file is an empty split), read line by line as `read_records`
+    reads them and counted into `sizes` as they are yielded. Nothing else is
+    kept, so `audit_splits` holds one chunk of a split's records at a time.
     """
 
     def __init__(self, splits_dir: Path) -> None:
         self.splits_dir = splits_dir
         self.sizes = dict.fromkeys(corpus_mod.SPLIT_NAMES, 0)
 
-    def __getitem__(self, split: str) -> list:
-        records = corpus_mod.read_split(self.splits_dir, split)
-        self.sizes[split] = len(records)
-        return records
+    def __getitem__(self, split: str) -> Iterator[NameRecord]:
+        path = self.splits_dir / f"{split}.jsonl"
+        if not path.exists():
+            return
+        for _, record in read_jsonl(path, "record", record_from_dict):
+            self.sizes[split] += 1
+            yield record
 
 
 def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:

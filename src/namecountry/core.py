@@ -218,6 +218,23 @@ _set_full_name, _set_label, _set_provenance, _set_source_id = (
     for f in ("full_name", "label", "provenance", "source_id"))
 
 
+def _normalized_records(names: Iterable[str], label: str,
+                        provenance: Provenance) -> Iterator[NameRecord]:
+    """`NameRecord(name, label, provenance)` for each name, where each name
+    is already `normalize_name`'s non-empty output, without normalizing it
+    again: the path for the synthetic names a draw has normalized, ~10^5 per
+    country. The label is normalized once for all of them."""
+    label = _interned_label(label)
+    new = object.__new__
+    for name in names:
+        record = new(NameRecord)
+        _set_full_name(record, name)
+        _set_label(record, label)
+        _set_provenance(record, provenance)
+        _set_source_id(record, None)
+        yield record
+
+
 @dataclass(frozen=True)
 class Taxonomy:
     """A named, ordered label space.
@@ -400,10 +417,13 @@ def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
     "provenance": ...[, "source_id": ...]}, ensure_ascii=False)` plus LF,
     built from the string encoder `json.dumps` itself uses, with the label
     and provenance fields encoded once per distinct value. Lines are written
-    one at a time, so memory stays flat in the number of records.
+    one at a time, so memory stays flat in the number of records. The
+    provenance fields are keyed by the member's `_value_`, a str, since
+    hashing the member itself runs `Enum.__hash__` in Python per record.
     """
     encode = json.encoder.encode_basestring
-    provenances = {p: ', "provenance": ' + encode(p.value) for p in Provenance}
+    provenances = {p._value_: ', "provenance": ' + encode(p._value_)
+                   for p in Provenance}
     labels: dict[str, str] = {}
     count = 0
     with atomic_open(path) as fh:
@@ -412,7 +432,7 @@ def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
             if label is None:
                 label = labels[record.label] = ', "label": ' + encode(record.label)
             line = ('{"name": ' + encode(record.full_name) + label
-                    + provenances[record.provenance])
+                    + provenances[record.provenance._value_])
             if record.source_id is not None:
                 line += ', "source_id": ' + encode(record.source_id)
             fh.write(line + "}\n")

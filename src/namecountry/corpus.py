@@ -10,23 +10,27 @@ bundle, reports every training name found in an evaluation split;
 assemble_augmented_splits only concatenates.
 
 The audit's memory rule: it holds the keys of the evaluation splits, plus
-one split's records or one chunk of a training split's keys at a time. It
-asks for each split once, evaluation splits first, and walks a training
-split AUDIT_CHUNK_RECORDS records at a time, so a caller that reads a split
-only when asked (the audit command) never holds two splits at once.
+one chunk of AUDIT_CHUNK_RECORDS records of any split. It asks for each
+split once, evaluation splits first, and walks each split as an iterable,
+so a caller that yields a split's records as it reads them (the audit
+command) never holds a split's records whole. An augmented bundle holds its
+synthetic records as names (SyntheticRecords) and builds each record when
+it is iterated, so `augment` audits and writes it the same way.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
-    NameRecord, Provenance, read_records, write_json, write_records,
+    NameRecord, Provenance, _normalized_records, read_records, write_json,
+    write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -91,6 +95,19 @@ def _group_by_country(records: Iterable[NameRecord]) -> dict[str, list[NameRecor
     return groups
 
 
+def _split_country(items: list, country: str,
+                   config: SplitConfig) -> tuple[list, list, list]:
+    """One country's share of the split: `items`, shuffled in place by the
+    country's rng, cut by largest remainder. `random.shuffle` draws on the
+    length alone, so names and their records are permuted alike."""
+    _country_rng(config.seed, country).shuffle(items)
+    n_train, n_val, n_test = largest_remainder_allocation(
+        len(items), config.ratios)
+    assert n_train + n_val + n_test == len(items)
+    return (items[:n_train], items[n_train:n_train + n_val],
+            items[n_train + n_val:])
+
+
 def split_corpus(
     records: Sequence[NameRecord], config: SplitConfig,
 ) -> tuple[list[NameRecord], list[NameRecord], list[NameRecord]]:
@@ -105,16 +122,54 @@ def split_corpus(
     val: list[NameRecord] = []
     test: list[NameRecord] = []
     for country, group in _group_by_country(records).items():
-        rng = _country_rng(config.seed, country)
-        shuffled = list(group)
-        rng.shuffle(shuffled)
-        n_train, n_val, n_test = largest_remainder_allocation(
-            len(shuffled), config.ratios)
-        train.extend(shuffled[:n_train])
-        val.extend(shuffled[n_train:n_train + n_val])
-        test.extend(shuffled[n_train + n_val:])
-        assert n_train + n_val + n_test == len(shuffled)
+        for part, cut in zip((train, val, test),
+                             _split_country(group, country, config)):
+            part.extend(cut)
     return train, val, test
+
+
+class SyntheticRecords:
+    """Synthetic records held as names: a sized collection, iterable as often
+    as asked, that builds each record as it is iterated.
+
+    `names` gives each country label once, normalized as a record's label
+    is, with its names, in the order the records come out. Each name must be `normalize_name`'s non-empty output
+    (a draw's), so the records are built without normalizing it again. A
+    country's names are held as one string joined by "\n": `normalize_name`
+    splits on all whitespace, so no name holds "\n" and the join is
+    lossless.
+    """
+
+    def __init__(self, names: Iterable[tuple[str, Iterable[str]]]) -> None:
+        self._names: list[tuple[str, str]] = []
+        for label, country_names in names:
+            joined = "\n".join(country_names)
+            if joined:
+                self._names.append((label, joined))
+        self._size = sum(self.counts().values())
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[NameRecord]:
+        for label, joined in self._names:
+            yield from _normalized_records(joined.split("\n"), label,
+                                           Provenance.SYNTHETIC)
+
+    def counts(self) -> dict[str, int]:
+        """Names per country label; a country with none is left out."""
+        return {label: joined.count("\n") + 1 for label, joined in self._names}
+
+    def split(self, config: SplitConfig) -> tuple[
+            SyntheticRecords, SyntheticRecords, SyntheticRecords]:
+        """`split_corpus` of these records, each part held as names."""
+        parts: tuple[list, list, list] = ([], [], [])
+        for label, joined in self._names:
+            for part, cut in zip(parts, _split_country(joined.split("\n"),
+                                                       label, config)):
+                part.append((label, cut))
+        train, val, test = map(SyntheticRecords, parts)
+        return train, val, test
 
 
 def enforce_no_leakage(
@@ -172,20 +227,28 @@ def build_filtered_test(
     return retained
 
 
+Records = Collection[NameRecord]
+
+
 @dataclass
 class CorpusSplits:
-    """The full split bundle. Unbuilt splits are simply empty lists."""
+    """The full split bundle. Unbuilt splits are simply empty lists.
 
-    train_oag: list[NameRecord] = field(default_factory=list)
-    val_oag: list[NameRecord] = field(default_factory=list)
-    test_oag: list[NameRecord] = field(default_factory=list)
-    test_filter: list[NameRecord] = field(default_factory=list)
-    train_aug: list[NameRecord] = field(default_factory=list)
-    val_aug: list[NameRecord] = field(default_factory=list)
-    test_filter_aug: list[NameRecord] = field(default_factory=list)
-    test_gold: list[NameRecord] = field(default_factory=list)
+    A split is a list of records or, in an augmented bundle, any sized
+    collection that can be iterated more than once (SyntheticRecords, or
+    base records followed by them).
+    """
 
-    def __getitem__(self, split: str) -> list[NameRecord]:
+    train_oag: Records = field(default_factory=list)
+    val_oag: Records = field(default_factory=list)
+    test_oag: Records = field(default_factory=list)
+    test_filter: Records = field(default_factory=list)
+    train_aug: Records = field(default_factory=list)
+    val_aug: Records = field(default_factory=list)
+    test_filter_aug: Records = field(default_factory=list)
+    test_gold: Records = field(default_factory=list)
+
+    def __getitem__(self, split: str) -> Records:
         if split not in SPLIT_NAMES:
             raise KeyError(split)
         return getattr(self, split)
@@ -233,33 +296,49 @@ def read_split(in_dir: str | Path, split: str) -> list[NameRecord]:
     return read_records(path) if path.exists() else []
 
 
+class _Concatenated:
+    """Sized collections, iterated one after the other, as often as asked."""
+
+    def __init__(self, *parts: Records) -> None:
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts))
+
+    def __iter__(self) -> Iterator[NameRecord]:
+        return itertools.chain.from_iterable(self._parts)
+
+
 def assemble_augmented_splits(
     base: CorpusSplits,
-    synth_train: Sequence[NameRecord],
-    synth_val: Sequence[NameRecord],
-    synth_test: Sequence[NameRecord],
+    synth_train: Records,
+    synth_val: Records,
+    synth_test: Records,
 ) -> CorpusSplits:
     """Fold the synthetic partitions into the *_aug splits.
 
     Only concatenates: each *_aug split is its base split followed by its
-    synthetic partition. Whether a name crosses the train/evaluation boundary
-    is audit_splits' question, asked of the finished bundle.
+    synthetic partition, a view over both that copies neither, so
+    SyntheticRecords stay names until the split is iterated. The other
+    splits are base's own. Whether a name crosses the train/evaluation
+    boundary is audit_splits' question, asked of the finished bundle.
     """
     return CorpusSplits(
-        train_oag=list(base.train_oag),
-        val_oag=list(base.val_oag),
-        test_oag=list(base.test_oag),
-        test_filter=list(base.test_filter),
-        train_aug=list(base.train_oag) + list(synth_train),
-        val_aug=list(base.val_oag) + list(synth_val),
-        test_filter_aug=list(base.test_filter) + list(synth_test),
-        test_gold=list(base.test_gold),
+        train_oag=base.train_oag,
+        val_oag=base.val_oag,
+        test_oag=base.test_oag,
+        test_filter=base.test_filter,
+        train_aug=_Concatenated(base.train_oag, synth_train),
+        val_aug=_Concatenated(base.val_oag, synth_val),
+        test_filter_aug=_Concatenated(base.test_filter, synth_test),
+        test_gold=base.test_gold,
     )
 
 
-# A training split is keyed this many records at a time, each chunk's keys
-# intersected with the evaluation keys, so the audit never holds a training
-# split's whole key set (train_aug's is ~340k keys at paper shape).
+# The audit walks every split this many records at a time. A training
+# split's chunk keys are intersected with the evaluation keys, so the audit
+# never holds a training split's whole key set (train_aug's is ~340k keys at
+# paper shape), nor any split's whole records.
 AUDIT_CHUNK_RECORDS = 4096
 
 # Each training split, with the splits a model trained on it is scored on.
@@ -283,12 +362,13 @@ def audit_splits(splits) -> dict[str, list[str]]:
     records; and test_filter is a validated subset of test_oag by
     (name, label).
 
-    `splits` is a CorpusSplits or anything indexable by split name. Each
-    split is asked for once, evaluation splits first (test_oag, test_gold,
-    then each family's validation and filtered test split before its
-    training split), and let go once checked. The audit keeps the keys of
-    the evaluation splits a family is scored on, plus one split's records or
-    one chunk of a training split's keys at a time.
+    `splits` is a CorpusSplits or anything indexable by split name whose
+    values are iterables of records; each is iterated once, so a one-shot
+    generator will do. Each split is asked for once, evaluation splits
+    first (test_oag, test_gold, then each family's validation and filtered
+    test split before its training split), and walked AUDIT_CHUNK_RECORDS
+    records at a time. The audit keeps the keys of the evaluation splits a
+    family is scored on, plus one chunk of records.
     """
     overlap: dict[tuple[str, str], set[str]] = {
         (train, split): set()
@@ -297,37 +377,41 @@ def audit_splits(splits) -> dict[str, list[str]]:
     found.update((f"{split}_real_only", set()) for split in _REAL_ONLY)
     found["test_filter_subset_of_test_oag"] = set()
 
-    def read(split: str) -> Sequence[NameRecord]:
-        """The split's records, after the checks on its records alone."""
-        records = splits[split]
-        if split in _REAL_ONLY:
-            found[f"{split}_real_only"].update(
-                r.full_name for r in records
-                if r.provenance is Provenance.SYNTHETIC)
-        if split == "test_gold":
-            found["test_gold_synthetic_only"].update(
-                r.full_name for r in records
-                if r.provenance is not Provenance.SYNTHETIC)
-        elif split == "test_filter":
-            found["test_filter_subset_of_test_oag"].update(
-                r.full_name for r in records
-                if (r.key, r.label) not in test_oag_pairs
-                or r.provenance is not Provenance.VALIDATED)
-        return records
+    def chunks(split: str) -> Iterator[list[NameRecord]]:
+        """The split's records, AUDIT_CHUNK_RECORDS at a time, each chunk
+        after the checks on its records alone."""
+        records = iter(splits[split])
+        while chunk := list(itertools.islice(records, AUDIT_CHUNK_RECORDS)):
+            if split in _REAL_ONLY:
+                found[f"{split}_real_only"].update(
+                    r.full_name for r in chunk
+                    if r.provenance is Provenance.SYNTHETIC)
+            if split == "test_gold":
+                found["test_gold_synthetic_only"].update(
+                    r.full_name for r in chunk
+                    if r.provenance is not Provenance.SYNTHETIC)
+            elif split == "test_filter":
+                found["test_filter_subset_of_test_oag"].update(
+                    r.full_name for r in chunk
+                    if (r.key, r.label) not in test_oag_pairs
+                    or r.provenance is not Provenance.VALIDATED)
+            yield chunk
 
-    test_oag_pairs = {(r.key, r.label) for r in read("test_oag")}
+    def keyed(split: str) -> set[str]:
+        return {r.key for chunk in chunks(split) for r in chunk}
+
+    test_oag_pairs = {(r.key, r.label)
+                      for chunk in chunks("test_oag") for r in chunk}
     keys = {"test_oag": {key for key, _ in test_oag_pairs},
-            "test_gold": {r.key for r in read("test_gold")}}
+            "test_gold": keyed("test_gold")}
     for train, scored_on in _SCORED_ON:
         for split in scored_on:
             if split not in keys:
-                keys[split] = {r.key for r in read(split)}
-        records = read(train)
-        for start in range(0, len(records), AUDIT_CHUNK_RECORDS):
-            chunk = {r.key for r in records[start:start + AUDIT_CHUNK_RECORDS]}
+                keys[split] = keyed(split)
+        for chunk in chunks(train):
+            chunk_keys = {r.key for r in chunk}
             for split in scored_on:
-                overlap[train, split].update(chunk & keys[split])
-        del records
+                overlap[train, split].update(chunk_keys & keys[split])
         # This family's own evaluation keys go before the next is keyed.
         for split in scored_on:
             if split not in _SHARED:

@@ -471,6 +471,47 @@ def test_augment_draws_hold_names_not_records(chain, tmp_path, monkeypatch):
     assert alive == [0] * 8  # 4 budgets, then 4 test_gold budgets
 
 
+def test_augment_and_audit_hold_one_chunk_of_synthetic_records(
+        chain, tmp_path, monkeypatch):
+    """The synthetic records are streamed: no more than one audit chunk of
+    them is alive when `augment` writes a split, or when the audit asks the
+    audit command for a split. augment holds them as names and builds each
+    record as the audit and the writer walk the bundle."""
+    from namecountry import corpus
+
+    def synthetic_records():
+        return sum(1 for o in gc.get_objects() if type(o) is NameRecord
+                   and o.provenance is Provenance.SYNTHETIC)
+
+    chunk = 8  # the fixture's 560 synthetic names are 70 chunks
+    monkeypatch.setattr(corpus, "AUDIT_CHUNK_RECORDS", chunk)
+    alive = []
+    write, ask = corpus.write_records, cli._SplitFiles.__getitem__
+
+    def counting_write(path, records):
+        alive.append(("write", path.stem, synthetic_records() - before))
+        return write(path, records)
+
+    def counting_ask(self, split):
+        alive.append(("ask", split, synthetic_records() - before))
+        return ask(self, split)
+
+    monkeypatch.setattr(corpus, "write_records", counting_write)
+    monkeypatch.setattr(cli._SplitFiles, "__getitem__", counting_ask)
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+    before = synthetic_records()
+    for command in ("augment", "audit"):
+        assert main(["--config", str(chain.fx / "pipeline.json"),
+                     "--out-dir", str(out), command]) == 0
+    assert [(kind, split) for kind, split, _ in alive] == [
+        *(("write", split) for split in corpus.SPLIT_NAMES),
+        *(("ask", split) for split in (
+            "test_oag", "test_gold", "val_oag", "test_filter", "train_oag",
+            "val_aug", "test_filter_aug", "train_aug"))]
+    assert max(n for _, _, n in alive) <= chunk, alive
+
+
 @pytest.mark.parametrize("gold", [0, -5])
 def test_augment_rejects_gold_per_country_below_one(chain, tmp_path, capsys,
                                                     gold):
@@ -926,11 +967,10 @@ def test_audit_exits_1_on_leaky_splits(chain, tmp_path, capsys):
     assert report["violations"]["train_aug_vs_test_oag"] == ["held out"]
 
 
-def test_audit_holds_one_split_at_a_time(tmp_path, capsys):
-    """The audit command reads a split when the audit asks for it, and the
-    audit keys a training split a chunk at a time: its traced peak stays
-    near what holding train_aug's records takes, well below that plus
-    train_aug's whole key set, which keying the split at once would add."""
+def test_audit_holds_one_chunk_at_a_time(tmp_path, capsys):
+    """The audit command yields a split's records as it reads them, and the
+    audit walks every split a chunk at a time: its traced peak stays below
+    half of what holding train_aug's records alone takes."""
     splits = tmp_path / "splits"
     write_records(splits / "train_aug.jsonl", [
         NameRecord(f"Synth{i} Alfa", "alfa", provenance=Provenance.SYNTHETIC)
@@ -947,9 +987,7 @@ def test_audit_holds_one_split_at_a_time(tmp_path, capsys):
     try:
         records = read_records(splits / "train_aug.jsonl")
         held = tracemalloc.get_traced_memory()[0]
-        keys = {r.key for r in records}
-        keyed = tracemalloc.get_traced_memory()[0] - held
-        del records, keys
+        del records
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         code = main(["--out-dir", str(tmp_path), "audit"])
@@ -957,7 +995,7 @@ def test_audit_holds_one_split_at_a_time(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
-    assert peak < held + keyed / 2, (peak, held, keyed)
+    assert peak < held / 2, (peak, held)
 
 
 def test_audit_missing_dir_exits_2(chain, tmp_path, capsys):

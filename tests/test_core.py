@@ -16,6 +16,7 @@ from namecountry.core import (
     RecordError,
     TaxonomyError,
     UnknownLabelError,
+    _normalized_records,
     atomic_open,
     load_mapping,
     load_taxonomy,
@@ -87,6 +88,31 @@ def test_record_key_is_name_key_of_the_raw_name(raw):
     if not normalize_name(raw):
         return
     assert NameRecord(raw, "alfa").key == name_key(raw)
+
+
+@given(NAME_TEXT | st.text())
+@example("Ana\nBo\r\nCy\x85Dee\u2028Eva\x1cFu\x0bGil\x0cHu")
+def test_normalize_name_holds_no_newline(raw):
+    """So names joined by "\\n" split back into the same names
+    (corpus.SyntheticRecords holds synthetic names that way)."""
+    assert "\n" not in normalize_name(raw)
+
+
+@given(st.lists(NAME_TEXT, max_size=4),
+       st.sampled_from(["alfa", " CHINA ", "Bravo\u0301"]),
+       st.sampled_from(Provenance))
+@example(["Zoe\u0308 Ñun\u0303ez", "王 Øre Şule"], "alfa",
+         Provenance.SYNTHETIC)  # non-ASCII; the first composes under NFC
+def test_normalized_records_match_name_record(raws, label, provenance):
+    """The records built from already normalized names, without normalizing
+    them again, are the ones `NameRecord` builds from those names."""
+    names = [name for name in map(normalize_name, raws) if name]
+    records = list(_normalized_records(iter(names), label, provenance))
+    assert len(records) == len(names)
+    for record, name, raw in zip(records, names, filter(normalize_name, raws)):
+        assert type(record) is NameRecord
+        same_record(record, NameRecord(name, label, provenance))
+        assert record.key == name_key(raw)
 
 
 def test_name_record_normalizes_fields():

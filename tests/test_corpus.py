@@ -286,6 +286,30 @@ def test_assemble_augmented_splits_concatenates():
     assert out.train_oag == base_splits().train_oag
 
 
+@settings(deadline=None, max_examples=50)
+@given(st.dictionaries(st.sampled_from(["alfa", "bravo", "charlie"]),
+                       st.integers(0, 40)),
+       st.integers(0, 2**32))
+def test_synthetic_records_split_as_split_corpus(sizes, seed):
+    """Held as names, the synthetic records split as `split_corpus` splits
+    the records built from them; a country with no names is no record."""
+    names = {country: [f"S{i} {country.title()}" for i in range(n)]
+             for country, n in sorted(sizes.items())}
+    records = [NameRecord(name, country, Provenance.SYNTHETIC)
+               for country, country_names in names.items()
+               for name in country_names]
+    synthetic = corpus.SyntheticRecords(names.items())
+    assert len(synthetic) == len(records)
+    assert synthetic.counts() == {c: n for c, n in sizes.items() if n}
+    assert list(synthetic) == records
+    config = SplitConfig((3, 1, 1), seed=seed)
+    parts = synthetic.split(config)
+    expected = split_corpus(records, config) if records else ([], [], [])
+    assert [len(part) for part in parts] == list(map(len, expected))
+    for _ in range(2):  # iterable as often as asked
+        assert [list(part) for part in parts] == list(expected)
+
+
 def leaky(name):
     return [NameRecord(name, "alfa", provenance=Provenance.SYNTHETIC)]
 
@@ -525,9 +549,10 @@ AUDIT_BUNDLES = st.builds(CorpusSplits, **{
     split: st.lists(AUDIT_RECORDS, max_size=7) for split in SPLIT_NAMES})
 
 
-# In-process on the bundle, and through the audit command, which reads each
-# split's file when the audit asks for it: an empty split is a missing file
-# or, with `empty_files`, an empty one.
+# In-process on the bundle, on one-shot generators over its splits, and
+# through the audit command, which yields each split's records as it reads
+# its file: an empty split is a missing file or, with `empty_files`, an
+# empty one.
 @pytest.mark.parametrize("chunk", [1, 3, corpus.AUDIT_CHUNK_RECORDS])
 @settings(max_examples=100, deadline=None)
 @given(AUDIT_BUNDLES, st.booleans())
@@ -543,6 +568,8 @@ def test_audit_matches_keying_training_splits_whole(chunk, bundle,
             tempfile.TemporaryDirectory() as tmp:
         mp.setattr(corpus, "AUDIT_CHUNK_RECORDS", chunk)
         violations = audit_splits(bundle)
+        one_shot = audit_splits({split: (r for r in bundle[split])
+                                 for split in SPLIT_NAMES})
         splits_dir = Path(tmp) / "splits"
         splits_dir.mkdir()
         for split in SPLIT_NAMES:
@@ -552,8 +579,9 @@ def test_audit_matches_keying_training_splits_whole(chunk, bundle,
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["--out-dir", tmp, "audit"])
         report = json.loads((Path(tmp) / "audit_report.json").read_text())
-    assert violations == expected
+    assert violations == one_shot == expected
     assert json.dumps(violations) == json.dumps(expected)  # key order too
+    assert json.dumps(one_shot) == json.dumps(expected)
     clean = audit_is_clean(expected)
     assert code == (0 if clean else 1)
     assert report == {"clean": clean, "violations": expected,

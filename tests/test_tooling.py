@@ -3,10 +3,12 @@ encoder, one report serializer, one retry loop, one leakage check, one
 switch of the garbage collector, one exit rule for bad input and one
 classifier forward pass in the package, none of the constructs its kernels
 and bench were rid of, every package name the bench's tracer wraps (and
-its data hooks run on the fixture chain), no module-level name that only
-tests use, and a README library example that runs."""
+its data hooks run on the fixture chain), the bytes the fixture data chain
+writes, no module-level name that only tests use, and a README library
+example that runs."""
 import ast
 import functools
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -119,28 +121,35 @@ def test_bench_trace_targets_exist():
             assert getattr(owner, attr) is original, (owner, attr)
 
 
+def _run_fixture_data_chain(tmp_path, capsys):
+    """extract -> split -> augment -> audit on the fixture tree, each stage
+    exiting 0; returns the out directory."""
+    from namecountry import cli, fixtures
+    fx, out = tmp_path / "fx", tmp_path / "out"
+    fixtures.write_fixture_tree(fx)
+    for stage, *args in [
+            ("extract", "--input", fx / "affiliations.jsonl",
+             "--taxonomy", fx / "taxonomy_fixture4.txt",
+             "--aliases", fx / "aliases_fixture.tsv"),
+            ("split", "--input", out / "corpus.jsonl"),
+            ("augment",), ("audit",)]:
+        code = cli.main(["--config", str(fx / "pipeline.json"),
+                         "--out-dir", str(out), stage, *map(str, args)])
+        assert code == 0, (stage, capsys.readouterr().err)
+    return out
+
+
 def test_bench_data_hooks_run_on_the_fixture_chain(tmp_path, capsys):
     """The data chain at fixture scale under perfbench's data wrappers:
     every wrapper fires and no hook raises. The hooks read what the package
     returns (`record.key` on `collect_synthetic`'s records,
     `ExtractionStats.to_dict`, `enforce_no_leakage`'s removed count), so a
     change to those results fails here, not only in a traced bench run."""
-    from namecountry import cli, fixtures
-    fx, out = tmp_path / "fx", tmp_path / "out"
-    fixtures.write_fixture_tree(fx)
     spans = _perfbench_spans()
     tracer = spans.Tracer("tooling")
     try:
         spans.install_data(tracer)
-        for stage, *args in [
-                ("extract", "--input", fx / "affiliations.jsonl",
-                 "--taxonomy", fx / "taxonomy_fixture4.txt",
-                 "--aliases", fx / "aliases_fixture.tsv"),
-                ("split", "--input", out / "corpus.jsonl"),
-                ("augment",), ("audit",)]:
-            code = cli.main(["--config", str(fx / "pipeline.json"),
-                             "--out-dir", str(out), stage, *map(str, args)])
-            assert code == 0, (stage, capsys.readouterr().err)
+        _run_fixture_data_chain(tmp_path, capsys)
     finally:
         tracer.uninstall()
     assert tracer.fired and min(tracer.fired.values()) > 0, tracer.fired
@@ -152,6 +161,45 @@ def test_bench_data_hooks_run_on_the_fixture_chain(tmp_path, capsys):
     assert counts["enrichment.cross_country_duplicates"] == 0
     assert counts["extraction.raw"] == counts["extraction.retained"] == 600
     assert counts.get("corpus.enforce_no_leakage.removed") == 0
+
+
+# SHA-256 of every file the fixture extract -> split -> augment -> audit
+# chain writes, except the manifests under manifests/, which carry the config
+# hash. test_criterion_11 compares two runs with each other, so only these
+# pins catch a change that moves the chain's bytes the same way every run.
+FIXTURE_CHAIN_DIGESTS = {
+    "corpus.jsonl":
+        "c3cbe1440aecef9e44615c10c8186a8d11dd229ba5ae2931ff728e4296b48626",
+    "splits/manifest.json":
+        "b0d2ae434550203b6e2326149ba257d4fdf859a3388ac757a610f471ed565f5d",
+    "splits/test_filter.jsonl":
+        "4028bfcb0765b71a45c2b2a13381d20e2bec429801bf2997a91d459023d1b296",
+    "splits/test_filter_aug.jsonl":
+        "83c62b99c99a1e3f2e80958e98332e2a3b2514da7a1f1bd79f08ab102ff47c57",
+    "splits/test_gold.jsonl":
+        "4c15c8b4f6fabd9367060d0b1d530cccf6f30caa1d8b65af8665d7cc4e9d60db",
+    "splits/test_oag.jsonl":
+        "a22947841f74cd12f3b139a58407a980737f8c1972404cfc53cdf4d7f5328faa",
+    "splits/train_aug.jsonl":
+        "31897db60feb072682fb28cf125b14bb49d4196e3a76fad2cffd0fc01b572dc0",
+    "splits/train_oag.jsonl":
+        "7f2a1ef3d91a092678fd7528f8a1a40a7931972f79666d2b3e07700beb9331e0",
+    "splits/val_aug.jsonl":
+        "6242ef1fe619691a3b8f5dac3aa5c683b66a2bf631f30fa02b81728c7b6acd89",
+    "splits/val_oag.jsonl":
+        "dbbd2accc7671e546f1a3df466287a5f0bf37bdc39ad9c59977fe7a0f73df91a",
+    "audit_report.json":
+        "efe49636662bbef9f78327c52795dedb80a0a3bf35d31990e53476227f75b1fe",
+}
+
+
+def test_fixture_data_chain_writes_the_pinned_bytes(tmp_path, capsys):
+    out = _run_fixture_data_chain(tmp_path, capsys)
+    files = [out / "corpus.jsonl", *(out / "splits").iterdir(),
+             out / "audit_report.json"]
+    assert {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in files} == FIXTURE_CHAIN_DIGESTS
 
 
 def _used_names(path):
