@@ -316,25 +316,24 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     taken = {r.key for r in base_records}
     del base_records
     generator = _make_generator(config, seed)
-    synthetic = corpus_mod.SyntheticRecords(_draw_names(
-        budgets, generator, taken, aug_cfg["chunk_size"]))
-    base.test_gold = corpus_mod.SyntheticRecords(_draw_names(
-        gold_budgets, generator, taken, aug_cfg["chunk_size"]))
+    synthetic = enrichment.collect_synthetic(
+        budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
+    gold = enrichment.collect_synthetic(
+        gold_budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
     del taken
     missing: Counter = Counter()  # country -> names the generator fell short
-    for draw_budgets, drawn in ((budgets, synthetic),
-                                (gold_budgets, base.test_gold)):
-        counts = drawn.counts()
+    for draw_budgets, drawn in ((budgets, synthetic), (gold_budgets, gold)):
         for budget in draw_budgets:
-            gap = budget.requested - counts.get(budget.country, 0)
+            gap = budget.requested - len(drawn.get(budget.country, ()))
             if gap > 0:
                 missing[budget.country] += gap
     # The synthetic records stay names: the bundle builds them as the audit
     # and the writes below walk it, a record at a time.
-    n_synthetic = len(synthetic)
-    synth_parts = synthetic.split(
-        corpus_mod.SplitConfig(ratios=ratios, seed=seed))
-    del synthetic
+    n_synthetic = sum(map(len, synthetic.values()))
+    base.test_gold = corpus_mod.Concatenated(*gold.values())
+    synth_parts = corpus_mod.split_synthetic(
+        synthetic, corpus_mod.SplitConfig(ratios=ratios, seed=seed))
+    del synthetic, gold
     splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
     del synth_parts, base
 
@@ -353,21 +352,6 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
           f"test_gold={sizes['test_gold']} "
           f"(short: {len(missing)} countries, {missing.total()} names)")
     return 0
-
-
-def _draw_names(budgets: Sequence[enrichment.AugmentBudget],
-                generator: enrichment.GeneratorOracle, taken: set[str],
-                chunk_size: int) -> Iterator[tuple[str, list[str]]]:
-    """Each country's kept synthetic names, drawn by one `collect_synthetic`
-    call per budget, in country order, all against `taken` and `generator`:
-    the draws one call over every budget makes. A country's records are let
-    go once their names are read, before the next country is drawn, so the
-    draws hold names, not records."""
-    for budget in sorted(budgets, key=lambda b: b.country):
-        drawn = enrichment.collect_synthetic([budget], generator, taken,
-                                             chunk_size=chunk_size)
-        yield budget.country, [r.full_name
-                               for r in drawn.pop(budget.country, ())]
 
 
 def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:

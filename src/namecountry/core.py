@@ -218,21 +218,40 @@ _set_full_name, _set_label, _set_provenance, _set_source_id = (
     for f in ("full_name", "label", "provenance", "source_id"))
 
 
-def _normalized_records(names: Iterable[str], label: str,
-                        provenance: Provenance) -> Iterator[NameRecord]:
-    """`NameRecord(name, label, provenance)` for each name, where each name
-    is already `normalize_name`'s non-empty output, without normalizing it
-    again: the path for the synthetic names a draw has normalized, ~10^5 per
-    country. The label is normalized once for all of them."""
-    label = _interned_label(label)
-    new = object.__new__
-    for name in names:
-        record = new(NameRecord)
-        _set_full_name(record, name)
-        _set_label(record, label)
-        _set_provenance(record, provenance)
-        _set_source_id(record, None)
-        yield record
+class SyntheticNames:
+    """One country's synthetic names, held as one "\n"-joined string: a
+    sized collection, iterable as often as asked, that builds each synthetic
+    NameRecord as it is iterated.
+
+    Each name must be `normalize_name`'s non-empty output (a draw's), so the
+    records are set through the slot setters without normalizing it again.
+    `normalize_name` splits on all whitespace, so no name holds "\n" and the
+    join is lossless.
+    """
+
+    __slots__ = ("label", "_joined", "_size")
+
+    def __init__(self, label: str, names: Iterable[str]) -> None:
+        self.label = _interned_label(label)
+        self._joined = "\n".join(names)
+        self._size = self._joined.count("\n") + 1 if self._joined else 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def names(self) -> list[str]:
+        """The names, in the order they were kept."""
+        return self._joined.split("\n") if self._joined else []
+
+    def __iter__(self) -> Iterator[NameRecord]:
+        label, new = self.label, object.__new__
+        for name in self.names():
+            record = new(NameRecord)
+            _set_full_name(record, name)
+            _set_label(record, label)
+            _set_provenance(record, Provenance.SYNTHETIC)
+            _set_source_id(record, None)
+            yield record
 
 
 @dataclass(frozen=True)

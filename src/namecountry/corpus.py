@@ -14,8 +14,9 @@ one chunk of AUDIT_CHUNK_RECORDS records of any split. It asks for each
 split once, evaluation splits first, and walks each split as an iterable,
 so a caller that yields a split's records as it reads them (the audit
 command) never holds a split's records whole. An augmented bundle holds its
-synthetic records as names (SyntheticRecords) and builds each record when
-it is iterated, so `augment` audits and writes it the same way.
+synthetic records as names, one core.SyntheticNames per country and part
+(split_synthetic), and builds each record when it is iterated, so `augment`
+audits and writes it the same way.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
-    NameRecord, Provenance, _normalized_records, read_records, write_json,
+    NameRecord, Provenance, SyntheticNames, read_records, write_json,
     write_records,
 )
 
@@ -128,48 +129,18 @@ def split_corpus(
     return train, val, test
 
 
-class SyntheticRecords:
-    """Synthetic records held as names: a sized collection, iterable as often
-    as asked, that builds each record as it is iterated.
-
-    `names` gives each country label once, normalized as a record's label
-    is, with its names, in the order the records come out. Each name must be `normalize_name`'s non-empty output
-    (a draw's), so the records are built without normalizing it again. A
-    country's names are held as one string joined by "\n": `normalize_name`
-    splits on all whitespace, so no name holds "\n" and the join is
-    lossless.
-    """
-
-    def __init__(self, names: Iterable[tuple[str, Iterable[str]]]) -> None:
-        self._names: list[tuple[str, str]] = []
-        for label, country_names in names:
-            joined = "\n".join(country_names)
-            if joined:
-                self._names.append((label, joined))
-        self._size = sum(self.counts().values())
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[NameRecord]:
-        for label, joined in self._names:
-            yield from _normalized_records(joined.split("\n"), label,
-                                           Provenance.SYNTHETIC)
-
-    def counts(self) -> dict[str, int]:
-        """Names per country label; a country with none is left out."""
-        return {label: joined.count("\n") + 1 for label, joined in self._names}
-
-    def split(self, config: SplitConfig) -> tuple[
-            SyntheticRecords, SyntheticRecords, SyntheticRecords]:
-        """`split_corpus` of these records, each part held as names."""
-        parts: tuple[list, list, list] = ([], [], [])
-        for label, joined in self._names:
-            for part, cut in zip(parts, _split_country(joined.split("\n"),
-                                                       label, config)):
-                part.append((label, cut))
-        train, val, test = map(SyntheticRecords, parts)
-        return train, val, test
+def split_synthetic(
+    drawn: dict[str, SyntheticNames], config: SplitConfig,
+) -> tuple[Concatenated, Concatenated, Concatenated]:
+    """`split_corpus` of a draw's records, each part held as names: one
+    SyntheticNames per country of `drawn`, in its order, for each part."""
+    parts: tuple[list, list, list] = ([], [], [])
+    for country, names in drawn.items():
+        for part, cut in zip(parts, _split_country(names.names(), country,
+                                                   config)):
+            part.append(SyntheticNames(country, cut))
+    train, val, test = (Concatenated(*part) for part in parts)
+    return train, val, test
 
 
 def enforce_no_leakage(
@@ -235,8 +206,8 @@ class CorpusSplits:
     """The full split bundle. Unbuilt splits are simply empty lists.
 
     A split is a list of records or, in an augmented bundle, any sized
-    collection that can be iterated more than once (SyntheticRecords, or
-    base records followed by them).
+    collection that can be iterated more than once (a Concatenated of
+    SyntheticNames, or base records followed by one).
     """
 
     train_oag: Records = field(default_factory=list)
@@ -296,7 +267,7 @@ def read_split(in_dir: str | Path, split: str) -> list[NameRecord]:
     return read_records(path) if path.exists() else []
 
 
-class _Concatenated:
+class Concatenated:
     """Sized collections, iterated one after the other, as often as asked."""
 
     def __init__(self, *parts: Records) -> None:
@@ -319,7 +290,7 @@ def assemble_augmented_splits(
 
     Only concatenates: each *_aug split is its base split followed by its
     synthetic partition, a view over both that copies neither, so
-    SyntheticRecords stay names until the split is iterated. The other
+    synthetic names stay names until the split is iterated. The other
     splits are base's own. Whether a name crosses the train/evaluation
     boundary is audit_splits' question, asked of the finished bundle.
     """
@@ -328,9 +299,9 @@ def assemble_augmented_splits(
         val_oag=base.val_oag,
         test_oag=base.test_oag,
         test_filter=base.test_filter,
-        train_aug=_Concatenated(base.train_oag, synth_train),
-        val_aug=_Concatenated(base.val_oag, synth_val),
-        test_filter_aug=_Concatenated(base.test_filter, synth_test),
+        train_aug=Concatenated(base.train_oag, synth_train),
+        val_aug=Concatenated(base.val_oag, synth_val),
+        test_filter_aug=Concatenated(base.test_filter, synth_test),
         test_gold=base.test_gold,
     )
 

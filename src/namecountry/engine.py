@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import open_text, read_records
 from .classifier import ClassifierModel
-from .evaluation import _render_table
+from .evaluation import render_table
 
 
 class InsufficientNamesError(ValueError):
@@ -115,7 +115,7 @@ def benchmark(model: ClassifierModel, config: BenchConfig,
 
 def render_throughput_table(report: ThroughputReport) -> str:
     """Plain-text table: Model, Type, Batch, Throughput, Latency, $/1M."""
-    return _render_table(
+    return render_table(
         ("Model", "Type", "Batch", "Throughput (names/s)",
          "Latency (ms/name)", "$/1M"),
         [(report.model_name, report.model_type, str(row.batch_size),

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
-from .core import NameRecord, Provenance, name_key, normalize_name
+from .core import SyntheticNames, name_key, normalize_name
 
 log = logging.getLogger(__name__)
 
@@ -100,8 +100,8 @@ def collect_synthetic(
     generator: GeneratorOracle,
     taken: set[str],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> dict[str, list[NameRecord]]:
-    """Gather synthetic NameRecords per country, respecting each budget.
+) -> dict[str, SyntheticNames]:
+    """Gather synthetic names per country, respecting each budget.
 
     Names are requested in chunks and filtered: empty names, names whose key
     (`name_key`) is in `taken`, and names whose first or last token has been
@@ -117,12 +117,12 @@ def collect_synthetic(
     checked on its first and last tokens, casefolded, before its key (the
     casefolded name, which is `name_key`) is built and looked up in `taken`;
     casefolding neither makes nor removes whitespace, so these are the
-    key's own first and last tokens. A NameRecord is built, from the
-    normalized name, only for a name that is kept.
+    key's own first and last tokens. A kept name stays that normalized
+    string; no NameRecord is built until a SyntheticNames is iterated.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    result: dict[str, list[NameRecord]] = {}
+    result: dict[str, SyntheticNames] = {}
     for budget in sorted(budgets, key=lambda b: b.country):
         if budget.requested == 0:
             continue
@@ -136,9 +136,9 @@ def _collect_for_country(
     generator: GeneratorOracle,
     taken: set[str],
     chunk_size: int,
-) -> list[NameRecord]:
+) -> SyntheticNames:
     country, requested = budget.country, budget.requested
-    kept: list[NameRecord] = []
+    kept: list[str] = []
     first_counts: dict[str, int] = {}
     last_counts: dict[str, int] = {}
     stalled = 0
@@ -168,14 +168,13 @@ def _collect_for_country(
             taken.add(key)
             first_counts[first] = first_counts.get(first, 0) + 1
             last_counts[last] = last_counts.get(last, 0) + 1
-            kept.append(NameRecord(full_name=name, label=country,
-                                   provenance=Provenance.SYNTHETIC))
+            kept.append(name)
             progress += 1
         stalled = 0 if progress else stalled + 1
     if len(kept) < requested:
         log.info("country %r filled %d of %d requested synthetic names",
                  country, len(kept), requested)
-    return kept
+    return SyntheticNames(country, kept)
 
 
 # --- deterministic stub oracles -------------------------------------------
@@ -396,7 +395,7 @@ class HttpChatOracle:
                     break
                 delay = self.config.backoff_seconds * (2 ** attempt)
                 log.warning("oracle request failed (attempt %d/%d): %s",
-                            attempt + 1, self.config.max_retries, exc)
+                            attempt + 1, self.config.max_retries + 1, exc)
                 if delay > 0:
                     time.sleep(delay)
         raise OracleTransportError(

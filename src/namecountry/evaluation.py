@@ -206,7 +206,7 @@ def bias_report(
     return BiasReport(groups, gold_dist, hall_dist, n, n_incorrect)
 
 
-def _render_table(header: Sequence[str],
+def render_table(header: Sequence[str],
                  rows: Sequence[Sequence[str]]) -> str:
     """Plain-text table: left-aligned columns two spaces apart, a dashed rule
     under the header, no trailing spaces."""
@@ -223,7 +223,7 @@ def _render_table(header: Sequence[str],
 
 def render_eval_table(rows: Sequence[tuple[str, str, EvalReport]]) -> str:
     """Plain-text metrics table: one row per (model, taxonomy, report)."""
-    return _render_table(
+    return render_table(
         ("Model", "Taxonomy", "Acc", "W-F1", "M-F1"),
         [(model, taxonomy, f"{r.accuracy:.4f}", f"{r.weighted_f1:.4f}",
           f"{r.macro_f1:.4f}") for model, taxonomy, r in rows])

@@ -14,9 +14,9 @@ from namecountry.core import (
     NameRecord,
     Provenance,
     RecordError,
+    SyntheticNames,
     TaxonomyError,
     UnknownLabelError,
-    _normalized_records,
     atomic_open,
     load_mapping,
     load_taxonomy,
@@ -94,25 +94,33 @@ def test_record_key_is_name_key_of_the_raw_name(raw):
 @example("Ana\nBo\r\nCy\x85Dee\u2028Eva\x1cFu\x0bGil\x0cHu")
 def test_normalize_name_holds_no_newline(raw):
     """So names joined by "\\n" split back into the same names
-    (corpus.SyntheticRecords holds synthetic names that way)."""
+    (core.SyntheticNames holds synthetic names that way)."""
     assert "\n" not in normalize_name(raw)
 
 
 @given(st.lists(NAME_TEXT, max_size=4),
-       st.sampled_from(["alfa", " CHINA ", "Bravo\u0301"]),
-       st.sampled_from(Provenance))
-@example(["Zoe\u0308 Ñun\u0303ez", "王 Øre Şule"], "alfa",
-         Provenance.SYNTHETIC)  # non-ASCII; the first composes under NFC
-def test_normalized_records_match_name_record(raws, label, provenance):
-    """The records built from already normalized names, without normalizing
-    them again, are the ones `NameRecord` builds from those names."""
+       st.sampled_from(["alfa", " CHINA ", "Bravo\u0301"]))
+# Non-ASCII names, the first of which composes under NFC; an empty draw.
+@example(["Zoe\u0308 Ñun\u0303ez", "王 Øre Şule"], "alfa")
+@example([], "alfa")
+def test_synthetic_names_match_name_record(raws, label):
+    """The records `SyntheticNames` builds from already normalized names,
+    without normalizing them again, are the synthetic ones `NameRecord`
+    builds from those names; an empty draw holds no name and yields no
+    record."""
     names = [name for name in map(normalize_name, raws) if name]
-    records = list(_normalized_records(iter(names), label, provenance))
-    assert len(records) == len(names)
-    for record, name, raw in zip(records, names, filter(normalize_name, raws)):
-        assert type(record) is NameRecord
-        same_record(record, NameRecord(name, label, provenance))
-        assert record.key == name_key(raw)
+    drawn = SyntheticNames(label, iter(names))
+    assert len(drawn) == len(names)
+    assert drawn.names() == names
+    assert drawn.label is NameRecord("x", label).label
+    for _ in range(2):  # iterable as often as asked
+        records = list(drawn)
+        assert len(records) == len(names)
+        for record, name, raw in zip(records, names,
+                                     filter(normalize_name, raws)):
+            assert type(record) is NameRecord
+            same_record(record, NameRecord(name, label, Provenance.SYNTHETIC))
+            assert record.key == name_key(raw)
 
 
 def test_name_record_normalizes_fields():

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from namecountry import corpus
 from namecountry.cli import main
-from namecountry.core import NameRecord, Provenance, write_records
+from namecountry.core import (
+    NameRecord, Provenance, SyntheticNames, write_records,
+)
 from namecountry.corpus import (
     SPLIT_NAMES,
     CorpusSplits,
@@ -23,6 +25,7 @@ from namecountry.corpus import (
     enforce_no_leakage,
     largest_remainder_allocation,
     split_corpus,
+    split_synthetic,
 )
 
 
@@ -290,20 +293,21 @@ def test_assemble_augmented_splits_concatenates():
 @given(st.dictionaries(st.sampled_from(["alfa", "bravo", "charlie"]),
                        st.integers(0, 40)),
        st.integers(0, 2**32))
-def test_synthetic_records_split_as_split_corpus(sizes, seed):
-    """Held as names, the synthetic records split as `split_corpus` splits
-    the records built from them; a country with no names is no record."""
+def test_split_synthetic_splits_as_split_corpus(sizes, seed):
+    """Held as names, a draw's synthetic records split as `split_corpus`
+    splits the records built from them; a country with no names is no
+    record."""
     names = {country: [f"S{i} {country.title()}" for i in range(n)]
              for country, n in sorted(sizes.items())}
     records = [NameRecord(name, country, Provenance.SYNTHETIC)
                for country, country_names in names.items()
                for name in country_names]
-    synthetic = corpus.SyntheticRecords(names.items())
-    assert len(synthetic) == len(records)
-    assert synthetic.counts() == {c: n for c, n in sizes.items() if n}
-    assert list(synthetic) == records
+    drawn = {country: SyntheticNames(country, country_names)
+             for country, country_names in names.items()}
+    assert {c: len(v) for c, v in drawn.items()} == sizes
+    assert [r for v in drawn.values() for r in v] == records
     config = SplitConfig((3, 1, 1), seed=seed)
-    parts = synthetic.split(config)
+    parts = split_synthetic(drawn, config)
     expected = split_corpus(records, config) if records else ([], [], [])
     assert [len(part) for part in parts] == list(map(len, expected))
     for _ in range(2):  # iterable as often as asked

@@ -185,7 +185,7 @@ def test_collect_partial_fill_after_retry_exhaustion():
 
     out = collect_synthetic([AugmentBudget("brazil", 5)], AlwaysDown(),
                             taken=set(), chunk_size=10)
-    assert out["brazil"] == []  # left unfilled, no exception
+    assert list(out["brazil"]) == []  # left unfilled, no exception
 
 
 def test_collect_drops_unparseable_names():
@@ -260,6 +260,11 @@ def reference_collect(budgets, generator, existing_names, chunk_size):
     return result
 
 
+def records_by_country(drawn):
+    """`collect_synthetic`'s result with each country's records listed."""
+    return {country: list(names) for country, names in drawn.items()}
+
+
 EDGE_NAMES = [
     "", "   ", "\t\n", "\u00a0\u2003",                 # empty after normalizing
     "Ana Silva", "ana  silva", "ANA SILVA", " Ana\tSilva ",  # case, whitespace
@@ -306,7 +311,7 @@ def test_collect_matches_reference_filter_loop(seed, chunk_size):
     taken = {name_key(n) for n in existing}
     actual = collect_synthetic(budgets, actual_gen, taken,
                                chunk_size=chunk_size)
-    assert actual == expected
+    assert records_by_country(actual) == expected
     # Both countries draw from the same names, so the shared set matters.
     kept = [r.key for records in actual.values() for r in records]
     assert len(kept) == len(set(kept))
@@ -324,7 +329,7 @@ def test_collect_matches_reference_filter_loop(seed, chunk_size):
         per_country.update(collect_synthetic(
             [budget], per_country_gen, per_country_taken,
             chunk_size=chunk_size))
-    assert per_country == actual
+    assert records_by_country(per_country) == expected
     assert per_country_taken == taken
     assert per_country_gen.calls == actual_gen.calls
 
@@ -336,7 +341,7 @@ def test_collect_matches_reference_on_stub_generator(seed):
     expected = reference_collect(budgets, StubNameGenerator(seed), existing, 40)
     actual = collect_synthetic(budgets, StubNameGenerator(seed),
                                {name_key(n) for n in existing}, chunk_size=40)
-    assert actual == expected
+    assert records_by_country(actual) == expected
 
 
 def test_one_key_set_keeps_each_name_under_one_label(same_names_generator):
@@ -367,13 +372,15 @@ def test_one_key_set_keeps_each_name_under_one_label(same_names_generator):
     assert taken == labels.keys() | {r.key for r in base}
 
 
-def test_collect_builds_one_record_per_kept_name(monkeypatch):
+def test_collect_builds_no_record(monkeypatch):
+    """A draw keeps names: `collect_synthetic` builds no NameRecord, and each
+    country's result holds its kept names, in the order they were kept."""
     built = []
+    init = NameRecord.__init__
 
-    class CountingRecord(NameRecord):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self.full_name)
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.full_name)
 
     generated = []
 
@@ -383,13 +390,15 @@ def test_collect_builds_one_record_per_kept_name(monkeypatch):
             generated.extend(names)
             return names
 
-    monkeypatch.setattr(enrichment, "NameRecord", CountingRecord)
+    monkeypatch.setattr(NameRecord, "__init__", counting_init)
     out = collect_synthetic([AugmentBudget(c, 500) for c in ("a", "b")],
                             CountingGenerator(seed=5), taken=set(),
                             chunk_size=100)
-    kept = [r.full_name for country in sorted(out) for r in out[country]]
-    assert len(generated) > len(kept)  # some candidates were dropped
-    assert built == kept
+    assert built == []
+    kept = [name for country in sorted(out) for name in out[country].names()]
+    assert len(generated) > len(kept) > 0  # some candidates were dropped
+    assert kept == [r.full_name for country in sorted(out)
+                    for r in out[country]]
 
 
 # --- stub oracles ---

@@ -1,6 +1,7 @@
 """HTTP chat oracle against a local stand-in server."""
 import http.server
 import json
+import logging
 import threading
 from types import SimpleNamespace
 
@@ -127,13 +128,19 @@ def test_retries_malformed_body(oracle_server):
     assert oracle.calls == 3
 
 
-def test_raises_after_retry_exhaustion(oracle_server):
+def test_raises_after_retry_exhaustion(oracle_server, caplog):
     for _ in range(3):
         oracle_server.responses.append((500, {"error": "down"}))
     oracle = make_oracle(oracle_server, max_retries=2)
-    with pytest.raises(OracleTransportError):
-        oracle.generate("x", 1)
+    with caplog.at_level(logging.WARNING, logger="namecountry.enrichment"):
+        with pytest.raises(OracleTransportError,
+                           match="failed after 2 retries"):
+            oracle.generate("x", 1)
     assert oracle.calls == 3  # initial try + 2 retries
+    # Each failed attempt that is retried is logged out of all 3 attempts.
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "oracle request failed (attempt 1/3)",
+        "oracle request failed (attempt 2/3)"]
 
 
 @pytest.mark.parametrize("call", [
@@ -161,7 +168,7 @@ def test_collect_against_down_oracle_sends_one_retry_loop(oracle_server):
     out = collect_synthetic([AugmentBudget("brazil", 5),
                              AugmentBudget("chile", 1)], oracle,
                             taken=set(), chunk_size=5)
-    assert out["brazil"] == []
+    assert list(out["brazil"]) == []
     assert [r.full_name for r in out["chile"]] == ["Ana Silva"]
     assert oracle.calls == len(oracle_server.requests) == 4
 

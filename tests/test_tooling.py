@@ -4,8 +4,8 @@ switch of the garbage collector, one exit rule for bad input and one
 classifier forward pass in the package, none of the constructs its kernels
 and bench were rid of, every package name the bench's tracer wraps (and
 its data hooks run on the fixture chain), the bytes the fixture data chain
-writes, no module-level name that only tests use, and a README library
-example that runs."""
+writes, no module-level name that only tests use, no private name taken
+from another module, and a README library example that runs."""
 import ast
 import functools
 import hashlib
@@ -91,6 +91,39 @@ def test_one_forward_pass():
     # ReLU over the convolution and one per-row segment sum in the package.
     assert where("np.add.reduceat(") == ["classifier.py"]
     assert where("np.maximum(hidden, 0") == ["classifier.py"]
+
+
+def _private_imports(path):
+    """`module._name` for each private name the module at `path` takes from
+    another package module: by `from .module import _name`, or as an
+    attribute of a package module it imported."""
+    found = []
+    modules = {}  # local name -> package module it is bound to
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 and node.module is None:  # from . import corpus
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+            continue
+        if node.level == 1 or (node.module or "").startswith("namecountry."):
+            module = node.module.rpartition(".")[2]
+            found += [f"{module}.{a.name}" for a in node.names
+                      if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_private_cross_module_imports():
+    # A module's `_name` is its own: another module that needs it gets a
+    # public name, so what a module offers the rest of the package shows.
+    found = {path.stem: _private_imports(path)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
 
 
 def _perfbench_spans():
