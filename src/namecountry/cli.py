@@ -48,7 +48,7 @@ DEFAULT_CONFIG: dict = {
     "augment": {"threshold": 6000, "budget": 5000, "overrides": {},
                 "ratios": [3, 1, 1], "gold_per_country": 100,
                 "chunk_size": 200},
-    "train": {"learning_rate": 2e-5, "batch_size": 64, "max_epochs": 10,
+    "train": {"learning_rate": 5e-3, "batch_size": 64, "max_epochs": 10,
               "warmup_fraction": 0.10, "patience": 5, "weight_decay": 0.0,
               "embedding_dim": 64, "hidden_dim": 128, "max_len": 40},
     "bench": {"batch_sizes": [1, 100, 1000, 10000], "warmup_batches": 3,

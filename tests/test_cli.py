@@ -1280,6 +1280,30 @@ def test_data_stages_import_without_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_train_learns_at_the_default_learning_rate(chain, tmp_path):
+    """`train` on the fixture config without its `train.learning_rate`, so
+    at DEFAULT_CONFIG's rate, clears a validation macro-F1 floor that the
+    BERT fine-tuning rate 2e-5 misses on the same config."""
+    floor = 0.5
+    config = json.loads((chain.fx / "pipeline.json").read_text())
+    del config["train"]["learning_rate"]
+    best = {}
+    for rate in (None, 2e-5):
+        if rate is not None:
+            config["train"]["learning_rate"] = rate
+        path = tmp_path / f"config_{rate}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        log_out = tmp_path / f"train_log_{rate}.jsonl"
+        assert main(["--config", str(path), "--out-dir", str(tmp_path),
+                     "train", "--splits-dir", str(chain.out / "splits"),
+                     "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt"),
+                     "--model-out", str(tmp_path / "model.bin"),
+                     "--log-out", str(log_out)]) == 0
+        best[rate] = max(json.loads(line)["val_macro_f1"]
+                         for line in log_out.read_text().splitlines())
+    assert best[None] >= floor > best[2e-5], best
+
+
 def test_train_divergence_exits_2(chain, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {
