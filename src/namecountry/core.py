@@ -459,6 +459,14 @@ def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
     return count
 
 
+def iter_records(path: str | Path) -> Iterator[NameRecord]:
+    """Yield the records of a NameRecord JSONL file as its lines are read, so
+    a caller that keeps none holds one at a time. Malformed lines raise
+    InputFormatError, as in `read_records`."""
+    for _, record in read_jsonl(path, "record", record_from_dict):
+        yield record
+
+
 def read_records(path: str | Path, *, real_only: bool = False) -> list[NameRecord]:
     """Read a NameRecord JSONL file. Malformed lines raise InputFormatError.
 

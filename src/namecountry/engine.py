@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import open_text, read_records
+from .core import iter_records, open_text
 from .classifier import ClassifierModel
 from .evaluation import render_table
 
@@ -134,6 +134,6 @@ def read_name_file(path: str | Path) -> list[str]:
     """
     path = Path(path)
     if path.suffix == ".jsonl":
-        return [record.full_name for record in read_records(path)]
+        return [record.full_name for record in iter_records(path)]
     with open_text(path) as fh:
         return [name for name in map(str.strip, fh) if name]

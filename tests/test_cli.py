@@ -78,6 +78,14 @@ def chain(tmp_path_factory):
     return SimpleNamespace(fx=fx, out=out, run=run)
 
 
+def test_evaluate_report_bytes_are_pinned(chain):
+    """The chain's `evaluate --train-split` report, byte for byte. It is the
+    same under 1 and 2 BLAS threads, although model.bin is not."""
+    report = (chain.out / "eval_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "bb37c8e5b201f1e932924ebb3c3a72ff2005f1facd1020a58ec4d3b0434d2e22")
+
+
 def test_extract_artifacts(chain):
     stats = json.loads((chain.out / "extract_stats.json").read_text())
     assert stats["raw"] == 600
@@ -446,26 +454,27 @@ def test_augment_summary_counts_the_shortfall(chain, tmp_path, monkeypatch,
 
 
 def test_augment_draws_hold_names_not_records(chain, tmp_path, monkeypatch):
-    """No synthetic record is alive when `augment` asks the generator for a
-    chunk, within a country's draw as between draws: the draws keep names
-    only, and the records are built after the shared key set is dropped."""
+    """No record, base or synthetic, is alive when `augment` asks the
+    generator for a chunk, within a country's draw as between draws: the
+    draws keep names only, the base splits were scanned for their keys
+    without keeping a record, and every record is built after the shared
+    key set is dropped."""
     from namecountry import enrichment
 
-    def synthetic_records():
-        return sum(1 for o in gc.get_objects() if type(o) is NameRecord
-                   and o.provenance is Provenance.SYNTHETIC)
+    def records():
+        return sum(1 for o in gc.get_objects() if type(o) is NameRecord)
 
     generate = enrichment.StubNameGenerator.generate
     alive = []
 
     def counting(self, country, n):
-        alive.append(synthetic_records() - before)
+        alive.append(records() - before)
         return generate(self, country, n)
 
     monkeypatch.setattr(enrichment.StubNameGenerator, "generate", counting)
     out = tmp_path / "out"
     shutil.copytree(chain.out / "splits", out / "splits")
-    before = synthetic_records()
+    before = records()
     assert main(["--config", str(chain.fx / "pipeline.json"),
                  "--out-dir", str(out), "augment"]) == 0
     # 4 budgets of 120 in chunks of 60, then 4 test_gold budgets of 20: at
@@ -479,7 +488,8 @@ def test_augment_and_audit_hold_one_chunk_of_synthetic_records(
     """The synthetic records are streamed: no more than one audit chunk of
     them is alive when `augment` writes a split, or when the audit asks the
     audit command for a split. augment holds them as names and builds each
-    record as the audit and the writer walk the bundle."""
+    record as the audit and the writer walk the bundle. Before it draws,
+    augment asks the same reader for the four base splits, once each."""
     from namecountry import corpus
 
     def synthetic_records():
@@ -508,6 +518,7 @@ def test_augment_and_audit_hold_one_chunk_of_synthetic_records(
         assert main(["--config", str(chain.fx / "pipeline.json"),
                      "--out-dir", str(out), command]) == 0
     assert [(kind, split) for kind, split, _ in alive] == [
+        *(("ask", split) for split in corpus.BASE_SPLITS),
         *(("write", split) for split in corpus.SPLIT_NAMES),
         *(("ask", split) for split in (
             "test_oag", "test_gold", "val_oag", "test_filter", "train_oag",
@@ -530,6 +541,148 @@ def test_augment_rejects_gold_per_country_below_one(chain, tmp_path, capsys,
         "error: gold_per_country must be positive"]
     assert not (tmp_path / "splits").exists()
     assert not any((tmp_path / "out").rglob("*"))  # main makes it empty
+
+
+def _snapshot(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _augment_into(out, chain, monkeypatch):
+    """Run `augment` into `out`, noting each `generate` call in the list it
+    returns with the exit code."""
+    from namecountry import enrichment
+    calls = []
+    monkeypatch.setattr(enrichment.StubNameGenerator, "generate",
+                        lambda self, country, n: calls.append(country) or [])
+    code = main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(out), "augment"])
+    return code, calls
+
+
+@pytest.mark.parametrize("split, no_train_oag", [
+    ("train_oag", False), ("val_oag", False), ("test_oag", False),
+    ("test_filter", False), ("test_filter", True)])
+def test_augment_bad_base_record_exits_2(chain, tmp_path, capsys,
+                                         monkeypatch, split, no_train_oag):
+    """A malformed line in any base split stops augment with exit 2 and one
+    `error:` line naming the file and line, before any name is drawn and
+    before anything is written. Every base split is read before train_oag
+    is found missing, so with both faults the malformed line is reported."""
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+    if no_train_oag:
+        (out / "splits" / "train_oag.jsonl").unlink()
+    path = out / "splits" / f"{split}.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(2, '{"name": "Ana Silva"}\n')
+    path.write_text("".join(lines), encoding="utf-8")
+    before = _snapshot(out)
+    code, calls = _augment_into(out, chain, monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:3: bad record ('label')"]
+    assert calls == []
+    assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("content", [None, "", "\n  \n"])
+def test_augment_without_train_oag_exits_2(chain, tmp_path, capsys,
+                                           monkeypatch, content):
+    """An absent train_oag file, or one with no record, is bad input."""
+    out = tmp_path / "out"
+    shutil.copytree(chain.out / "splits", out / "splits")
+    path = out / "splits" / "train_oag.jsonl"
+    if content is None:
+        path.unlink()
+    else:
+        path.write_text(content, encoding="utf-8")
+    before = _snapshot(out)
+    code, calls = _augment_into(out, chain, monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out / 'splits'}: no train_oag split found"]
+    assert calls == []
+    assert _snapshot(out) == before
+
+
+def _records_alive_while_parsing(monkeypatch, every=16):
+    """Patch the record parser to note, at every `every`th record it builds,
+    how many NameRecords are alive beyond those alive now."""
+    from namecountry import core
+
+    def records():
+        return sum(1 for o in gc.get_objects() if type(o) is NameRecord)
+
+    parse, alive, before = core.record_from_dict, [], records()
+
+    def counting(obj):
+        record = parse(obj)
+        if len(alive) % every == 0:
+            alive.append(records() - before)
+        else:
+            alive.append(None)
+        return record
+
+    monkeypatch.setattr(core, "record_from_dict", counting)
+    return alive
+
+
+def test_evaluate_counts_training_labels_without_holding_records(
+        chain, tmp_path, monkeypatch):
+    """`evaluate --train-split` counts the training labels as the records
+    are read: beyond the scored split's own records, a few are alive while
+    the training split is read, not the whole split."""
+    scored = chain.out / "splits" / "test_gold.jsonl"
+    train = chain.out / "splits" / "train_aug.jsonl"
+    n_scored = len(read_records(scored))
+    alive = _records_alive_while_parsing(monkeypatch)
+    assert main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(tmp_path), "evaluate",
+                 "--model", str(chain.out / "model.bin"),
+                 "--input", str(scored), "--train-split", str(train)]) == 0
+    counted = [n for n in alive[n_scored:] if n is not None]
+    assert len(alive) == n_scored + len(read_records(train))
+    assert len(counted) >= 40
+    assert max(counted) <= n_scored + 4, counted
+
+
+def test_bench_reads_a_record_file_without_holding_records(
+        chain, tmp_path, monkeypatch):
+    """`bench --names <file>.jsonl` keeps each record's name, not the
+    record: a few records are alive at a time while the file is read."""
+    names = chain.out / "splits" / "train_aug.jsonl"
+    alive = _records_alive_while_parsing(monkeypatch)
+    assert main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(tmp_path), "bench",
+                 "--model", str(chain.out / "model.bin"),
+                 "--names", str(names)]) == 0
+    counted = [n for n in alive if n is not None]
+    assert len(alive) == len(read_records(names))
+    assert len(counted) >= 40
+    assert max(counted) <= 4, counted
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+def test_bad_record_in_train_split_or_names_exits_2(chain, tmp_path, capsys,
+                                                    command):
+    """A malformed line in an `evaluate --train-split` or `bench --names`
+    record file gives one `error:` line naming the file and line."""
+    bad = tmp_path / "bad.jsonl"
+    lines = (chain.out / "splits" / "train_aug.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    lines.insert(4, '{"name": "Ana Silva", "provenance": "invented"}\n')
+    bad.write_text("".join(lines), encoding="utf-8")
+    flag = ["--input", str(chain.out / "splits" / "test_gold.jsonl"),
+            "--train-split", str(bad)] if command == "evaluate" else [
+            "--names", str(bad)]
+    out = tmp_path / "out"
+    assert main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(out), command,
+                 "--model", str(chain.out / "model.bin"), *flag]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:5: bad record ('label')"]
+    assert not any(out.rglob("*"))
 
 
 JSON_VALUES = st.recursive(
