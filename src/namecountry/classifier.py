@@ -39,12 +39,13 @@ that contract.
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,9 +83,9 @@ PARAM_ORDER = ("embedding", "conv_w", "conv_b", "head_w", "head_b")
 # name about 3x faster than 256 and batch 10000 no slower.
 SCORE_BLOCK_ROWS = 64
 
-# Names per predict_labels chunk: bounds its probability rows (chunk by
-# classes) whatever the number of names. Scoring is bit-identical across
-# batch shapes, so the labels do not depend on it.
+# Names per predict_labels chunk and records per confusion chunk: bounds the
+# probability rows (chunk by classes) and the records held, whatever their
+# number. Scores are bit-identical across batch shapes, so results ignore it.
 PREDICT_CHUNK_ROWS = 1024
 
 
@@ -266,16 +267,14 @@ def _conv_pool(taps: np.ndarray, tap_ids: np.ndarray, rows: np.ndarray,
 
 
 def score_batch(params: dict[str, np.ndarray], x: np.ndarray, *,
-                taps: np.ndarray | None = None) -> np.ndarray:
+                taps: np.ndarray) -> np.ndarray:
     """Probability rows for encoded names; bit-identical across batch shapes.
 
     Rows are scored in blocks of SCORE_BLOCK_ROWS (see module docstring).
-    `taps` are the model's cached tap tables over its whole vocabulary;
-    they are computed here when not given. An all-pad row (empty name)
-    pools to zeros and scores as softmax of the head bias.
+    `taps` are tap_tables(params["embedding"], params["conv_w"]). An all-pad
+    row (empty name) pools to zeros and scores as softmax of the head bias;
+    no rows give a (0, classes) array.
     """
-    if taps is None:
-        taps = tap_tables(params["embedding"], params["conv_w"])
     dtype = params["embedding"].dtype
     pooled = np.empty((SCORE_BLOCK_ROWS, params["conv_b"].shape[0]), dtype=dtype)
     probs = np.empty((x.shape[0], params["head_b"].shape[0]), dtype=dtype)
@@ -459,9 +458,6 @@ class ClassifierModel:
         self._taps = tap_tables(self.params["embedding"], self.params["conv_w"])
 
     def predict_batch(self, names: Sequence[str]) -> np.ndarray:
-        if not names:
-            return np.zeros((0, len(self.taxonomy)),
-                            dtype=self.params["embedding"].dtype)
         return score_batch(self.params, self.tokenizer.encode_batch(names),
                            taps=self._taps)
 
@@ -474,17 +470,27 @@ class ClassifierModel:
                 labels.append(self.taxonomy.labels[int(row)])
         return labels
 
+    def confusion(self, records: Iterable[NameRecord]) -> np.ndarray:
+        """(K, K) int64 counts of the records, rows gold and columns predicted,
+        read and scored PREDICT_CHUNK_ROWS records at a time. A gold label
+        outside the taxonomy raises UnknownLabelError."""
+        k = len(self.taxonomy)
+        counts = np.zeros(k * k, dtype=np.int64)
+        records = iter(records)
+        while chunk := list(itertools.islice(records, PREDICT_CHUNK_ROWS)):
+            gold = np.array([self.taxonomy.index_of(r.label) for r in chunk])
+            predicted = self.predict_labels([r.full_name for r in chunk])
+            cells = gold * k + [self.taxonomy.index_of(p) for p in predicted]
+            counts += np.bincount(cells, minlength=k * k)
+        return counts.reshape(k, k)
+
 
 ValScorer = Callable[[ClassifierModel], tuple[float, float]]
 
 
 def _default_val_scorer(val_set: Sequence[NameRecord]) -> ValScorer:
-    names = [r.full_name for r in val_set]
-    gold = [r.label for r in val_set]
-
     def scorer(model: ClassifierModel) -> tuple[float, float]:
-        predicted = model.predict_labels(names)
-        report = evaluate(list(zip(gold, predicted)), model.taxonomy)
+        report = evaluate(model.confusion(val_set), model.taxonomy)
         return report.accuracy, report.macro_f1
 
     return scorer

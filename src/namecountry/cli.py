@@ -420,43 +420,37 @@ def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
 
 def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
     from . import classifier, evaluation
+    if args.mapping and not args.target_taxonomy:
+        raise CommandError("--mapping requires --target-taxonomy")
     output = args.output or out_dir / "eval_report.json"
     model = classifier.load_model(args.model)
-    records = read_records(args.input)
-    predicted = model.predict_labels([r.full_name for r in records])
-    pairs = list(zip((r.label for r in records), predicted))
-
+    counts = model.confusion(iter_records(args.input))
+    taxonomy, scored = model.taxonomy, counts
     if args.mapping:
-        if not args.target_taxonomy:
-            raise CommandError("--mapping requires --target-taxonomy")
-        target = load_taxonomy(args.target_taxonomy)
-        mapping = load_mapping(args.mapping, model.taxonomy, target)
-        report = evaluation.evaluate_mapped(pairs, mapping)
-        taxonomy_name = target.name
-    else:
-        report = evaluation.evaluate(pairs, model.taxonomy)
-        taxonomy_name = model.taxonomy.name
+        taxonomy = load_taxonomy(args.target_taxonomy)
+        mapping = load_mapping(args.mapping, model.taxonomy, taxonomy)
+        scored = evaluation.fold(counts, mapping)
+    report = evaluation.evaluate(scored, taxonomy)
 
-    payload = {"taxonomy": taxonomy_name, **dataclasses.asdict(report)}
+    payload = {"taxonomy": taxonomy.name, **dataclasses.asdict(report)}
     if args.train_split:
-        counts = Counter(r.label for r in iter_records(args.train_split))
-        buckets = evaluation.bucket_report(pairs, model.taxonomy, counts,
-                                           threshold=args.bucket_threshold)
-        payload["buckets"] = buckets
+        train_counts = Counter(r.label for r in iter_records(args.train_split))
+        payload["buckets"] = evaluation.bucket_report(
+            counts, model.taxonomy, train_counts, args.bucket_threshold)
     write_json(output, payload)
     outputs = [("output", output)]
     if args.table:
         with atomic_open(args.table) as fh:
             fh.write(evaluation.render_eval_table(
-                [(args.model_name, taxonomy_name, report)]))
+                [(args.model_name, taxonomy.name, report)]))
         outputs.append(("table", args.table))
-    _write_manifest(out_dir, f"evaluate_{taxonomy_name}", config, seed,
+    _write_manifest(out_dir, f"evaluate_{taxonomy.name}", config, seed,
                     [("model", args.model), ("input", args.input),
                      ("mapping", args.mapping),
                      ("target_taxonomy", args.target_taxonomy),
                      ("train_split", args.train_split)],
                     outputs)
-    print(f"evaluate[{taxonomy_name}]: accuracy={report.accuracy:.4f} "
+    print(f"evaluate[{taxonomy.name}]: accuracy={report.accuracy:.4f} "
           f"weighted_f1={report.weighted_f1:.4f} "
           f"macro_f1={report.macro_f1:.4f} n={report.n_records}")
     return 0

@@ -1,5 +1,7 @@
 """Measurement machinery: classification metrics, cross-taxonomy evaluation,
 head/tail buckets, and group bias analysis with Wilson confidence intervals.
+The first three read a (K, K) int64 confusion matrix over K labels, rows
+gold and columns predicted, as ClassifierModel.confusion counts it.
 
 Macro-F1 convention used throughout: classes with zero gold support and zero
 predictions are excluded from the macro mean; classes that do appear but have
@@ -17,8 +19,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import LabelMapping, Taxonomy
-
-LabelPair = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,11 @@ class EvalReport:
     n_records: int
 
 
-def evaluate(pairs: Sequence[LabelPair], taxonomy: Taxonomy) -> EvalReport:
-    """Metric bundle over (gold, predicted) pairs.
+def evaluate(counts: np.ndarray, taxonomy: Taxonomy) -> EvalReport:
+    """Metric bundle over a confusion matrix of the taxonomy's labels.
 
-    An empty input yields an all-zero report rather than an error.
+    An all-zero matrix yields an all-zero report rather than an error.
     """
-    counts = np.zeros((len(taxonomy), len(taxonomy)), dtype=np.int64)
-    for gold, guess in pairs:  # rows = gold, cols = predicted
-        counts[taxonomy.index_of(gold), taxonomy.index_of(guess)] += 1
     support = counts.sum(axis=1)
     predicted = counts.sum(axis=0)
     true_positive = np.diag(counts)
@@ -71,11 +68,13 @@ def evaluate(pairs: Sequence[LabelPair], taxonomy: Taxonomy) -> EvalReport:
     return EvalReport(accuracy, weighted, macro, per_class, total)
 
 
-def evaluate_mapped(pairs: Sequence[LabelPair],
-                    mapping: LabelMapping) -> EvalReport:
-    """Map gold and predicted labels into the target taxonomy, then evaluate."""
-    mapped = [(mapping(gold), mapping(predicted)) for gold, predicted in pairs]
-    return evaluate(mapped, mapping.to_taxonomy)
+def fold(counts: np.ndarray, mapping: LabelMapping) -> np.ndarray:
+    """A confusion matrix relabelled from the mapping's source taxonomy into
+    its target taxonomy, exactly: the products are in integers."""
+    target = mapping.to_taxonomy
+    onehot = np.eye(len(target), dtype=np.int64)[
+        [target.index_of(mapping(label)) for label in mapping.from_taxonomy]]
+    return onehot.T @ counts @ onehot
 
 
 @dataclass(frozen=True)
@@ -94,28 +93,29 @@ class BucketReport:
     tail: BucketMetrics
 
 
-def bucket_report(pairs: Sequence[LabelPair], taxonomy: Taxonomy,
+def bucket_report(counts: np.ndarray, taxonomy: Taxonomy,
                   train_counts: Mapping[str, int],
-                  threshold: int = 6000) -> BucketReport:
+                  threshold: int) -> BucketReport:
     """Head/tail metrics: tail = labels with training count below threshold.
 
     Only labels present in train_counts are bucketed. Per-class metrics come
-    from one evaluate() over all pairs, so a class's precision counts every
+    from one evaluate() over the matrix, so a class's precision counts every
     name predicted into it, whatever bucket its gold label is in. A bucket's
     macro-F1 is the mean F1 of its labels under the macro-F1 convention
-    above; its accuracy is over the pairs whose gold label is in the bucket.
+    above; its accuracy is over the matrix rows of the bucket's labels.
     """
-    per_class = evaluate(pairs, taxonomy).per_class
-    predicted = {p for _, p in pairs}
+    per_class = evaluate(counts, taxonomy).per_class
+    predicted = counts.sum(axis=0)
 
     def bucket(labels: tuple[str, ...]) -> BucketMetrics:
-        members = set(labels)
-        gold = [(g, p) for g, p in pairs if g in members]
-        f1 = [per_class[label].f1 for label in labels if label in per_class
-              and (per_class[label].support or label in predicted)]
+        rows = [taxonomy.index_of(label) for label in labels
+                if label in taxonomy]
+        n = int(counts[rows].sum())
+        f1 = [per_class[taxonomy.labels[i]].f1 for i in rows
+              if counts[i].any() or predicted[i]]
         return BucketMetrics(
-            sum(g == p for g, p in gold) / len(gold) if gold else 0.0,
-            statistics.fmean(f1) if f1 else 0.0, len(gold))
+            int(counts[rows, rows].sum()) / n if n else 0.0,
+            statistics.fmean(f1) if f1 else 0.0, n)
 
     head = tuple(sorted(c for c, n in train_counts.items() if n >= threshold))
     tail = tuple(sorted(c for c, n in train_counts.items() if n < threshold))
@@ -175,9 +175,9 @@ def bias_report(
 
     Each record is (gold_name, answered_name, correct). Gold names of all
     records and answered names of incorrect records are classified by the
-    model in one call (any object with predict_labels(names) -> labels in
-    the mapping's source taxonomy), mapped into the coarse taxonomy, and
-    tallied per group.
+    model in one call (any object whose predict_labels method maps names to
+    labels of the mapping's source taxonomy), mapped into the coarse
+    taxonomy, and tallied per group.
     """
     if tuple(model.taxonomy.labels) != tuple(mapping.from_taxonomy.labels):
         raise ValueError("model taxonomy does not match the mapping's "

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from test_classifier import numeric_grads, scripted_scorer, separable_corpus
-from test_evaluation import brute_force_metrics
+from test_evaluation import brute_force_metrics, count_pairs
 
 from namecountry import fixtures
 from namecountry.classifier import (
@@ -54,7 +54,7 @@ from namecountry.enrichment import (
 )
 from namecountry.evaluation import (
     evaluate,
-    evaluate_mapped,
+    fold,
     wilson_interval,
 )
 from namecountry.extraction import NormalizationTable, build_labeled_corpus
@@ -183,7 +183,7 @@ def test_criterion_05_metrics_match_brute_force_and_coarsening_monotone():
         taxonomy = register_taxonomy("acc5", labels)
         pairs = [(rng.choice(labels), rng.choice(labels))
                  for _ in range(rng.randint(1, 200))]
-        report = evaluate(pairs, taxonomy)
+        report = evaluate(count_pairs(pairs, taxonomy), taxonomy)
         accuracy, weighted, macro, per_class = brute_force_metrics(pairs,
                                                                    labels)
         assert math.isclose(report.accuracy, accuracy, abs_tol=1e-12)
@@ -208,8 +208,9 @@ def test_criterion_05_metrics_match_brute_force_and_coarsening_monotone():
             label: rng.choice(coarse_labels) for label in fine_labels})
         pairs = [(rng.choice(fine_labels), rng.choice(fine_labels))
                  for _ in range(rng.randint(1, 100))]
-        fine_accuracy = evaluate(pairs, fine).accuracy
-        coarse_accuracy = evaluate_mapped(pairs, mapping).accuracy
+        counts = count_pairs(pairs, fine)
+        fine_accuracy = evaluate(counts, fine).accuracy
+        coarse_accuracy = evaluate(fold(counts, mapping), coarse).accuracy
         assert coarse_accuracy >= fine_accuracy - 1e-12
 
 
@@ -267,12 +268,8 @@ def test_criterion_07_desk_scale_learnability():
                     patience=5, seed=0),
         ModelConfig(embedding_dim=32, hidden_dim=64))
 
-    val_pred = model.predict_labels([r.full_name for r in val_set])
-    val_accuracy = evaluate(
-        list(zip((r.label for r in val_set), val_pred)), taxonomy).accuracy
-    test_pred = model.predict_labels([r.full_name for r in test_set])
-    test_macro = evaluate(
-        list(zip((r.label for r in test_set), test_pred)), taxonomy).macro_f1
+    val_accuracy = evaluate(model.confusion(val_set), taxonomy).accuracy
+    test_macro = evaluate(model.confusion(test_set), taxonomy).macro_f1
     elapsed = time.perf_counter() - start
 
     assert val_accuracy > 0.95, val_accuracy
@@ -310,10 +307,7 @@ def test_criterion_08_augmentation_improves_tail_macro_f1():
             exclude=existing + [r.full_name for r in synth_all])
 
         def tail_macro(model):
-            predicted = model.predict_labels(
-                [r.full_name for r in tail_test])
-            pairs = list(zip((r.label for r in tail_test), predicted))
-            return evaluate(pairs, taxonomy).macro_f1
+            return evaluate(model.confusion(tail_test), taxonomy).macro_f1
 
         config = TrainConfig(learning_rate=0.005, batch_size=64,
                              max_epochs=3, patience=5, seed=seed)

@@ -31,6 +31,7 @@ from namecountry.classifier import (
     lr_at_step,
     save_model,
     score_batch,
+    tap_tables,
     train,
 )
 
@@ -171,10 +172,14 @@ def test_init_params_shapes_dtype_and_determinism():
     assert not np.array_equal(params["embedding"], other["embedding"])
 
 
+def taps_of(params):
+    return tap_tables(params["embedding"], params["conv_w"])
+
+
 def test_score_batch_rows_are_distributions():
     params = init_params(8, 3, ModelConfig(4, 5), seed=1)
     x = np.array([[2, 3, 0, 0], [4, 5, 6, 7]], dtype=np.int32)
-    probs = score_batch(params, x)
+    probs = score_batch(params, x, taps=taps_of(params))
     assert probs.shape == (2, 3)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-6)
     assert (probs > 0).all()
@@ -188,15 +193,17 @@ def test_score_batch_bitwise_batch_invariance():
     b0 = SCORE_BLOCK_ROWS
     target = rng.integers(2, 30, size=(1, 10)).astype(np.int32)
     target[0, 4] = PAD  # a pad inside the name
-    alone = score_batch(params, target)[0]
-    empty = score_batch(params, np.zeros((1, 10), dtype=np.int32))[0]
+    taps = taps_of(params)
+    alone = score_batch(params, target, taps=taps)[0]
+    empty = score_batch(params, np.zeros((1, 10), dtype=np.int32),
+                        taps=taps)[0]
     for batch_size in sorted({2, 17, 64, 301, b0 - 1, b0, b0 + 1, 2 * b0 + 1}):
         filler = rng.integers(0, 30, size=(batch_size - 1, 10)).astype(np.int32)
         filler[-1] = PAD  # an all-pad row
         edges = {0, b0 - 1, b0, 2 * b0, batch_size // 2, batch_size - 1}
         for position in sorted(p for p in edges if p < batch_size):
             batch = np.insert(filler, position, target[0], axis=0)
-            scores = score_batch(params, batch)
+            scores = score_batch(params, batch, taps=taps)
             assert np.array_equal(scores[position], alone), (batch_size, position)
             for row in np.flatnonzero(~batch.any(axis=1)):
                 assert np.array_equal(scores[row], empty), (batch_size, row)
@@ -205,7 +212,8 @@ def test_score_batch_bitwise_batch_invariance():
 def test_score_batch_all_pad_row_uses_head_bias():
     params = init_params(8, 3, ModelConfig(4, 5), seed=3)
     params["head_b"] = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-    probs = score_batch(params, np.zeros((1, 6), dtype=np.int32))[0]
+    probs = score_batch(params, np.zeros((1, 6), dtype=np.int32),
+                        taps=taps_of(params))[0]
     bias = params["head_b"]
     expected = np.exp(bias - bias.max())
     expected /= expected.sum()
@@ -350,7 +358,7 @@ def test_score_batch_agrees_with_dense_loss(seed):
     """What is served is what was trained: the mean negative log of
     score_batch's gold-label probabilities is the dense reference's loss."""
     params, x, y = dense_case(seed)
-    probs = score_batch(params, x)
+    probs = score_batch(params, x, taps=taps_of(params))
     served = -np.mean(np.log(probs[np.arange(len(x)), y]))
     ref_loss, _ = dense_loss_and_grads(params, x, y)
     assert abs(served - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -806,3 +814,39 @@ def test_predict_labels_chunking_consistent(monkeypatch):
         monkeypatch.setattr(classifier, "PREDICT_CHUNK_ROWS", rows)
         labels[rows] = model.predict_labels(names)
     assert labels[3] == labels[100]
+
+
+@pytest.mark.parametrize("n", [0, classifier.PREDICT_CHUNK_ROWS - 1,
+                               classifier.PREDICT_CHUNK_ROWS,
+                               classifier.PREDICT_CHUNK_ROWS + 1,
+                               3 * classifier.PREDICT_CHUNK_ROWS])
+def test_confusion_counts_each_record_once(n):
+    """confusion scores the records a chunk at a time and counts each
+    (gold, predicted) pair once, in the cell a loop over the pairs finds."""
+    taxonomy = register_taxonomy("t", ["alfa", "bravo", "charlie"])
+    tokenizer = Tokenizer(("a",), max_len=4)
+    model = ClassifierModel(tokenizer, taxonomy, init_params(
+        tokenizer.vocab_size, 3, ModelConfig(4, 5), seed=0))
+    labels = taxonomy.labels
+    records = [NameRecord(f"n{i}", labels[i % 3]) for i in range(n)]
+    calls = []
+
+    def scripted(names):  # the label of name "n<i>" is labels[i // 2 % 3]
+        calls.append(len(names))
+        return [labels[int(name[1:]) // 2 % 3] for name in names]
+
+    model.predict_labels = scripted
+    counts = model.confusion(iter(records))
+    expected = np.zeros((3, 3), dtype=np.int64)
+    for i in range(n):
+        expected[i % 3, i // 2 % 3] += 1
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
+    assert sum(calls) == n
+    assert all(0 < c <= classifier.PREDICT_CHUNK_ROWS for c in calls)
+
+
+def test_confusion_rejects_an_unknown_gold_label():
+    model = trained_model()
+    with pytest.raises(UnknownLabelError, match="atlantis"):
+        model.confusion([NameRecord("Aba Dab", "atlantis")])

@@ -86,6 +86,22 @@ def test_evaluate_report_bytes_are_pinned(chain):
         "bb37c8e5b201f1e932924ebb3c3a72ff2005f1facd1020a58ec4d3b0434d2e22")
 
 
+EVALUATE_DIGESTS = {
+    "eval_gold.json":
+        "fecb78baaa46ba7782ca216f00874de3def7d582ad073b5d987e4cbfbf535c3e",
+    "eval_table.txt":
+        "0e9b6f47fe94c7fde58af54c838230557989d67cee6c3dceb40f3ddc90744b25",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATE_DIGESTS))
+def test_evaluate_mapped_report_and_table_bytes_are_pinned(chain, name):
+    """The chain's `evaluate --mapping` report and its first evaluate's
+    table, byte for byte, the same under 1 and 2 BLAS threads."""
+    digest = hashlib.sha256((chain.out / name).read_bytes()).hexdigest()
+    assert digest == EVALUATE_DIGESTS[name]
+
+
 def test_extract_artifacts(chain):
     stats = json.loads((chain.out / "extract_stats.json").read_text())
     assert stats["raw"] == 600
@@ -645,6 +661,33 @@ def test_evaluate_counts_training_labels_without_holding_records(
     assert len(alive) == n_scored + len(read_records(train))
     assert len(counted) >= 40
     assert max(counted) <= n_scored + 4, counted
+
+
+def test_evaluate_holds_one_chunk_of_records(chain, tmp_path, monkeypatch):
+    """`evaluate` scores its input a chunk at a time: at every
+    predict_labels call, at most PREDICT_CHUNK_ROWS records are alive."""
+    from namecountry import classifier
+    chunk = 8
+    monkeypatch.setattr(classifier, "PREDICT_CHUNK_ROWS", chunk)
+
+    def records():
+        return sum(1 for o in gc.get_objects() if type(o) is NameRecord)
+
+    predict, alive, before = (classifier.ClassifierModel.predict_labels, [],
+                              records())
+
+    def counting(self, names):
+        alive.append(records() - before)
+        return predict(self, names)
+
+    monkeypatch.setattr(classifier.ClassifierModel, "predict_labels", counting)
+    scored = chain.out / "splits" / "test_filter_aug.jsonl"
+    assert main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(tmp_path), "evaluate",
+                 "--model", str(chain.out / "model.bin"),
+                 "--input", str(scored)]) == 0
+    assert len(alive) == -(-len(read_records(scored)) // chunk)
+    assert max(alive) <= chunk, alive
 
 
 def test_bench_reads_a_record_file_without_holding_records(
@@ -1356,13 +1399,17 @@ def test_evaluate_incomplete_mapping_exits_2(chain, tmp_path, capsys):
 
 
 def test_evaluate_mapping_requires_target_taxonomy(chain, tmp_path, capsys):
-    code = chain.run("evaluate", "--model", str(chain.out / "model.bin"),
-                     "--input", str(chain.out / "splits" / "test_gold.jsonl"),
-                     "--mapping",
-                     str(chain.fx / "mapping_fixture4_to_fixture3.tsv"),
-                     "--output", str(tmp_path / "report.json"))
+    """The usage error comes before the model loads and the input is read:
+    neither exists here."""
+    code = main(["--out-dir", str(tmp_path), "evaluate",
+                 "--model", str(tmp_path / "missing.bin"),
+                 "--input", str(tmp_path / "missing.jsonl"),
+                 "--mapping", str(chain.fx / "mapping_fixture4_to_fixture3.tsv"),
+                 "--output", str(tmp_path / "report.json")])
     assert code == 2
-    assert "target-taxonomy" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --mapping requires --target-taxonomy"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_insufficient_names_exits_2(chain, tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Metric implementations are checked against an independent brute-force
-oracle (plain Python loops, no shared code) plus hand-frozen small cases."""
+oracle (plain Python loops, no shared code) plus hand-frozen small cases.
+Cases are written as (gold, predicted) pairs and counted into the confusion
+matrix the metrics read by count_pairs, a loop over the pairs."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,10 +14,26 @@ from namecountry.evaluation import (
     bias_report,
     bucket_report,
     evaluate,
-    evaluate_mapped,
+    fold,
     render_eval_table,
     wilson_interval,
 )
+
+
+def count_pairs(pairs, taxonomy):
+    """The confusion matrix of (gold, predicted) pairs, one cell at a time."""
+    counts = np.zeros((len(taxonomy), len(taxonomy)), dtype=np.int64)
+    for gold, guess in pairs:
+        counts[taxonomy.index_of(gold), taxonomy.index_of(guess)] += 1
+    return counts
+
+
+def evaluate_mapped(pairs, mapping):
+    """Reference for fold: map each pair's gold and predicted labels into
+    the target taxonomy, then count and evaluate."""
+    mapped = [(mapping(gold), mapping(predicted)) for gold, predicted in pairs]
+    return evaluate(count_pairs(mapped, mapping.to_taxonomy),
+                    mapping.to_taxonomy)
 
 
 def brute_force_metrics(pairs, labels):
@@ -43,7 +62,7 @@ def brute_force_metrics(pairs, labels):
 def test_evaluate_hand_computed_two_classes():
     taxonomy = register_taxonomy("t", ["a", "b"])
     pairs = [("a", "a"), ("a", "b"), ("b", "b"), ("b", "b")]
-    report = evaluate(pairs, taxonomy)
+    report = evaluate(count_pairs(pairs, taxonomy), taxonomy)
     assert report.accuracy == 0.75
     assert report.per_class["a"].precision == 1.0
     assert report.per_class["a"].recall == 0.5
@@ -57,14 +76,14 @@ def test_evaluate_hand_computed_two_classes():
 def test_evaluate_excludes_absent_classes_from_macro():
     taxonomy = register_taxonomy("t", ["a", "b", "ghost"])
     pairs = [("a", "a"), ("b", "b")]
-    report = evaluate(pairs, taxonomy)
+    report = evaluate(count_pairs(pairs, taxonomy), taxonomy)
     assert report.macro_f1 == 1.0  # ghost is not averaged in
     assert report.per_class["ghost"].support == 0
 
 
 def test_evaluate_includes_predicted_only_class_as_zero():
     taxonomy = register_taxonomy("t", ["a", "b"])
-    report = evaluate([("a", "b")], taxonomy)
+    report = evaluate(count_pairs([("a", "b")], taxonomy), taxonomy)
     # both classes appear (a by support, b by prediction); both have f1 0
     assert report.macro_f1 == 0.0
     assert report.accuracy == 0.0
@@ -72,7 +91,7 @@ def test_evaluate_includes_predicted_only_class_as_zero():
 
 def test_evaluate_empty_input_is_all_zero():
     taxonomy = register_taxonomy("t", ["a", "b"])
-    report = evaluate([], taxonomy)
+    report = evaluate(count_pairs([], taxonomy), taxonomy)
     assert (report.accuracy, report.weighted_f1, report.macro_f1) == (0, 0, 0)
     assert report.n_records == 0
     assert set(report.per_class) == {"a", "b"}
@@ -86,7 +105,7 @@ def test_evaluate_matches_brute_force_randomized():
         taxonomy = register_taxonomy("t", labels)
         pairs = [(rng.choice(labels), rng.choice(labels))
                  for _ in range(rng.randint(0, 60))]
-        report = evaluate(pairs, taxonomy)
+        report = evaluate(count_pairs(pairs, taxonomy), taxonomy)
         accuracy, weighted, macro, per_class = brute_force_metrics(pairs, labels)
         assert math.isclose(report.accuracy, accuracy, abs_tol=1e-12)
         assert math.isclose(report.weighted_f1, weighted, abs_tol=1e-12)
@@ -108,31 +127,54 @@ def coarse_fixture():
 
 
 def test_evaluate_mapped_hand_computed():
-    _, _, mapping = coarse_fixture()
+    fine, coarse, mapping = coarse_fixture()
     pairs = [("a1", "a2"), ("a1", "b1"), ("b1", "b1")]
-    fine_report = evaluate(pairs, mapping.from_taxonomy)
-    coarse_report = evaluate_mapped(pairs, mapping)
+    fine_report = evaluate(count_pairs(pairs, fine), fine)
+    coarse_report = evaluate(fold(count_pairs(pairs, fine), mapping), coarse)
     assert fine_report.accuracy == pytest.approx(1 / 3)
     assert coarse_report.accuracy == pytest.approx(2 / 3)  # a1->a2 now correct
     assert set(coarse_report.per_class) == {"a", "b"}
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.data())
-def test_coarsening_never_lowers_accuracy(data):
-    fine_labels = [f"f{i}" for i in range(data.draw(st.integers(2, 6)))]
-    coarse_labels = [f"g{i}" for i in range(data.draw(st.integers(1, 3)))]
+@st.composite
+def mapped_pairs(draw):
+    """A random many-to-one mapping and (gold, predicted) pairs of its
+    source taxonomy."""
+    fine_labels = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
+    coarse_labels = [f"g{i}" for i in range(draw(st.integers(1, 3)))]
     fine = register_taxonomy("fine", fine_labels)
     coarse = register_taxonomy("coarse", coarse_labels)
-    table = {f: data.draw(st.sampled_from(coarse_labels), label=f"map_{f}")
+    table = {f: draw(st.sampled_from(coarse_labels), label=f"map_{f}")
              for f in fine_labels}
-    mapping = LabelMapping(fine, coarse, table)
-    pairs = data.draw(st.lists(
+    pairs = draw(st.lists(
         st.tuples(st.sampled_from(fine_labels), st.sampled_from(fine_labels)),
         max_size=40))
-    fine_accuracy = evaluate(pairs, fine).accuracy
-    coarse_accuracy = evaluate_mapped(pairs, mapping).accuracy
+    return LabelMapping(fine, coarse, table), pairs
+
+
+@settings(deadline=None, max_examples=60)
+@given(mapped_pairs())
+def test_coarsening_never_lowers_accuracy(case):
+    mapping, pairs = case
+    fine, coarse = mapping.from_taxonomy, mapping.to_taxonomy
+    fine_accuracy = evaluate(count_pairs(pairs, fine), fine).accuracy
+    coarse_accuracy = evaluate(fold(count_pairs(pairs, fine), mapping),
+                               coarse).accuracy
     assert coarse_accuracy >= fine_accuracy - 1e-12
+
+
+@settings(deadline=None, max_examples=100)
+@given(mapped_pairs())
+def test_fold_matches_relabelling_each_pair(case):
+    """Folding the fine matrix gives the matrix of the relabelled pairs, and
+    so the same report, bit for bit, as the pair-by-pair reference."""
+    mapping, pairs = case
+    fine, coarse = mapping.from_taxonomy, mapping.to_taxonomy
+    folded = fold(count_pairs(pairs, fine), mapping)
+    relabelled = [(mapping(g), mapping(p)) for g, p in pairs]
+    assert folded.dtype == np.int64
+    assert np.array_equal(folded, count_pairs(relabelled, coarse))
+    assert evaluate(folded, coarse) == evaluate_mapped(pairs, mapping)
 
 
 def test_bucket_report_partitions_by_training_count():
@@ -140,7 +182,8 @@ def test_bucket_report_partitions_by_training_count():
     train_counts = {"head": 100, "tail": 3}
     pairs = [("head", "head"), ("head", "tail"),
              ("tail", "tail"), ("other", "other")]
-    report = bucket_report(pairs, taxonomy, train_counts, threshold=10)
+    report = bucket_report(count_pairs(pairs, taxonomy), taxonomy,
+                           train_counts, threshold=10)
     assert report.head_labels == ("head",)
     assert report.tail_labels == ("tail",)
     assert report.head.n_records == 2  # "other" is in no bucket
@@ -159,7 +202,8 @@ def test_bucket_macro_f1_is_the_mean_over_the_bucket_labels():
     train_counts = {"h1": 50, "h2": 50, "t1": 5, "t2": 5}
     pairs = [("h1", "h1"), ("h1", "h1"), ("h2", "t1"),
              ("t1", "t1"), ("t2", "h1")]
-    report = bucket_report(pairs, taxonomy, train_counts, threshold=10)
+    report = bucket_report(count_pairs(pairs, taxonomy), taxonomy,
+                           train_counts, threshold=10)
     # h1: P 2/3, R 1, F1 4/5; h2: no prediction, F1 0; t1: P 1/2, R 1,
     # F1 2/3; t2: no prediction, F1 0.
     assert report.head.macro_f1 == pytest.approx((4 / 5 + 0) / 2)
@@ -167,13 +211,15 @@ def test_bucket_macro_f1_is_the_mean_over_the_bucket_labels():
     assert report.head.accuracy == pytest.approx(2 / 3)
     assert report.tail.accuracy == 0.5
     # A bucket label with no gold name and no prediction is left out.
-    report = bucket_report(pairs[:4], taxonomy, train_counts, threshold=10)
+    report = bucket_report(count_pairs(pairs[:4], taxonomy), taxonomy,
+                           train_counts, threshold=10)
     assert report.tail.macro_f1 == pytest.approx(2 / 3)
 
 
 def test_bucket_report_empty_bucket_is_zero():
     taxonomy = register_taxonomy("t", ["a"])
-    report = bucket_report([("a", "a")], taxonomy, {"a": 50}, threshold=10)
+    report = bucket_report(count_pairs([("a", "a")], taxonomy), taxonomy,
+                           {"a": 50}, threshold=10)
     assert report.tail_labels == ()
     assert report.tail.n_records == 0
     assert report.tail.macro_f1 == 0.0
@@ -282,8 +328,8 @@ def test_bias_report_rejects_taxonomy_mismatch():
 
 def test_render_eval_table():
     taxonomy = register_taxonomy("t", ["a", "b"])
-    report = evaluate([("a", "a"), ("a", "b"), ("b", "b"), ("b", "b")],
-                      taxonomy)
+    report = evaluate(count_pairs([("a", "a"), ("a", "b"), ("b", "b"),
+                                   ("b", "b")], taxonomy), taxonomy)
     table = render_eval_table([("mymodel", "t", report)])
     lines = table.splitlines()
     assert lines[0].split() == ["Model", "Taxonomy", "Acc", "W-F1", "M-F1"]

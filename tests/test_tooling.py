@@ -1,11 +1,12 @@
 """Source guards: one atomic writer, one reader per input format, one record
 encoder, one report serializer, one retry loop, one leakage check, one
-switch of the garbage collector, one exit rule for bad input and one
-classifier forward pass in the package, none of the constructs its kernels
-and bench were rid of, every package name the bench's tracer wraps (and
-its data hooks run on the fixture chain), the bytes the fixture data chain
-writes, no module-level name that only tests use, no private name taken
-from another module, and a README library example that runs."""
+switch of the garbage collector, one exit rule for bad input, one
+classifier forward pass and one scoring walk for evaluation in the package,
+none of the constructs its kernels and bench were rid of, every package
+name the bench's tracer wraps (and its data hooks run on the fixture
+chain), the bytes the fixture data chain writes, no module-level name that
+only tests use, no private name taken from another module, and a README
+library example that runs."""
 import ast
 import functools
 import hashlib
@@ -91,6 +92,14 @@ def test_one_forward_pass():
     # ReLU over the convolution and one per-row segment sum in the package.
     assert where("np.add.reduceat(") == ["classifier.py"]
     assert where("np.maximum(hidden, 0") == ["classifier.py"]
+
+
+def test_one_scoring_walk_for_evaluation():
+    # Metrics read a confusion matrix that ClassifierModel.confusion counts;
+    # the one other caller of predict_labels is bias_report's single call.
+    assert where("predict_labels(") == ["classifier.py", "classifier.py",
+                                        "evaluation.py"]
+    assert where("evaluate_mapped") == []
 
 
 def _private_imports(path):
