@@ -515,14 +515,14 @@ def train(
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
-    for record in (*train_set, *val_set):
-        taxonomy.index_of(record.label)  # raises UnknownLabelError
+    y_train = np.array([taxonomy.index_of(r.label) for r in train_set],
+                       dtype=np.int64)  # raises UnknownLabelError
+    for record in val_set:  # checked too before any name is encoded
+        taxonomy.index_of(record.label)
 
     if tokenizer is None:
         tokenizer = fit_tokenizer(train_set)
     x_train = tokenizer.encode_batch([r.full_name for r in train_set])
-    y_train = np.array([taxonomy.index_of(r.label) for r in train_set],
-                       dtype=np.int64)
     params = init_params(tokenizer.vocab_size, len(taxonomy), model_config,
                          seed=config.seed)
     optimizer = AdamW(params, weight_decay=config.weight_decay)

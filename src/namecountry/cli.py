@@ -28,16 +28,16 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # classifier, engine and evaluation (and with them numpy) are imported by the
 # handlers that use them, so the data stages start without numpy.
 from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
-    NameRecord, atomic_open, iter_records, json_type, load_mapping,
-    load_taxonomy, normalize_label, read_jsonl, read_records, read_text,
-    require_json, write_json, write_records,
+    atomic_open, iter_records, json_type, load_mapping, load_taxonomy,
+    normalize_label, read_jsonl, read_records, read_text, require_json,
+    write_json, write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -234,8 +234,10 @@ def _load_alias_table(path: Path | None) -> extraction.NormalizationTable:
     return extraction.NormalizationTable.from_file(path)
 
 
-def _split_inputs(splits_dir: Path, names: Sequence[str]) -> Files:
-    return [("splits_dir", splits_dir / f"{name}.jsonl") for name in names]
+def _split_files(splits_dir: Path) -> corpus_mod.SplitFiles:
+    if not splits_dir.is_dir():
+        raise CommandError(f"{splits_dir}: not a directory")
+    return corpus_mod.SplitFiles(splits_dir)
 
 
 # --- commands -------------------------------------------------------------
@@ -274,12 +276,10 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
         splits.test_filter = corpus_mod.build_filtered_test(
             test, _make_validator(config, {r.label for r in test}),
             cap=split_cfg["filter_cap"], seed=seed)
-    violations = corpus_mod.audit_splits(splits)
-    if not corpus_mod.audit_is_clean(violations):
+    violations, written = splits.save(split_dir, seed=seed, ratios=ratios)
+    if not written:
         _print_violations(violations)
         return 1
-    written = splits.save(split_dir, seed=seed, ratios=ratios,
-                          audit=violations)
     _write_manifest(out_dir, "split", config, seed, [("input", args.input)],
                     [("output_dir", p) for p in written])
     sizes = splits.sizes()
@@ -292,16 +292,13 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
 def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     aug_cfg = config["augment"]
     ratios = tuple(aug_cfg["ratios"])
-    splits_dir = args.splits_dir or out_dir / "splits"
-    output_dir = args.output_dir or splits_dir
-
     if aug_cfg["gold_per_country"] <= 0:
         raise ValueError("gold_per_country must be positive")
-    if not splits_dir.is_dir():
-        raise CommandError(f"{splits_dir}: not a directory")
-    counts, labels, taken = _scan_base_splits(splits_dir)
+    files = _split_files(args.splits_dir or out_dir / "splits")
+    output_dir = args.output_dir or files.splits_dir
+    counts, labels, taken = _scan_base_splits(files)
     if not counts:
-        raise CommandError(f"{splits_dir}: no train_oag split found")
+        raise CommandError(f"{files.splits_dir}: no train_oag split found")
     budgets = enrichment.compute_budgets(
         counts, threshold=aug_cfg["threshold"], budget=aug_cfg["budget"],
         overrides=_by_label(aug_cfg["overrides"], "augment.overrides",
@@ -321,7 +318,8 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     gold = enrichment.collect_synthetic(
         gold_budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
     del taken
-    base = corpus_mod.CorpusSplits.load(splits_dir, corpus_mod.BASE_SPLITS)
+    base = corpus_mod.CorpusSplits.load(files.splits_dir,
+                                        corpus_mod.BASE_SPLITS)
     missing: Counter = Counter()  # country -> names the generator fell short
     for draw_budgets, drawn in ((budgets, synthetic), (gold_budgets, gold)):
         for budget in draw_budgets:
@@ -338,13 +336,13 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
     del synth_parts, base
 
-    violations = corpus_mod.audit_splits(splits)
-    if not corpus_mod.audit_is_clean(violations):
+    violations, written = splits.save(output_dir, seed=seed, ratios=ratios)
+    if not written:
         _print_violations(violations)
         return 1
-    written = splits.save(output_dir, seed=seed, ratios=ratios, audit=violations)
     _write_manifest(out_dir, "augment", config, seed,
-                    _split_inputs(splits_dir, corpus_mod.BASE_SPLITS),
+                    [("splits_dir", files.path(split))
+                     for split in corpus_mod.BASE_SPLITS],
                     [("output_dir", p) for p in written])
     sizes = splits.sizes()
     print(f"augment: +{n_synthetic} synthetic -> "
@@ -355,14 +353,14 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     return 0
 
 
-def _scan_base_splits(splits_dir: Path) -> tuple[Counter, set[str], set[str]]:
+def _scan_base_splits(files: corpus_mod.SplitFiles
+                      ) -> tuple[Counter, set[str], set[str]]:
     """One pass over the base split files, keeping no record: train_oag's
     records per label, every base label, and every base name's key.
 
     The files are read in BASE_SPLITS order, as `CorpusSplits.load` reads
     them, so a malformed line fails with the same `error:` line.
     """
-    files = _SplitFiles(splits_dir)
     counts: Counter = Counter()
     labels: set[str] = set()
     keys: set[str] = set()
@@ -378,11 +376,11 @@ def _scan_base_splits(splits_dir: Path) -> tuple[Counter, set[str], set[str]]:
 def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
     from . import classifier
     train_cfg = config["train"]
-    splits_dir = args.splits_dir or out_dir / "splits"
+    files = corpus_mod.SplitFiles(args.splits_dir or out_dir / "splits")
     model_out = args.model_out or out_dir / "model.bin"
     log_out = args.log_out or out_dir / "train_log.jsonl"
-    train_path = splits_dir / f"{args.train_split}.jsonl"
-    val_path = splits_dir / f"{args.val_split}.jsonl"
+    train_path = files.path(args.train_split)
+    val_path = files.path(args.val_split)
 
     taxonomy = load_taxonomy(args.taxonomy)
     train_records = read_records(train_path)
@@ -435,8 +433,11 @@ def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
     payload = {"taxonomy": taxonomy.name, **dataclasses.asdict(report)}
     if args.train_split:
         train_counts = Counter(r.label for r in iter_records(args.train_split))
+        threshold = args.bucket_threshold
+        if threshold is None:
+            threshold = config["augment"]["threshold"]
         payload["buckets"] = evaluation.bucket_report(
-            counts, model.taxonomy, train_counts, args.bucket_threshold)
+            counts, model.taxonomy, train_counts, threshold)
     write_json(output, payload)
     outputs = [("output", output)]
     if args.table:
@@ -520,40 +521,16 @@ def _read_bias_records(path: Path) -> list[tuple[str, str, bool]]:
                                                _bias_record)]
 
 
-class _SplitFiles:
-    """The split files under a directory, read as a split is walked.
-
-    Indexing returns a generator over the records of `<split>.jsonl` (an
-    absent file is an empty split), read by `iter_records` and counted into
-    `sizes` as they are yielded. Nothing else is kept, so `audit_splits`
-    holds one chunk of a split's records at a time.
-    """
-
-    def __init__(self, splits_dir: Path) -> None:
-        self.splits_dir = splits_dir
-        self.sizes = dict.fromkeys(corpus_mod.SPLIT_NAMES, 0)
-
-    def __getitem__(self, split: str) -> Iterator[NameRecord]:
-        path = self.splits_dir / f"{split}.jsonl"
-        if not path.exists():
-            return
-        for record in iter_records(path):
-            self.sizes[split] += 1
-            yield record
-
-
 def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:
-    splits_dir = args.splits_dir or out_dir / "splits"
     output = args.output or out_dir / "audit_report.json"
-    if not splits_dir.is_dir():
-        raise CommandError(f"{splits_dir}: not a directory")
-    splits = _SplitFiles(splits_dir)
+    splits = _split_files(args.splits_dir or out_dir / "splits")
     violations = corpus_mod.audit_splits(splits)
     clean = corpus_mod.audit_is_clean(violations)
     write_json(output, {"clean": clean, "violations": violations,
                          "sizes": splits.sizes})
     _write_manifest(out_dir, "audit", config, seed,
-                    _split_inputs(splits_dir, corpus_mod.SPLIT_NAMES),
+                    [("splits_dir", splits.path(split))
+                     for split in corpus_mod.SPLIT_NAMES],
                     [("output", output)])
     if clean:
         print("audit: clean")
@@ -624,7 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-taxonomy", type=Path)
     p.add_argument("--train-split", type=Path,
                    help="training split for head/tail bucket metrics")
-    p.add_argument("--bucket-threshold", type=int, default=6000)
+    p.add_argument("--bucket-threshold", type=int,
+                   help="tail: training count below this; default "
+                        "augment.threshold")
     p.add_argument("--table", type=Path)
     p.add_argument("--model-name", default="namecountry")
     p.set_defaults(handler=cmd_evaluate)
@@ -662,7 +641,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else config["seed"]
         config["seed"] = seed
         out_dir = args.out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
+        # The first file written into --out-dir makes it; one that cannot be
+        # made (a file is in its path) fails here, with mkdir's own error.
+        nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not nearest.is_dir():
+            out_dir.mkdir(parents=True)
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

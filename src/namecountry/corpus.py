@@ -1,22 +1,20 @@
-"""Deterministic, leakage-safe corpus splits.
+"""Deterministic, leakage-safe corpus splits, and the split directory.
 
 The pipeline produces up to eight partitions: the base train/val/test split
 of the real corpus, an oracle-screened test_filter, the three *_aug splits
 that fold in synthetic names, and the fully synthetic test_gold stress set.
 Splitting is stratified per country with largest-remainder rounding, and
 every random choice derives from an explicit seed so runs are reproducible
-byte for byte. There is one leakage check: audit_splits, run on the finished
-bundle, reports every training name found in an evaluation split;
-assemble_augmented_splits only concatenates.
+byte for byte. There is one leakage check: audit_splits reports every
+training name found in an evaluation split, holding the evaluation splits'
+keys and one chunk of AUDIT_CHUNK_RECORDS records of any split.
 
-The audit's memory rule: it holds the keys of the evaluation splits, plus
-one chunk of AUDIT_CHUNK_RECORDS records of any split. It asks for each
-split once, evaluation splits first, and walks each split as an iterable,
-so a caller that yields a split's records as it reads them (the audit
-command) never holds a split's records whole. An augmented bundle holds its
-synthetic records as names, one core.SyntheticNames per country and part
-(split_synthetic), and builds each record when it is iterated, so `augment`
-audits and writes it the same way.
+A split directory holds `<split>.jsonl` for each non-empty split, and
+`manifest.json`. SplitFiles names and reads those files, yielding a split's
+records as it reads them; CorpusSplits.save audits a bundle and writes it
+only if it is clean. An augmented bundle holds its synthetic records as
+names (split_synthetic) and builds each record when it is iterated, so
+`augment` audits and writes it a chunk at a time too.
 """
 from __future__ import annotations
 
@@ -30,8 +28,8 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
-    NameRecord, Provenance, SyntheticNames, read_records, write_json,
-    write_records,
+    NameRecord, Provenance, SyntheticNames, iter_records, read_records,
+    write_json, write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -227,44 +225,62 @@ class CorpusSplits:
     def sizes(self) -> dict[str, int]:
         return {name: len(self[name]) for name in SPLIT_NAMES}
 
-    def save(self, out_dir: str | Path, *, seed: int,
-             ratios: Sequence[float],
-             audit: dict[str, list[str]]) -> list[Path]:
-        """Write each non-empty split as `<name>.jsonl` under out_dir, then
-        `manifest.json`; return the paths written, in that order.
-
-        The file of an empty split is removed, so the directory holds exactly
-        the bundle its manifest describes, not a split left by an earlier run.
-        """
-        out_dir = Path(out_dir)
+    def save(self, out_dir: str | Path, *, seed: int, ratios: Sequence[float]
+             ) -> tuple[dict[str, list[str]], list[Path]]:
+        """Audit the bundle and, only if it is clean, write each non-empty
+        split and then `manifest.json` under out_dir, removing the file of
+        each empty split, so the directory holds exactly the bundle its
+        manifest describes. Return the violations and the paths written, in
+        that order: none for an unclean bundle."""
+        violations = audit_splits(self)
+        if not audit_is_clean(violations):
+            return violations, []
+        files = SplitFiles(out_dir)
         written = []
         for split in SPLIT_NAMES:
-            path = out_dir / f"{split}.jsonl"
+            path = files.path(split)
             if self[split]:
                 write_records(path, self[split])
                 written.append(path)
             else:
                 path.unlink(missing_ok=True)
-        manifest = out_dir / "manifest.json"
+        manifest = files.splits_dir / "manifest.json"
         write_json(manifest, {"seed": seed, "ratios": list(ratios),
-                              "sizes": self.sizes(), "audit": audit,
-                              "audit_clean": audit_is_clean(audit)})
-        return written + [manifest]
+                              "sizes": self.sizes(), "audit": violations,
+                              "audit_clean": True})
+        return violations, written + [manifest]
 
     @staticmethod
     def load(in_dir: str | Path, names: Sequence[str]) -> "CorpusSplits":
-        """Read the named splits present under in_dir; the rest stay empty."""
+        """Read the named splits under in_dir whole; the rest stay empty."""
+        files = SplitFiles(in_dir)
         splits = CorpusSplits()
         for split in names:
-            setattr(splits, split, read_split(in_dir, split))
+            setattr(splits, split, files.read(split, read_records))
         return splits
 
 
-def read_split(in_dir: str | Path, split: str) -> list[NameRecord]:
-    """The records of `<split>.jsonl` under in_dir; an absent file is an
-    empty split."""
-    path = Path(in_dir) / f"{split}.jsonl"
-    return read_records(path) if path.exists() else []
+class SplitFiles:
+    """`<split>.jsonl` under splits_dir for each split; `read` returns what a
+    reader makes of it, or [] if it is absent. Indexing yields a split's
+    records as `iter_records` reads them, counting them into `sizes` and
+    keeping none, so the audit holds one chunk of a split at a time."""
+
+    def __init__(self, splits_dir: str | Path) -> None:
+        self.splits_dir = Path(splits_dir)
+        self.sizes = dict.fromkeys(SPLIT_NAMES, 0)
+
+    def path(self, split: str) -> Path:
+        return self.splits_dir / f"{split}.jsonl"
+
+    def read(self, split: str, reader) -> Iterable[NameRecord]:
+        path = self.path(split)
+        return reader(path) if path.exists() else []
+
+    def __getitem__(self, split: str) -> Iterator[NameRecord]:
+        for record in self.read(split, iter_records):
+            self.sizes[split] += 1
+            yield record
 
 
 class Concatenated:

@@ -665,6 +665,27 @@ def test_train_validates_inputs():
               config)
 
 
+@pytest.mark.parametrize("bad_train", [True, False],
+                         ids=["both-sets", "validation-only"])
+def test_train_names_the_first_unknown_label(monkeypatch, bad_train):
+    """The first unknown training label is named, else the first unknown
+    validation label, before any name is encoded."""
+    taxonomy = register_taxonomy("t", ["alfa", "bravo"])
+    train_set, val_set = separable_corpus(4)
+    if bad_train:
+        train_set = train_set + [NameRecord("X Y", "zulu")]
+    val_set = val_set + [NameRecord("Y Z", "yankee")]
+
+    def encode_batch(self, names):
+        raise AssertionError("encoded before the labels were checked")
+
+    monkeypatch.setattr(classifier.Tokenizer, "encode_batch", encode_batch)
+    with pytest.raises(UnknownLabelError) as info:
+        train(train_set, val_set, taxonomy, TrainConfig(learning_rate=0.01))
+    label = "zulu" if bad_train else "yankee"
+    assert str(info.value) == f"label {label!r} is not in taxonomy 't'"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_raises_on_divergence():
     taxonomy = register_taxonomy("t", ["alfa", "bravo"])

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from namecountry import cli, fixtures
+from namecountry import cli, enrichment, fixtures
 from namecountry.classifier import (
     ClassifierModel, ModelConfig, Tokenizer, init_params, save_model,
 )
@@ -254,6 +254,49 @@ def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "File exists" in err[0] and str(taken) in err[0], err
     assert taken.read_text(encoding="utf-8") == "keep"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["evaluate", "--model", "nope.bin", "--input", "nope.jsonl",
+      "--mapping", "x.tsv"], "error: --mapping requires --target-taxonomy"),
+    (["split", "--input", "nope.jsonl"],
+     "error: [Errno 2] No such file or directory: 'nope.jsonl'"),
+], ids=["usage", "missing-input"])
+def test_refused_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
+                                           argv, error):
+    # An --out-dir is made by the first file written into it, so a command
+    # refused before it writes leaves none, however deep the path.
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out-dir", "probe/out", *argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["augment", "audit"])
+@pytest.mark.parametrize("is_file", [False, True], ids=["absent", "file"])
+def test_splits_dir_that_is_not_a_directory_exits_2(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    is_file):
+    """A --splits-dir that is absent or names a file is refused with one
+    line, before augment asks for a name and before anything is written."""
+    splits = tmp_path / "splits"
+    if is_file:
+        splits.write_text("keep", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def generate(self, *args, **kwargs):
+        raise AssertionError("generate called")
+
+    monkeypatch.setattr(enrichment.StubNameGenerator, "generate", generate)
+    code = main(["--out-dir", str(out), command, "--splits-dir", str(splits)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {splits}: not a directory"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (
+        ["out", "splits"] if is_file else ["out"])
+    if is_file:
+        assert splits.read_text(encoding="utf-8") == "keep"
 
 
 def test_invalid_config_exits_2(chain, tmp_path, capsys):
@@ -515,7 +558,7 @@ def test_augment_and_audit_hold_one_chunk_of_synthetic_records(
     chunk = 8  # the fixture's 560 synthetic names are 70 chunks
     monkeypatch.setattr(corpus, "AUDIT_CHUNK_RECORDS", chunk)
     alive = []
-    write, ask = corpus.write_records, cli._SplitFiles.__getitem__
+    write, ask = corpus.write_records, corpus.SplitFiles.__getitem__
 
     def counting_write(path, records):
         alive.append(("write", path.stem, synthetic_records() - before))
@@ -526,7 +569,7 @@ def test_augment_and_audit_hold_one_chunk_of_synthetic_records(
         return ask(self, split)
 
     monkeypatch.setattr(corpus, "write_records", counting_write)
-    monkeypatch.setattr(cli._SplitFiles, "__getitem__", counting_ask)
+    monkeypatch.setattr(corpus.SplitFiles, "__getitem__", counting_ask)
     out = tmp_path / "out"
     shutil.copytree(chain.out / "splits", out / "splits")
     before = synthetic_records()
@@ -540,6 +583,23 @@ def test_augment_and_audit_hold_one_chunk_of_synthetic_records(
             "test_oag", "test_gold", "val_oag", "test_filter", "train_oag",
             "val_aug", "test_filter_aug", "train_aug"))]
     assert max(n for _, _, n in alive) <= chunk, alive
+
+
+def test_bucket_threshold_defaults_to_augment_threshold(chain, tmp_path):
+    """Without --bucket-threshold, evaluate cuts head from tail at the
+    config's augment.threshold, the cut augment draws by: the report is the
+    chain's, which passed 200 by the flag."""
+    config = json.loads((chain.fx / "pipeline.json").read_text())
+    config["augment"]["threshold"] = 200
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    report = tmp_path / "eval_report.json"
+    assert main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
+                 "evaluate", "--model", str(chain.out / "model.bin"),
+                 "--input", str(chain.out / "splits" / "test_filter_aug.jsonl"),
+                 "--train-split", str(chain.out / "splits" / "train_aug.jsonl"),
+                 "--output", str(report)]) == 0
+    assert report.read_bytes() == (chain.out / "eval_report.json").read_bytes()
 
 
 @pytest.mark.parametrize("gold", [0, -5])
@@ -556,7 +616,7 @@ def test_augment_rejects_gold_per_country_below_one(chain, tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         "error: gold_per_country must be positive"]
     assert not (tmp_path / "splits").exists()
-    assert not any((tmp_path / "out").rglob("*"))  # main makes it empty
+    assert not (tmp_path / "out").exists()
 
 
 def _snapshot(root):
@@ -859,7 +919,7 @@ def test_split_rejects_bad_http_oracle_config(chain, tmp_path, capsys, http,
     assert code == 2
     assert len(err) == 1 and err[0].startswith(
         f"error: oracle.http.{key} must be"), err
-    assert list(out.iterdir()) == []  # no splits/, no manifest
+    assert not out.exists()  # no splits/, no manifest
 
 
 def test_unknown_strictness_exits_2(chain, tmp_path, capsys):
@@ -921,7 +981,7 @@ def test_augment_refuses_override_keys(chain, tmp_path, capsys, overrides,
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
     assert not (tmp_path / "splits").exists()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_split_strictness_keys_are_labels(chain, tmp_path):
@@ -954,7 +1014,7 @@ def test_split_refuses_strictness_keys(chain, tmp_path, capsys, strictness,
                  "--input", str(chain.out / "corpus.jsonl")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
-    assert list(out.iterdir()) == []  # no splits/, no manifest
+    assert not out.exists()  # no splits/, no manifest
 
 
 @pytest.mark.parametrize("name", ["strict_fraction", "lenient_fraction"])
@@ -971,7 +1031,7 @@ def test_split_refuses_validator_fraction_out_of_range(chain, tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: oracle.{name} must be between 0 and 1, got {fraction!r}"]
-    assert list(out.iterdir()) == []  # no splits/, no manifest
+    assert not out.exists()  # no splits/, no manifest
 
 
 @pytest.mark.parametrize("fraction", [0, 1])
@@ -1164,6 +1224,29 @@ def test_audit_exits_1_on_leaky_splits(chain, tmp_path, capsys):
     report = json.loads((tmp_path / "audit_report.json").read_text())
     assert report["clean"] is False
     assert report["violations"]["train_aug_vs_test_oag"] == ["held out"]
+
+
+def test_augment_exits_1_and_writes_nothing_on_an_unclean_bundle(
+        chain, tmp_path, capsys):
+    """The bundle augment builds is audited before any of it is written: a
+    base test_filter name that is not in test_oag is reported, and no split
+    and no manifest is written."""
+    base = tmp_path / "base"
+    for split in ("train_oag", "val_oag", "test_oag", "test_filter"):
+        records = read_records(chain.out / "splits" / f"{split}.jsonl")
+        if split == "test_filter":
+            records.append(NameRecord("Stray Name", records[0].label,
+                                      provenance=Provenance.VALIDATED))
+        write_records(base / f"{split}.jsonl", records)
+    out, aug = tmp_path / "out", tmp_path / "aug"
+    code = main(["--config", str(chain.fx / "pipeline.json"),
+                 "--out-dir", str(out), "augment", "--splits-dir", str(base),
+                 "--output-dir", str(aug)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "audit violations:", "  test_filter_subset_of_test_oag: 'Stray Name'"]
+    assert not aug.exists()
+    assert not any(out.rglob("*"))
 
 
 def test_audit_holds_one_chunk_at_a_time(tmp_path, capsys):

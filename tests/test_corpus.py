@@ -247,8 +247,7 @@ def test_corpus_splits_save_load_round_trip(tmp_path):
     splits = CorpusSplits(train_oag=make_records("alfa", 8),
                           val_oag=make_records("bravo", 2))
     (tmp_path / "test_oag.jsonl").write_text("stale\n", encoding="utf-8")
-    written = splits.save(tmp_path, seed=0, ratios=(8, 1, 1),
-                          audit=audit_splits(splits))
+    _, written = splits.save(tmp_path, seed=0, ratios=(8, 1, 1))
     assert written == [tmp_path / "train_oag.jsonl",
                        tmp_path / "val_oag.jsonl", tmp_path / "manifest.json"]
     assert not (tmp_path / "test_oag.jsonl").exists()  # empty split: removed
@@ -256,6 +255,22 @@ def test_corpus_splits_save_load_round_trip(tmp_path):
     assert loaded.train_oag == splits.train_oag
     assert loaded.val_oag == splits.val_oag
     assert loaded.test_gold == []
+
+
+def test_save_refuses_an_unclean_bundle(tmp_path):
+    """save audits the bundle first: an unclean one is returned with its
+    violations, and nothing is written or removed, not even manifest.json."""
+    bundle = clean_bundle()
+    leaked = bundle.val_oag[0]
+    bundle.train_oag.append(leaked)
+    (tmp_path / "train_oag.jsonl").write_text("stale\n", encoding="utf-8")
+    violations, written = bundle.save(tmp_path, seed=0, ratios=(8, 1, 1))
+    assert violations == audit_splits(bundle)
+    assert violations["train_oag_vs_val_oag"] == [leaked.key]
+    assert written == []
+    assert [p.name for p in tmp_path.iterdir()] == ["train_oag.jsonl"]
+    assert (tmp_path / "train_oag.jsonl").read_text(encoding="utf-8") == (
+        "stale\n")
 
 
 def test_corpus_splits_getitem():
@@ -594,9 +609,8 @@ def test_audit_matches_keying_training_splits_whole(chunk, bundle,
 
 def test_write_split_manifest(tmp_path):
     bundle = clean_bundle()
-    violations = audit_splits(bundle)
-    path = bundle.save(tmp_path, seed=7, ratios=(8, 1, 1),
-                       audit=violations)[-1]
+    _, written = bundle.save(tmp_path, seed=7, ratios=(8, 1, 1))
+    path = written[-1]
     assert path == tmp_path / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert manifest["seed"] == 7

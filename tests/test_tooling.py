@@ -1,12 +1,12 @@
 """Source guards: one atomic writer, one reader per input format, one record
 encoder, one report serializer, one retry loop, one leakage check, one
-switch of the garbage collector, one exit rule for bad input, one
-classifier forward pass and one scoring walk for evaluation in the package,
-none of the constructs its kernels and bench were rid of, every package
-name the bench's tracer wraps (and its data hooks run on the fixture
-chain), the bytes the fixture data chain writes, no module-level name that
-only tests use, no private name taken from another module, and a README
-library example that runs."""
+split directory format, one switch of the garbage collector, one exit rule
+for bad input, one classifier forward pass and one scoring walk for
+evaluation in the package, none of the constructs its kernels and bench
+were rid of, every package name the bench's tracer wraps (and its data
+hooks run on the fixture chain), the bytes the fixture data chain writes,
+no module-level name that only tests use, no private name taken from
+another module, and a README library example that runs."""
 import ast
 import functools
 import hashlib
@@ -55,6 +55,14 @@ def test_one_leakage_check():
     # Train/evaluation overlap is named only in corpus.audit_splits.
     assert where("_vs_") == ["corpus.py"]
     assert where("LeakageError") == []
+
+
+def test_one_split_directory_format():
+    # corpus.SplitFiles names every split file, CorpusSplits.save audits the
+    # bundle before it writes one, and the audit command is the other audit.
+    assert where('}.jsonl"') == ["corpus.py"]
+    assert where("audit_splits(") == ["cli.py", "corpus.py", "corpus.py"]
+    assert where("_SplitFiles") == where("read_split") == []
 
 
 def test_one_collector_switch():
