@@ -5,12 +5,14 @@ ReLU -> masked mean pooling over non-pad positions -> linear head over the
 taxonomy, trained with AdamW under linear warmup then linear decay, early
 stopping on validation macro-F1, and best-epoch checkpointing.
 
-Encoding runs no Python code per character: chunks of ENCODE_CHUNK_ROWS
-names are translated through a code page and read back as UTF-32 into the
-output (see Tokenizer.encode_batch), so its memory besides the output does
-not grow with the batch. AdamW updates in place, in work arrays allocated
-once, one operation at a time in the order Python evaluates its update
-expression, so each step rounds exactly as that expression does.
+Encoding runs no Python code per character: each chunk of ENCODE_CHUNK_ROWS
+normalized names is joined, translated through a code page and read back
+as UTF-32 into its rows of the output (see Tokenizer.encode_batch), so its
+memory besides the output does not grow with the batch. AdamW keeps the
+parameters, their moments and its work arrays as views of one flat buffer
+per dtype and updates it in place, one whole-buffer operation at a time in
+the order Python evaluates its update expression, so each step rounds
+exactly as that expression does.
 
 One forward pass serves training and scoring. Each non-pad token's
 (prev, cur, nxt) ids index three tap tables, rows of embedding @ tap
@@ -29,16 +31,21 @@ constant shape. Memory is bounded by the block, not the batch.
 
 Training works in the batch's own vocabulary: its tap tables span the K
 distinct ids of its tokens, plus PAD, and tokens index them by local id.
-The backward pass sums the hidden gradient per id and tap with one 0/1
-indicator matmul, and forms both weight gradients from those K-row sums.
-Its cost grows with tokens times K, so it beats an im2col step while K is
-below about 3 * embedding_dim (see loss_and_grads). A training step is not
-bit-identical across batch shapes, and need not be: only scoring carries
-that contract.
+The backward pass sums the hidden gradient per id and tap with one product
+of a (3K, tokens) 0/1 indicator, and forms both weight gradients from
+those K-row sums. Its cost grows with tokens times K, so it beats an
+im2col step while K is below about 3 * embedding_dim (see loss_and_grads).
+A training step is not bit-identical across batch shapes, and need not be:
+only scoring carries that contract. A threaded BLAS product sums in an
+order that depends on its thread count, so train runs with one OpenBLAS
+thread and its bytes do not depend on the environment's thread count.
 """
 from __future__ import annotations
 
 import codecs
+import contextlib
+import ctypes
+import functools
 import itertools
 import json
 import math
@@ -62,16 +69,16 @@ DEFAULT_MAX_LEN = 40
 # name in proportion to max_len, so a checkpoint header or config must not
 # set it freely; names are far shorter than this.
 MAX_LEN_LIMIT = 1024
-_PAD_CHAR = chr(PAD)
 _UNK_CHAR = chr(UNK)
 # The codec's own function: str.encode looks the codec up on every call.
 _encode_utf32le = codecs.getencoder("utf-32-le")
 # int32 in the byte order of those UTF-32 code units.
 _TOKEN_DTYPE = np.dtype("<i4")
 
-# Names per encoding chunk. The chunk's joined text and its UTF-32 bytes are
-# the only allocations besides the output, so this bounds them (a few
-# hundred KB at max_len 40); larger chunks were no faster.
+# Names per encoding chunk. The chunk's names, their joined text, its UTF-32
+# bytes and the chunk's position mask are the only allocations besides the
+# output, so this bounds them (a few hundred KB at max_len 40); larger chunks
+# were no faster. train also fills its ids a chunk at a time.
 ENCODE_CHUNK_ROWS = 1024
 
 CHECKPOINT_MAGIC = b"NCCLF001"
@@ -149,23 +156,26 @@ class Tokenizer:
     def encode_batch(self, names: Sequence[str]) -> np.ndarray:
         """Token ids, shape (len(names), max_len), int32.
 
-        Each name is normalized and truncated, then translated to one
-        character per token id and right-padded with PAD. A chunk of rows is
-        joined, encoded as UTF-32, and its bytes copied into the output:
-        every token id is one code unit, and surrogatepass lets the ids that
-        are surrogate code points through. PAD is added after translation,
+        Each name is normalized and truncated. A chunk of names is then
+        joined, translated to one character per token id and encoded as
+        UTF-32 once: every token id is one code unit, and surrogatepass lets
+        the ids that are surrogate code points through. The codes fill each
+        row's leading positions, up to its name's length, and PAD the rest,
         so a U+0000 in a name is UNK.
         """
         width = self.max_len
         page = self._page
-        out = np.empty((len(names), width), dtype=_TOKEN_DTYPE)
+        positions = np.arange(width)
+        out = np.zeros((len(names), width), dtype=_TOKEN_DTYPE)
         for start in range(0, len(names), ENCODE_CHUNK_ROWS):
-            chunk = names[start:start + ENCODE_CHUNK_ROWS]
-            text = "".join([normalize_name(name)[:width].translate(page)
-                            .ljust(width, _PAD_CHAR) for name in chunk])
-            rows = out[start:start + len(chunk)]
-            memoryview(rows).cast("B")[:] = _encode_utf32le(
-                text, "surrogatepass")[0]
+            chunk = [normalize_name(name)[:width]
+                     for name in names[start:start + ENCODE_CHUNK_ROWS]]
+            lengths = np.fromiter(map(len, chunk), dtype=np.intp,
+                                  count=len(chunk))
+            codes = _encode_utf32le("".join(chunk).translate(page),
+                                    "surrogatepass")[0]
+            out[start:start + len(chunk)][positions < lengths[:, None]] = (
+                np.frombuffer(codes, dtype=_TOKEN_DTYPE))
         return out
 
 
@@ -174,7 +184,7 @@ def fit_tokenizer(corpus: Sequence[NameRecord],
     """Character vocabulary of the corpus, ordered by codepoint."""
     if not corpus:
         raise ValueError("cannot fit a tokenizer on an empty corpus")
-    chars = sorted({c for record in corpus for c in record.full_name})
+    chars = sorted(set("".join([record.full_name for record in corpus])))
     return Tokenizer(tuple(chars), max_len)
 
 
@@ -250,9 +260,9 @@ def _conv_pool(taps: np.ndarray, tap_ids: np.ndarray, rows: np.ndarray,
     Rows of `pooled` with no tokens are zeroed. Returns the activations,
     shape (tokens, H), and the token count of each row of `pooled`.
     """
-    hidden = taps[0][tap_ids[0]]
-    hidden += taps[1][tap_ids[1]]
-    hidden += taps[2][tap_ids[2]]
+    hidden = np.take(taps[0], tap_ids[0], axis=0)
+    hidden += np.take(taps[1], tap_ids[1], axis=0)
+    hidden += np.take(taps[2], tap_ids[2], axis=0)
     hidden += conv_b
     np.maximum(hidden, 0, out=hidden)
     # `rows` is sorted, so each row's tokens are one run, in position order.
@@ -296,14 +306,15 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     Works over the batch's own vocabulary (see module docstring): the K
     distinct ids of its non-pad tokens, plus PAD. With T tokens, embedding
     width E and hidden width H, the tap tables cost K * E * 3H, the forward
-    gathers 3 * T * H, and the backward indicator products 3 * K * T * H,
-    against 3 * T * 3E * H for the three im2col products this replaced, so
-    the step is the cheaper one while K is below about 3E. A batch of names
-    holds a few dozen distinct characters; ~700 tokens drawn at random from
-    5000 ids (K ~ 670) take about three times as long as im2col. Padding
-    adds no work. The vocabulary size enters only through an id lookup
-    array and the embedding gradient, whose rows outside the batch's
-    vocabulary are zero. An all-pad row pools to zeros.
+    gathers 3 * T * H, and the backward indicator product, (3K, T) by
+    (T, H), 3 * K * T * H, against 3 * T * 3E * H for the three im2col
+    products this replaced, so the step is the cheaper one while K is below
+    about 3E. A batch of names holds a few dozen distinct characters; ~700
+    tokens drawn at random from 5000 ids (K ~ 670) take about three times
+    as long as im2col. Padding adds no work. The vocabulary size enters
+    only through an id lookup array and the embedding gradient, whose rows
+    outside the batch's vocabulary are zero. Ids of any integer dtype give
+    the same bits. An all-pad row pools to zeros.
     """
     embedding = params["embedding"]
     conv_w = params["conv_w"]
@@ -342,20 +353,20 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     d_pooled = d_logits @ params["head_w"].T
     d_pooled /= np.maximum(counts, 1).astype(dtype)[:, None]
     # ReLU passes gradient where its output is positive.
-    d_hidden = d_pooled[rows]
+    d_hidden = np.take(d_pooled, rows, axis=0)
     np.multiply(d_hidden, hidden > 0, out=d_hidden)
+    del hidden  # frees its (T, H) floats before the indicator is built
     grads["conv_b"] = d_hidden.sum(axis=0)
 
-    # g[t] = onehot_t @ d_hidden, where onehot_t[k, i] is 1 when token i's
-    # tap-t id is local id k: it sums d_hidden per id. One 0/1 buffer is set
-    # and cleared for each tap.
-    positions = np.arange(len(rows))
-    onehot = np.zeros((len(vocab), len(rows)), dtype=dtype)
-    g = np.empty((3, len(vocab), h), dtype=dtype)
-    for t, local_ids in enumerate(tap_ids):
-        onehot[local_ids, positions] = 1
-        np.matmul(onehot, d_hidden, out=g[t])
-        onehot[local_ids, positions] = 0
+    # g[t] = onehot[t] @ d_hidden, where onehot[t, k, i] is 1 when token i's
+    # tap-t id is local id k: it sums d_hidden per id. The three taps' rows
+    # are one (3K, T) indicator, set through its flat index and multiplied
+    # once.
+    k, tokens = len(vocab), len(rows)
+    onehot = np.zeros(3 * k * tokens, dtype=dtype)
+    onehot[(tap_ids + np.arange(0, 3 * k, k)[:, None]) * tokens
+           + np.arange(tokens)] = 1
+    g = (onehot.reshape(3 * k, tokens) @ d_hidden).reshape(3, k, h)
     grads["conv_w"] = emb.T @ g
     embedding_grad = np.zeros_like(embedding)
     embedding_grad[vocab] = (g @ conv_w.transpose(0, 2, 1)).sum(axis=0)
@@ -370,35 +381,62 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class AdamW:
     """Adam with decoupled weight decay; state arrays follow the param dtype.
 
-    Each parameter has two work arrays, allocated once, so a step
-    allocates nothing. Grads must share their parameter's dtype.
+    The parameters of each dtype, their two moments, their grads and two
+    work arrays are rows of one flat buffer, allocated once, so a step is a
+    dozen whole-buffer operations and allocates nothing. Construction copies
+    each parameter into its buffer and rebinds `params[key]` to that view,
+    of the same shape; step() updates those views in place. `_m[key]` and
+    `_v[key]` are the moments of one parameter. Grads must share their
+    parameter's dtype.
     """
 
     def __init__(self, params: dict[str, np.ndarray], weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {k: np.zeros_like(v) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._work = {k: (np.empty_like(v), np.empty_like(v))
-                         for k, v in params.items()}
+        self._params: dict[str, np.ndarray] = {}
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+        # Per dtype: its keys, then the flat param, grad, m, v, update and
+        # denom rows.
+        self._groups: list[tuple[list[str], np.ndarray]] = []
+        by_dtype: dict[np.dtype, list[str]] = {}
+        for key, value in params.items():
+            by_dtype.setdefault(value.dtype, []).append(key)
+        for dtype, keys in by_dtype.items():
+            flat = np.zeros((6, sum(params[key].size for key in keys)),
+                            dtype=dtype)
+            offset = 0
+            for key in keys:
+                shape = params[key].shape
+                end = offset + params[key].size
+                view = flat[0, offset:end].reshape(shape)
+                view[...] = params[key]
+                params[key] = self._params[key] = view
+                self._m[key] = flat[2, offset:end].reshape(shape)
+                self._v[key] = flat[3, offset:end].reshape(shape)
+                offset = end
+            self._groups.append((keys, flat))
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray], lr: float) -> None:
-        """One update, evaluated as these expressions would be:
+        """One update of the params this optimizer was built with, evaluated
+        as these expressions would be:
 
             m = BETA1 * m + (1 - BETA1) * grad
             v = BETA2 * v + (1 - BETA2) * grad * grad
             param -= lr * ((m / bias1) / (sqrt(v / bias2) + EPS)
                            + weight_decay * param)
         """
+        if params.keys() != self._params.keys() or any(
+                params[key] is not view for key, view in self._params.items()):
+            raise ValueError("AdamW.step takes the params it was built with")
         self.step_count += 1
         bias1 = 1.0 - BETA1 ** self.step_count
         bias2 = 1.0 - BETA2 ** self.step_count
-        for key, param in params.items():
-            grad = grads[key]
-            m = self._m[key]
-            v = self._v[key]
-            update, denom = self._work[key]
+        for keys, flat in self._groups:
+            param, grad, m, v, update, denom = flat
+            np.concatenate([grads[key].ravel() for key in keys], out=grad,
+                           casting="no")
             m *= BETA1
             m += np.multiply(1.0 - BETA1, grad, out=update)
             v *= BETA2
@@ -496,6 +534,44 @@ def _default_val_scorer(val_set: Sequence[NameRecord]) -> ValScorer:
     return scorer
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set thread-count calls of the OpenBLAS that numpy's Linux
+    wheels bundle, or None for a numpy built against another BLAS."""
+    for path in sorted(Path(np.__file__).parent.parent.glob(
+            "numpy.libs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(
+                ("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one OpenBLAS thread, then restore the count."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@_one_blas_thread()
 def train(
     train_set: Sequence[NameRecord],
     val_set: Sequence[NameRecord],
@@ -511,7 +587,9 @@ def train(
     the best so far (strict improvement); `patience` consecutive epochs
     without improvement stop training, and the checkpoint from the best epoch
     is returned. `val_scorer` overrides validation scoring; it receives the
-    live model and returns (accuracy, macro_f1).
+    live model and returns (accuracy, macro_f1). It runs with one OpenBLAS
+    thread, so its results do not depend on the thread count the
+    environment sets; the previous count is restored when it returns.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
@@ -522,14 +600,21 @@ def train(
 
     if tokenizer is None:
         tokenizer = fit_tokenizer(train_set)
-    x_train = tokenizer.encode_batch([r.full_name for r in train_set])
+    # Ids in the narrowest dtype that holds the vocabulary, filled a chunk
+    # at a time, so no int32 copy of the whole split exists.
+    n = len(train_set)
+    x_train = np.empty((n, tokenizer.max_len),
+                       dtype=np.min_scalar_type(tokenizer.vocab_size - 1))
+    names = (r.full_name for r in train_set)  # it may be sized, not sliceable
+    for start in range(0, n, ENCODE_CHUNK_ROWS):
+        x_train[start:start + ENCODE_CHUNK_ROWS] = tokenizer.encode_batch(
+            list(itertools.islice(names, ENCODE_CHUNK_ROWS)))
     params = init_params(tokenizer.vocab_size, len(taxonomy), model_config,
                          seed=config.seed)
     optimizer = AdamW(params, weight_decay=config.weight_decay)
     if val_scorer is None:
         val_scorer = _default_val_scorer(val_set)
 
-    n = len(train_set)
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = steps_per_epoch * config.max_epochs
     warmup_steps = int(config.warmup_fraction * total_steps)

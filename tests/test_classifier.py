@@ -404,6 +404,45 @@ def test_gradients_match_dense_reference_many_ids():
     assert_matches_dense(params, x, rng.integers(0, classes, size=len(x)))
 
 
+def bench_shape_batch(rng, rows=64, vocab=44, max_len=40):
+    """The bench's batch shape: names of 5-17 tokens over ~43 ids, padded
+    to max_len, about 700 tokens in all."""
+    x = rng.integers(2, vocab, size=(rows, max_len)).astype(np.int32)
+    x[np.arange(max_len) >= rng.integers(5, 18, size=rows)[:, None]] = PAD
+    return x
+
+
+def test_gradients_match_dense_reference_at_bench_shape():
+    """The bench's shape (about 43 ids and 700 tokens, 64/128 model, 99
+    classes), where the backward indicator has 3 * 44 rows: still exact."""
+    rng = np.random.default_rng(13)
+    x = bench_shape_batch(rng)
+    assert 40 <= len(np.unique(x)) <= 44 and 600 <= (x != PAD).sum() <= 800
+    params = init_params(44, 99, seed=5, dtype=np.float64)
+    for key in ("conv_b", "head_b"):
+        params[key] = rng.normal(0.0, 0.1, params[key].shape)
+    assert_matches_dense(params, x, rng.integers(0, 99, size=len(x)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_and_grads_do_not_depend_on_the_id_dtype(dtype):
+    """train holds ids in the narrowest dtype that fits its vocabulary: the
+    same ids as uint8, uint16 and int32 give the same loss and grads, bit
+    for bit."""
+    rng = np.random.default_rng(14)
+    x = bench_shape_batch(rng)
+    x[1, 3] = UNK
+    y = rng.integers(0, 99, size=len(x))
+    params = init_params(44, 99, seed=6, dtype=dtype)
+    loss, grads = loss_and_grads(params, x, y)
+    for id_dtype in (np.uint8, np.uint16):
+        narrow_loss, narrow_grads = loss_and_grads(params, x.astype(id_dtype), y)
+        assert narrow_loss == loss
+        for key in params:
+            assert np.array_equal(narrow_grads[key].view(np.uint8),
+                                  grads[key].view(np.uint8)), (id_dtype, key)
+
+
 def test_loss_and_grads_memory_at_bench_shape():
     """One float32 step at the bench's shape (64 names of 5-17 tokens padded
     to 40, 43 ids, 64/128 model, 99 classes) peaks below 1.82 MiB of traced
@@ -502,6 +541,49 @@ def test_adamw_matches_reference_bitwise(dtype, weight_decay):
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), key
 
 
+def test_adamw_matches_reference_bitwise_on_mixed_params():
+    """Params of mixed shapes and of both float dtypes, in one dict, not
+    made by init_params: each dtype's flat buffer updates every parameter
+    as the per-parameter reference does, and the dict keeps its shapes."""
+    rng = np.random.default_rng(7)
+    shapes = {"a": ((7,), np.float32), "b": ((3, 4, 5), np.float64),
+              "c": ((1,), np.float32), "d": ((0, 3), np.float32),
+              "e": ((2, 1, 3), np.float64), "f": ((), np.float32)}
+    params = {k: rng.normal(0.0, 1.0, shape).astype(dtype)
+              for k, (shape, dtype) in shapes.items()}
+    reference = {k: v.copy() for k, v in params.items()}
+    optimizer = AdamW(params, weight_decay=0.05)
+    expected = ReferenceAdamW(reference, 0.05)
+    for step in range(1, 16):
+        grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), v.shape)
+                 .astype(v.dtype) for k, v in params.items()}
+        lr = lr_at_step(step, 15, 2, 0.01)
+        optimizer.step(params, grads, lr)
+        expected.step(reference, grads, lr)
+    for key, (shape, dtype) in shapes.items():
+        assert params[key].shape == shape and params[key].dtype == dtype
+        for got, want in ((params[key], reference[key]),
+                          (optimizer._m[key], expected._m[key]),
+                          (optimizer._v[key], expected._v[key])):
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes(), key
+
+
+def test_adamw_step_takes_the_params_it_was_built_with():
+    params = init_params(9, 3, ModelConfig(5, 7), seed=2)
+    optimizer = AdamW(params)
+    grads = {k: np.ones_like(v) for k, v in params.items()}
+    copies = {k: v.copy() for k, v in params.items()}
+    with pytest.raises(ValueError, match="params it was built with"):
+        optimizer.step(copies, grads, 0.01)
+    with pytest.raises(ValueError, match="params it was built with"):
+        optimizer.step({k: params[k] for k in ("embedding", "conv_w")},
+                       grads, 0.01)
+    assert optimizer.step_count == 0
+    optimizer.step(params, grads, 0.01)
+    assert not np.array_equal(params["head_b"], copies["head_b"])
+
+
 def test_adamw_weight_decay_shrinks_unused_weights():
     # zero gradients everywhere: decay alone must shrink the parameter
     params = {"w": np.ones(4, dtype=np.float64)}
@@ -553,6 +635,31 @@ def test_train_learns_separable_data():
                        ModelConfig(embedding_dim=8, hidden_dim=16))
     assert log.epochs[-1].val_accuracy > 0.95
     assert model.predict_labels(["Ababa Dab99"]) == ["alfa"]
+
+
+def test_train_runs_with_one_blas_thread_and_restores_the_count():
+    calls = classifier._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS its wheels bundle")
+    get, set_ = calls
+    before = get()
+    seen = []
+
+    def scorer(model):
+        seen.append(get())
+        return 0.5, 0.5
+
+    taxonomy = register_taxonomy("t", ["alfa", "bravo"])
+    train_set, val_set = separable_corpus(n_per_class=8)
+    set_(2)
+    try:
+        train(train_set, val_set, taxonomy,
+              TrainConfig(learning_rate=0.01, batch_size=4, max_epochs=2),
+              ModelConfig(4, 6), val_scorer=scorer)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen == [1, 1]
 
 
 def test_train_logs_are_deterministic():

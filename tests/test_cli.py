@@ -10,6 +10,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -78,9 +79,29 @@ def chain(tmp_path_factory):
     return SimpleNamespace(fx=fx, out=out, run=run)
 
 
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(chain, tmp_path):
+    """`train` on the chain's splits, in a process started with
+    OPENBLAS_NUM_THREADS=1 and in one started with 2, writes the same
+    model.bin and train log: training pins one BLAS thread."""
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "namecountry.cli",
+             "--config", str(chain.fx / "pipeline.json"), "--out-dir", str(out),
+             "train", "--splits-dir", str(chain.out / "splits"),
+             "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt")],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        written.append([(out / name).read_bytes()
+                        for name in ("model.bin", "train_log.jsonl")])
+    assert written[0] == written[1]
+
+
 def test_evaluate_report_bytes_are_pinned(chain):
     """The chain's `evaluate --train-split` report, byte for byte. It is the
-    same under 1 and 2 BLAS threads, although model.bin is not."""
+    same under 1 and 2 BLAS threads, as model.bin is."""
     report = (chain.out / "eval_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == (
         "bb37c8e5b201f1e932924ebb3c3a72ff2005f1facd1020a58ec4d3b0434d2e22")
