@@ -9,9 +9,9 @@ Encoding runs no Python code per character: each chunk of ENCODE_CHUNK_ROWS
 normalized names is joined, translated through a code page and read back
 as UTF-32 into its rows of the output (see Tokenizer.encode_batch), so its
 memory besides the output does not grow with the batch. AdamW keeps the
-parameters, their moments and its work arrays as views of one flat buffer
-per dtype and updates it in place, one whole-buffer operation at a time in
-the order Python evaluates its update expression, so each step rounds
+parameters, their grads, their moments and its work arrays as rows of one
+flat buffer and updates it in place, one whole-buffer operation at a time
+in the order Python evaluates its update expression, so each step rounds
 exactly as that expression does.
 
 One forward pass serves training and scoring. Each non-pad token's
@@ -126,10 +126,9 @@ class _CodePage(dict):
 class Tokenizer:
     """Character vocabulary with reserved PAD=0 and UNK=1 indices.
 
-    encode_batch() yields exactly max_len indices per name (truncate or
-    pad). Only single characters are ever matched: an entry of `chars` that
-    is longer than one character keeps its index but never occurs in an
-    encoding.
+    Each entry of `chars` is one character, with index its position plus
+    2. encode_batch() yields exactly max_len indices per name (truncate or
+    pad).
     """
 
     chars: tuple[str, ...]
@@ -143,10 +142,11 @@ class Tokenizer:
             raise ValueError(f"max_len {self.max_len} is not in 1..{MAX_LEN_LIMIT}")
         if not all(isinstance(c, str) for c in self.chars):
             raise ValueError("tokenizer characters must be strings")
+        if wide := [c for c in self.chars if len(c) != 1]:
+            raise ValueError(f"tokenizer entry {wide[0]!r} is not one character")
         if len(set(self.chars)) != len(self.chars):
             raise ValueError("tokenizer characters must be unique")
-        page = _CodePage({ord(c): chr(i + 2)
-                          for i, c in enumerate(self.chars) if len(c) == 1})
+        page = _CodePage({ord(c): chr(i + 2) for i, c in enumerate(self.chars)})
         object.__setattr__(self, "_page", page)
 
     @property
@@ -379,78 +379,62 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Adam with decoupled weight decay; state arrays follow the param dtype.
+    """Adam with decoupled weight decay over parameters of one dtype.
 
-    The parameters of each dtype, their two moments, their grads and two
-    work arrays are rows of one flat buffer, allocated once, so a step is a
-    dozen whole-buffer operations and allocates nothing. Construction copies
-    each parameter into its buffer and rebinds `params[key]` to that view,
-    of the same shape; step() updates those views in place. `_m[key]` and
-    `_v[key]` are the moments of one parameter. Grads must share their
-    parameter's dtype.
+    The parameters, their grads, both moments and two work arrays are the
+    six rows of one buffer, allocated once, so a step is a dozen
+    whole-buffer operations and allocates nothing. Construction copies the
+    parameters into row 0 in key order and rebinds each `params[key]` to
+    its view there, of the same shape, so the caller's dict holds the live
+    parameters, which step() updates in place. Grads must be of that dtype.
     """
 
     def __init__(self, params: dict[str, np.ndarray], weight_decay: float = 0.0):
+        dtypes = {value.dtype for value in params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"AdamW takes parameters of one dtype, not "
+                             f"{sorted(d.name for d in dtypes)}")
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._params: dict[str, np.ndarray] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        # Per dtype: its keys, then the flat param, grad, m, v, update and
-        # denom rows.
-        self._groups: list[tuple[list[str], np.ndarray]] = []
-        by_dtype: dict[np.dtype, list[str]] = {}
+        self._keys = list(params)
+        # Rows: param, grad, m, v, update, denom.
+        self._buffer = np.zeros((6, sum(v.size for v in params.values())),
+                                dtype=dtypes.pop())
+        offset = 0
         for key, value in params.items():
-            by_dtype.setdefault(value.dtype, []).append(key)
-        for dtype, keys in by_dtype.items():
-            flat = np.zeros((6, sum(params[key].size for key in keys)),
-                            dtype=dtype)
-            offset = 0
-            for key in keys:
-                shape = params[key].shape
-                end = offset + params[key].size
-                view = flat[0, offset:end].reshape(shape)
-                view[...] = params[key]
-                params[key] = self._params[key] = view
-                self._m[key] = flat[2, offset:end].reshape(shape)
-                self._v[key] = flat[3, offset:end].reshape(shape)
-                offset = end
-            self._groups.append((keys, flat))
+            end = offset + value.size
+            params[key] = self._buffer[0, offset:end].reshape(value.shape)
+            params[key][...] = value
+            offset = end
 
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray], lr: float) -> None:
-        """One update of the params this optimizer was built with, evaluated
-        as these expressions would be:
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        """One update, evaluated as these expressions would be:
 
             m = BETA1 * m + (1 - BETA1) * grad
             v = BETA2 * v + (1 - BETA2) * grad * grad
             param -= lr * ((m / bias1) / (sqrt(v / bias2) + EPS)
                            + weight_decay * param)
         """
-        if params.keys() != self._params.keys() or any(
-                params[key] is not view for key, view in self._params.items()):
-            raise ValueError("AdamW.step takes the params it was built with")
         self.step_count += 1
         bias1 = 1.0 - BETA1 ** self.step_count
         bias2 = 1.0 - BETA2 ** self.step_count
-        for keys, flat in self._groups:
-            param, grad, m, v, update, denom = flat
-            np.concatenate([grads[key].ravel() for key in keys], out=grad,
-                           casting="no")
-            m *= BETA1
-            m += np.multiply(1.0 - BETA1, grad, out=update)
-            v *= BETA2
-            np.multiply(1.0 - BETA2, grad, out=update)
-            v += np.multiply(update, grad, out=update)
-            np.divide(m, bias1, out=update)
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += EPS
-            update /= denom
-            if self.weight_decay:
-                update += np.multiply(self.weight_decay, param, out=denom)
-            update *= lr
-            param -= update
+        param, grad, m, v, update, denom = self._buffer
+        np.concatenate([grads[key].ravel() for key in self._keys], out=grad,
+                       casting="no")
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, grad, out=update)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, grad, out=update)
+        v += np.multiply(update, grad, out=update)
+        np.divide(m, bias1, out=update)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        update /= denom
+        if self.weight_decay:
+            update += np.multiply(self.weight_decay, param, out=denom)
+        update *= lr
+        param -= update
 
 
 def lr_at_step(step: int, total_steps: int, warmup_steps: int,
@@ -638,7 +622,7 @@ def train(
             loss, grads = loss_and_grads(params, x_train[batch], y_train[batch])
             if not math.isfinite(loss):
                 raise NonFiniteLossError(epoch, step, loss)
-            optimizer.step(params, grads, lr)
+            optimizer.step(grads, lr)
             total_loss += loss * len(batch)
 
         model = ClassifierModel(tokenizer, taxonomy, params)

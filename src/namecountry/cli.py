@@ -276,7 +276,7 @@ def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
         splits.test_filter = corpus_mod.build_filtered_test(
             test, _make_validator(config, {r.label for r in test}),
             cap=split_cfg["filter_cap"], seed=seed)
-    violations, written = splits.save(split_dir, seed=seed, ratios=ratios)
+    violations, written = splits.save(split_dir, seed=seed)
     if not written:
         _print_violations(violations)
         return 1
@@ -336,7 +336,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
     del synth_parts, base
 
-    violations, written = splits.save(output_dir, seed=seed, ratios=ratios)
+    violations, written = splits.save(output_dir, seed=seed)
     if not written:
         _print_violations(violations)
         return 1

@@ -225,13 +225,14 @@ class CorpusSplits:
     def sizes(self) -> dict[str, int]:
         return {name: len(self[name]) for name in SPLIT_NAMES}
 
-    def save(self, out_dir: str | Path, *, seed: int, ratios: Sequence[float]
+    def save(self, out_dir: str | Path, *, seed: int
              ) -> tuple[dict[str, list[str]], list[Path]]:
         """Audit the bundle and, only if it is clean, write each non-empty
-        split and then `manifest.json` under out_dir, removing the file of
-        each empty split, so the directory holds exactly the bundle its
-        manifest describes. Return the violations and the paths written, in
-        that order: none for an unclean bundle."""
+        split and then `manifest.json` (the seed and each split's size)
+        under out_dir, removing the file of each empty split, so the
+        directory holds exactly the bundle its manifest describes. Return
+        the violations and the paths written, in that order: none for an
+        unclean bundle."""
         violations = audit_splits(self)
         if not audit_is_clean(violations):
             return violations, []
@@ -245,9 +246,7 @@ class CorpusSplits:
             else:
                 path.unlink(missing_ok=True)
         manifest = files.splits_dir / "manifest.json"
-        write_json(manifest, {"seed": seed, "ratios": list(ratios),
-                              "sizes": self.sizes(), "audit": violations,
-                              "audit_clean": True})
+        write_json(manifest, {"seed": seed, "sizes": self.sizes()})
         return violations, written + [manifest]
 
     @staticmethod

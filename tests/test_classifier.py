@@ -71,6 +71,9 @@ def test_tokenizer_validation():
             Tokenizer(("a",), max_len=max_len)
     with pytest.raises(ValueError, match="strings"):
         Tokenizer(("a", 5), max_len=4)
+    for entry in ("ab", "", "e\u0301"):
+        with pytest.raises(ValueError, match=f"entry {entry!r} is not one"):
+            Tokenizer(("a", entry), max_len=4)
 
 
 def reference_encode(tokenizer, names):
@@ -87,10 +90,10 @@ def reference_encode(tokenizer, names):
 # Token ids of the large tokenizer run past 0xD800, so its last entries have
 # ids that are surrogate code points; its filler sits in a plane no name uses.
 ENCODE_TOKENIZERS = (
-    Tokenizer(("a", "b", " ", "ab", "\u00e9", "e", "\u0301", "\u00c5",
+    Tokenizer(("a", "b", " ", "\u00e9", "e", "\u0301", "\u00c5",
                "\U0001d49c", "\uac00", "\x03"), max_len=6),
     Tokenizer(tuple(chr(c) for c in range(0x20000, 0x20000 + 0xD800))
-              + ("a", "b", " ", "ab", "\u00e9", "\U0001d49c", "\uac00"),
+              + ("a", "b", " ", "\u00e9", "\U0001d49c", "\uac00"),
               max_len=5),
 )
 # NFC/NFD pairs (e + U+0301, A + ring, Angstrom sign, Hangul jamo), outside
@@ -487,7 +490,7 @@ def test_loss_decreases_under_adamw():
     first, _ = loss_and_grads(params, x, y)
     for _ in range(60):
         loss, grads = loss_and_grads(params, x, y)
-        optimizer.step(params, grads, 0.01)
+        optimizer.step(grads, 0.01)
     assert loss < first * 0.5
 
 
@@ -519,6 +522,18 @@ class ReferenceAdamW:
             param -= lr * update
 
 
+def assert_matches_reference(optimizer, params, reference, expected):
+    """Each parameter, and the m and v rows of the optimizer's buffer, hold
+    the reference's bytes; the rows lay the parameters out in key order."""
+    for key in params:
+        assert params[key].shape == reference[key].shape, key
+        assert params[key].dtype == reference[key].dtype, key
+        assert params[key].tobytes() == reference[key].tobytes(), key
+    for row, moments in ((2, expected._m), (3, expected._v)):
+        want = np.concatenate([moments[key].ravel() for key in params])
+        assert optimizer._buffer[row].tobytes() == want.tobytes(), row
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adamw_matches_reference_bitwise(dtype, weight_decay):
@@ -531,57 +546,59 @@ def test_adamw_matches_reference_bitwise(dtype, weight_decay):
         grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), v.shape)
                  .astype(dtype) for k, v in params.items()}
         lr = lr_at_step(step, 20, 3, 0.01)
-        optimizer.step(params, grads, lr)
+        optimizer.step(grads, lr)
         expected.step(reference, grads, lr)
-    for key in params:
-        assert params[key].dtype == dtype
-        for got, want in ((params[key], reference[key]),
-                          (optimizer._m[key], expected._m[key]),
-                          (optimizer._v[key], expected._v[key])):
-            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), key
+    assert optimizer._buffer.dtype == dtype
+    assert_matches_reference(optimizer, params, reference, expected)
 
 
 def test_adamw_matches_reference_bitwise_on_mixed_params():
-    """Params of mixed shapes and of both float dtypes, in one dict, not
-    made by init_params: each dtype's flat buffer updates every parameter
-    as the per-parameter reference does, and the dict keeps its shapes."""
-    rng = np.random.default_rng(7)
-    shapes = {"a": ((7,), np.float32), "b": ((3, 4, 5), np.float64),
-              "c": ((1,), np.float32), "d": ((0, 3), np.float32),
-              "e": ((2, 1, 3), np.float64), "f": ((), np.float32)}
-    params = {k: rng.normal(0.0, 1.0, shape).astype(dtype)
-              for k, (shape, dtype) in shapes.items()}
-    reference = {k: v.copy() for k, v in params.items()}
-    optimizer = AdamW(params, weight_decay=0.05)
-    expected = ReferenceAdamW(reference, 0.05)
-    for step in range(1, 16):
-        grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), v.shape)
-                 .astype(v.dtype) for k, v in params.items()}
-        lr = lr_at_step(step, 15, 2, 0.01)
-        optimizer.step(params, grads, lr)
-        expected.step(reference, grads, lr)
-    for key, (shape, dtype) in shapes.items():
-        assert params[key].shape == shape and params[key].dtype == dtype
-        for got, want in ((params[key], reference[key]),
-                          (optimizer._m[key], expected._m[key]),
-                          (optimizer._v[key], expected._v[key])):
-            assert got.shape == shape
-            assert got.tobytes() == want.tobytes(), key
+    """Params of mixed shapes, in one dict, not made by init_params, for
+    each float dtype: the one buffer updates every parameter as the
+    per-parameter reference does, and the dict keeps its shapes. Params of
+    mixed dtypes are refused."""
+    shapes = {"a": (7,), "b": (3, 4, 5), "c": (1,), "d": (0, 3),
+              "e": (2, 1, 3), "f": ()}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(7)
+        params = {k: rng.normal(0.0, 1.0, shape).astype(dtype)
+                  for k, shape in shapes.items()}
+        reference = {k: v.copy() for k, v in params.items()}
+        optimizer = AdamW(params, weight_decay=0.05)
+        expected = ReferenceAdamW(reference, 0.05)
+        for step in range(1, 16):
+            grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), shape)
+                     .astype(dtype) for k, shape in shapes.items()}
+            lr = lr_at_step(step, 15, 2, 0.01)
+            optimizer.step(grads, lr)
+            expected.step(reference, grads, lr)
+        assert_matches_reference(optimizer, params, reference, expected)
+    mixed = {"a": np.zeros(3, np.float32), "b": np.zeros(2, np.float64)}
+    with pytest.raises(ValueError, match=r"one dtype, not \['float32', "
+                                         r"'float64'\]"):
+        AdamW(mixed)
+    assert mixed["a"].dtype == np.float32 and mixed["b"].dtype == np.float64
 
 
-def test_adamw_step_takes_the_params_it_was_built_with():
+def test_adamw_params_are_views_of_one_buffer_updated_in_place():
+    """AdamW rebinds the caller's dict to views of row 0 of its buffer, in
+    key order, holding the same values; step() updates those views in
+    place, so the dict sees every update without being passed again."""
     params = init_params(9, 3, ModelConfig(5, 7), seed=2)
+    before = {k: v.copy() for k, v in params.items()}
     optimizer = AdamW(params)
-    grads = {k: np.ones_like(v) for k, v in params.items()}
-    copies = {k: v.copy() for k, v in params.items()}
-    with pytest.raises(ValueError, match="params it was built with"):
-        optimizer.step(copies, grads, 0.01)
-    with pytest.raises(ValueError, match="params it was built with"):
-        optimizer.step({k: params[k] for k in ("embedding", "conv_w")},
-                       grads, 0.01)
-    assert optimizer.step_count == 0
-    optimizer.step(params, grads, 0.01)
-    assert not np.array_equal(params["head_b"], copies["head_b"])
+    views = dict(params)
+    row = optimizer._buffer[0]
+    assert optimizer._buffer.shape == (6, row.size)
+    for key, view in params.items():
+        assert np.shares_memory(view, row), key
+        assert view.tobytes() == before[key].tobytes(), key
+    assert row.tobytes() == b"".join(v.tobytes() for v in before.values())
+    optimizer.step({k: np.ones_like(v) for k, v in params.items()}, 0.01)
+    assert all(params[k] is views[k] for k in params)
+    assert row.tobytes() == b"".join(v.tobytes() for v in params.values())
+    for key in params:
+        assert not np.array_equal(params[key], before[key]), key
 
 
 def test_adamw_weight_decay_shrinks_unused_weights():
@@ -589,7 +606,7 @@ def test_adamw_weight_decay_shrinks_unused_weights():
     params = {"w": np.ones(4, dtype=np.float64)}
     optimizer = AdamW(params, weight_decay=0.1)
     for _ in range(10):
-        optimizer.step(params, {"w": np.zeros(4)}, 0.1)
+        optimizer.step({"w": np.zeros(4)}, 0.1)
     assert (np.abs(params["w"]) < 1.0).all()
 
 

@@ -134,7 +134,7 @@ def test_extract_artifacts(chain):
 def test_split_artifacts(chain):
     splits_dir = chain.out / "splits"
     manifest = json.loads((splits_dir / "manifest.json").read_text())
-    assert manifest["audit_clean"] is True
+    assert list(manifest) == ["seed", "sizes"]
     sizes = manifest["sizes"]
     assert sizes["train_oag"] == 480
     assert sizes["val_oag"] == 60
@@ -1454,11 +1454,15 @@ def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
     ("shape", (4, "3"), "shape must be an array, not a string"),
     ("shape", (0, [0, 10**30]), "embedding has shape"),
     ("shape", (2, [0, 10**30]), "conv_w has shape"),
-    ("shape", (1, [3, -1, 4]), "dimension -1 is negative")])
+    ("shape", (1, [3, -1, 4]), "dimension -1 is negative"),
+    ("chars", list(" ABCab") + ["ab"],
+     "malformed header (tokenizer entry 'ab' is not one character)")])
 def test_evaluate_refuses_checkpoint_header(fuzz_checkpoint, tmp_path, capsys,
                                             kind, edit, message):
     """Header labels go through register_taxonomy's checks and must already
-    be in its normal form; max_len is bounded by MAX_LEN_LIMIT; the taxonomy
+    be in its normal form; max_len is bounded by MAX_LEN_LIMIT; each chars
+    entry is one character (one that is not would never be encoded, and
+    save_model writes none; here the vocabulary size still fits); the taxonomy
     name, which names evaluate's manifest, is one file name component; a
     parameter shape is an array of non-negative JSON integers (Infinity,
     9.0, "9" and true are not), checked against the header before any

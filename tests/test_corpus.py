@@ -247,7 +247,7 @@ def test_corpus_splits_save_load_round_trip(tmp_path):
     splits = CorpusSplits(train_oag=make_records("alfa", 8),
                           val_oag=make_records("bravo", 2))
     (tmp_path / "test_oag.jsonl").write_text("stale\n", encoding="utf-8")
-    _, written = splits.save(tmp_path, seed=0, ratios=(8, 1, 1))
+    _, written = splits.save(tmp_path, seed=0)
     assert written == [tmp_path / "train_oag.jsonl",
                        tmp_path / "val_oag.jsonl", tmp_path / "manifest.json"]
     assert not (tmp_path / "test_oag.jsonl").exists()  # empty split: removed
@@ -264,7 +264,7 @@ def test_save_refuses_an_unclean_bundle(tmp_path):
     leaked = bundle.val_oag[0]
     bundle.train_oag.append(leaked)
     (tmp_path / "train_oag.jsonl").write_text("stale\n", encoding="utf-8")
-    violations, written = bundle.save(tmp_path, seed=0, ratios=(8, 1, 1))
+    violations, written = bundle.save(tmp_path, seed=0)
     assert violations == audit_splits(bundle)
     assert violations["train_oag_vs_val_oag"] == [leaked.key]
     assert written == []
@@ -608,11 +608,14 @@ def test_audit_matches_keying_training_splits_whole(chunk, bundle,
 
 
 def test_write_split_manifest(tmp_path):
+    """The manifest states only what holds of the whole directory: the seed
+    and each split's size. save writes it only for a clean bundle, so the
+    audit report, not the manifest, records `clean`."""
     bundle = clean_bundle()
-    _, written = bundle.save(tmp_path, seed=7, ratios=(8, 1, 1))
+    _, written = bundle.save(tmp_path, seed=7)
     path = written[-1]
     assert path == tmp_path / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
+    assert list(manifest) == ["seed", "sizes"]
     assert manifest["seed"] == 7
-    assert manifest["audit_clean"] is True
-    assert manifest["sizes"]["train_oag"] == 8
+    assert manifest["sizes"] == bundle.sizes()

@@ -3,8 +3,8 @@ encoder, one report serializer, one retry loop, one leakage check, one
 split directory format, one switch of the garbage collector, one exit rule
 for bad input, one classifier forward pass and one scoring walk for
 evaluation in the package, none of the constructs its kernels and bench
-were rid of, every package name the bench's tracer wraps (and its data
-hooks run on the fixture chain), the bytes the fixture data chain writes,
+were rid of, every package name the bench's tracer wraps (and every
+wrapper fires on fixture data), the bytes the fixture chain writes,
 no module-level name that only tests use, no private name taken from
 another module, and a README library example that runs."""
 import ast
@@ -213,6 +213,58 @@ def test_bench_data_hooks_run_on_the_fixture_chain(tmp_path, capsys):
     assert counts.get("corpus.enforce_no_leakage.removed") == 0
 
 
+def test_bench_model_hooks_run_on_fixture_records(tmp_path):
+    """perfbench's train_paper99 wrappers around a tiny load_taxonomy /
+    read_records / fit_tokenizer / train run, and its score_paper99 wrappers
+    around load_model, read_records and predict_batch at batch 1 and 100:
+    every wrapper fires, and `AdamW.step` and `loss_and_grads` once per
+    training step, so a classifier change that stops calling one through
+    the name the tracer wraps fails here, not only in a traced bench run."""
+    from namecountry import classifier, core, fixtures
+    spans = _perfbench_spans()
+    taxonomy_path = tmp_path / "taxonomy.txt"
+    taxonomy_path.write_text("".join(
+        f"{label}\n" for label in sorted(fixtures.DISJOINT_ALPHABETS)))
+    for split, per_country, seed in (("train", 20, 0), ("val", 30, 1)):
+        core.write_records(tmp_path / f"{split}.jsonl",
+                           fixtures.make_disjoint_corpus(per_country, seed))
+    config = classifier.TrainConfig(learning_rate=0.005, batch_size=16,
+                                    max_epochs=2, patience=2)
+
+    tracer = spans.Tracer("tooling-train")
+    try:
+        spans.install_model(tracer, "train_paper99")
+        taxonomy = core.load_taxonomy(taxonomy_path)
+        train_set = core.read_records(tmp_path / "train.jsonl")
+        val_set = core.read_records(tmp_path / "val.jsonl")
+        tokenizer = classifier.fit_tokenizer(train_set)
+        model, _ = classifier.train(train_set, val_set, taxonomy, config,
+                                    classifier.ModelConfig(8, 12),
+                                    tokenizer=tokenizer)
+    finally:
+        tracer.uninstall()
+    assert len(tracer.fired) == 10
+    assert min(tracer.fired.values()) > 0, tracer.fired
+    steps = 2 * 5  # epochs x ceil(80 names / 16)
+    assert tracer.fired["namecountry.classifier.AdamW.step"] == steps
+    assert tracer.fired["namecountry.classifier.loss_and_grads"] == steps
+
+    classifier.save_model(model, tmp_path / "model.bin")
+    tracer = spans.Tracer("tooling-score")
+    try:
+        spans.install_model(tracer, "score_paper99")
+        model = classifier.load_model(tmp_path / "model.bin")
+        names = [r.full_name for r in core.read_records(tmp_path / "val.jsonl")]
+        for batch in (1, 100):
+            model.predict_batch(names[:batch])
+    finally:
+        tracer.uninstall()
+    assert len(tracer.fired) == 4
+    assert min(tracer.fired.values()) > 0, tracer.fired
+    assert tracer.counts["classifier.score_batch.b1.names"] == 1
+    assert tracer.counts["classifier.score_batch.b100.names"] == 100
+
+
 # SHA-256 of every file the fixture extract -> split -> augment -> audit
 # chain writes, except the manifests under manifests/, which carry the config
 # hash. test_criterion_11 compares two runs with each other, so only these
@@ -221,7 +273,7 @@ FIXTURE_CHAIN_DIGESTS = {
     "corpus.jsonl":
         "c3cbe1440aecef9e44615c10c8186a8d11dd229ba5ae2931ff728e4296b48626",
     "splits/manifest.json":
-        "b0d2ae434550203b6e2326149ba257d4fdf859a3388ac757a610f471ed565f5d",
+        "e27d860770b039cecdfad4d1b050bf9b2d0f304ef78772034227e422f1293f3a",
     "splits/test_filter.jsonl":
         "4028bfcb0765b71a45c2b2a13381d20e2bec429801bf2997a91d459023d1b296",
     "splits/test_filter_aug.jsonl":
@@ -250,6 +302,30 @@ def test_fixture_data_chain_writes_the_pinned_bytes(tmp_path, capsys):
     assert {p.relative_to(out).as_posix():
             hashlib.sha256(p.read_bytes()).hexdigest()
             for p in files} == FIXTURE_CHAIN_DIGESTS
+
+
+# SHA-256 of what `train` writes on that chain's splits under the fixture
+# config. train pins one OpenBLAS thread, so these hold at any
+# OPENBLAS_NUM_THREADS, but they are host-specific, as README's BLAS note
+# says: another BLAS or CPU family may round the products differently.
+FIXTURE_TRAIN_DIGESTS = {
+    "model.bin":
+        "7ce09d892d0d07129ed36b07081c0607d5f8eadc7a4f15772cbcb565e4d61a6c",
+    "train_log.jsonl":
+        "8f3437c87554eb16d582e167fbc4238602ee09c0608ec81f33ddec80ad7c529f",
+}
+
+
+def test_fixture_chain_train_writes_the_pinned_bytes(tmp_path, capsys):
+    from namecountry import cli
+    out = _run_fixture_data_chain(tmp_path, capsys)
+    fx = tmp_path / "fx"
+    code = cli.main(["--config", str(fx / "pipeline.json"),
+                     "--out-dir", str(out), "train",
+                     "--taxonomy", str(fx / "taxonomy_fixture4.txt")])
+    assert code == 0, capsys.readouterr().err
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in FIXTURE_TRAIN_DIGESTS} == FIXTURE_TRAIN_DIGESTS
 
 
 def _used_names(path):
