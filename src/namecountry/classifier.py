@@ -14,27 +14,35 @@ flat buffer and updates it in place, one whole-buffer operation at a time
 in the order Python evaluates its update expression, so each step rounds
 exactly as that expression does.
 
-One forward pass serves training and scoring. Each non-pad token's
-(prev, cur, nxt) ids index three tap tables, rows of embedding @ tap
-weight, so the convolution at a token is three gathered rows plus the
-bias, added in tap order; ReLU follows, then a per-row sum over that row's
-own tokens in position order, divided by its token count (_token_taps,
-tap_tables, _conv_pool). Padding adds no work, and rows with no tokens
-pool to zeros.
+One forward pass serves training and scoring (_token_taps, tap_tables,
+_conv_pool), and it is position-major. A row's span is its last non-pad
+position + 1; rows are ordered by decreasing span, and the cells at
+position j are the leading rows whose span passes j. Each cell's (prev,
+cur, nxt) ids index three tap tables, rows of embedding @ tap weight, so
+the convolution at a cell is three gathered rows plus the bias, added in
+tap order; ReLU follows, and a pad inside a name is zeroed. Each row is
+then summed from zero in position order, one add of a contiguous slab of
+leading rows per position, and divided by its token count. A row's sum
+thus depends on its own cells alone. Trailing padding adds no work, and
+rows with no tokens pool to zeros.
 
 Scoring keeps predict_batch([name]) bit-identical to any batched
 evaluation containing the same name. Its tap tables span the whole
 vocabulary and are computed once per model. A BLAS product's low-order
 bits depend on its shape, so scoring runs exactly one BLAS product per
 block of SCORE_BLOCK_ROWS rows, the head, on a block zero-padded to that
-constant shape. Memory is bounded by the block, not the batch.
+constant shape. Memory is bounded by the block, not the batch. Besides
+the gathers, a block's pool costs one slab add per position up to its
+longest span and a sort of its spans, a fixed cost that batch 1 pays per
+name.
 
 Training works in the batch's own vocabulary: its tap tables span the K
 distinct ids of its tokens, plus PAD, and tokens index them by local id.
 The backward pass sums the hidden gradient per id and tap with one product
-of a (3K, tokens) 0/1 indicator, and forms both weight gradients from
-those K-row sums. Its cost grows with tokens times K, so it beats an
-im2col step while K is below about 3 * embedding_dim (see loss_and_grads).
+of a (3K, cells) 0/1 indicator, the cells in position-major order, and
+forms both weight gradients from those K-row sums. Its cost grows with
+cells times K, so it beats an im2col step while K is below about
+3 * embedding_dim (see loss_and_grads).
 A training step is not bit-identical across batch shapes, and need not be:
 only scoring carries that contract. A threaded BLAS product sums in an
 order that depends on its thread count, so train runs with one OpenBLAS
@@ -241,38 +249,63 @@ def tap_tables(embedding: np.ndarray, conv_w: np.ndarray) -> np.ndarray:
     return embedding @ conv_w
 
 
-def _token_taps(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row of each non-pad token of `x`, sorted, and its (prev, cur,
-    nxt) ids, shape (3, tokens), with PAD past either end of the row."""
-    width = x.shape[1] + 2
-    padded = np.full((x.shape[0], width), PAD, dtype=x.dtype)
-    padded[:, 1:-1] = x
-    at = np.flatnonzero(padded != PAD)
-    return at // width, padded.ravel()[at + np.arange(-1, 2)[:, None]]
+def _token_taps(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of `x` in position-major order: each cell's row, the number
+    of cells at each position, and each cell's (prev, cur, nxt) ids, shape
+    (3, cells), with PAD past either end of the row.
+
+    A row's span is its last non-pad position + 1 (0 for an all-pad row).
+    Rows are ordered by decreasing span, ties in row order, and position j
+    holds the first active[j] of them, the rows whose span passes j, so the
+    cells at j are one run whose rows lead the order. A pad inside a span
+    is a cell whose own id is PAD.
+    """
+    n, width = x.shape
+    span = ((x != PAD) * np.arange(1, width + 1)).max(axis=1, initial=0)
+    order = np.argsort(-span, kind="stable")
+    cells = np.arange(width)[:, None] < span[order]
+    at = np.flatnonzero(cells)
+    # Position-major, PAD above and below: position j's ids are row j + 1.
+    cols = np.empty((width + 2, n), dtype=x.dtype)
+    cols[0] = cols[-1] = PAD
+    cols[1:-1] = x[order].T
+    ids = cols.ravel()[at + np.arange(0, 3 * n, n)[:, None]]
+    return order[at % n], cells.sum(axis=1), ids
 
 
 def _conv_pool(taps: np.ndarray, tap_ids: np.ndarray, rows: np.ndarray,
-               conv_b: np.ndarray, pooled: np.ndarray
+               active: np.ndarray, conv_b: np.ndarray, pooled: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """ReLU(conv) at each token, and each row's mean of it into `pooled`.
+    """ReLU(conv) at each cell, and each row's mean of it into `pooled`.
 
-    Token i's tap t is row tap_ids[t, i] of taps[t]; `rows` is sorted.
-    Rows of `pooled` with no tokens are zeroed. Returns the activations,
-    shape (tokens, H), and the token count of each row of `pooled`.
+    The cells are _token_taps's: cell i's tap t is row tap_ids[t, i] of
+    taps[t]. A cell whose own id is PAD (as a per-batch id too: PAD is
+    local id 0) is set to zero. Each row is summed from zero in position
+    order, one slab of leading rows per position, and divided by its
+    non-pad count; rows of `pooled` with no tokens are zeroed. Returns the
+    activations, shape (cells, H), and the token count of each row of
+    `pooled`.
     """
     hidden = np.take(taps[0], tap_ids[0], axis=0)
     hidden += np.take(taps[1], tap_ids[1], axis=0)
     hidden += np.take(taps[2], tap_ids[2], axis=0)
     hidden += conv_b
     np.maximum(hidden, 0, out=hidden)
-    # `rows` is sorted, so each row's tokens are one run, in position order.
-    counts = np.bincount(rows, minlength=len(pooled))
-    filled = np.flatnonzero(counts)
+    pads = tap_ids[1] == PAD
+    hidden[pads] = 0
+    counts = np.bincount(rows[~pads], minlength=len(pooled))
+    spanned = rows[:active[0]]  # position 0 holds every row with a token
+    sums = np.zeros((len(spanned), hidden.shape[1]), dtype=hidden.dtype)
+    total, end = sums, 0
+    for lead in active.tolist():
+        if not lead:
+            break
+        if lead < len(total):  # active never rises: one view per height
+            total = sums[:lead]
+        np.add(total, hidden[end:end + lead], total)
+        end += lead
     pooled.fill(0)
-    if filled.size:
-        starts = (np.cumsum(counts) - counts)[filled]
-        sums = np.add.reduceat(hidden, starts, axis=0)
-        pooled[filled] = sums / counts[filled, None].astype(pooled.dtype)
+    pooled[spanned] = sums / counts[spanned, None].astype(pooled.dtype)
     return hidden, counts
 
 
@@ -290,12 +323,14 @@ def score_batch(params: dict[str, np.ndarray], x: np.ndarray, *,
     probs = np.empty((x.shape[0], params["head_b"].shape[0]), dtype=dtype)
     for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
         block = x[start:start + SCORE_BLOCK_ROWS]
-        rows, tap_ids = _token_taps(block)
-        _conv_pool(taps, tap_ids, rows, params["conv_b"], pooled)
-        logits = (pooled @ params["head_w"])[:len(block)] + params["head_b"]
-        peak = logits.max(axis=1, keepdims=True)
-        exps = np.exp(logits - peak)
-        probs[start:start + len(block)] = exps / exps.sum(axis=1, keepdims=True)
+        rows, active, tap_ids = _token_taps(block)
+        _conv_pool(taps, tap_ids, rows, active, params["conv_b"], pooled)
+        logits = (pooled @ params["head_w"])[:len(block)]
+        logits += params["head_b"]
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        np.divide(logits, logits.sum(axis=1, keepdims=True),
+                  out=probs[start:start + len(block)])
     return probs
 
 
@@ -304,17 +339,20 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     """Mean cross-entropy over the batch and its analytic gradients.
 
     Works over the batch's own vocabulary (see module docstring): the K
-    distinct ids of its non-pad tokens, plus PAD. With T tokens, embedding
+    distinct ids of its non-pad tokens, plus PAD. The forward pass is
+    _token_taps and _conv_pool over the batch's cells, its tokens and any
+    pads inside names, in position-major order. With T cells, embedding
     width E and hidden width H, the tap tables cost K * E * 3H, the forward
     gathers 3 * T * H, and the backward indicator product, (3K, T) by
     (T, H), 3 * K * T * H, against 3 * T * 3E * H for the three im2col
     products this replaced, so the step is the cheaper one while K is below
     about 3E. A batch of names holds a few dozen distinct characters; ~700
     tokens drawn at random from 5000 ids (K ~ 670) take about three times
-    as long as im2col. Padding adds no work. The vocabulary size enters
-    only through an id lookup array and the embedding gradient, whose rows
-    outside the batch's vocabulary are zero. Ids of any integer dtype give
-    the same bits. An all-pad row pools to zeros.
+    as long as im2col. Trailing padding adds no work, and a pad inside a
+    name is a cell whose activation and gradient are zero. The vocabulary
+    size enters only through an id lookup array and the embedding
+    gradient, whose rows outside the batch's vocabulary are zero. Ids of
+    any integer dtype give the same bits. An all-pad row pools to zeros.
     """
     embedding = params["embedding"]
     conv_w = params["conv_w"]
@@ -324,8 +362,8 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
 
     # The batch's vocabulary, in id order: its tokens' ids and PAD, which
     # is a neighbour of every name's first token. `tap_ids` are the rows of
-    # the tokens' taps in the per-batch tap tables.
-    rows, ids = _token_taps(x)
+    # the cells' taps in the per-batch tap tables.
+    rows, active, ids = _token_taps(x)
     present = np.bincount(ids[1], minlength=embedding.shape[0]) > 0
     present[PAD] = True
     vocab = np.flatnonzero(present)
@@ -333,7 +371,7 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     emb = embedding[vocab]
     pooled = np.empty((n, h), dtype=dtype)
     hidden, counts = _conv_pool(tap_tables(emb, conv_w), tap_ids, rows,
-                                params["conv_b"], pooled)
+                                active, params["conv_b"], pooled)
     logits = pooled @ params["head_w"] + params["head_b"]
 
     peak = logits.max(axis=1, keepdims=True)
@@ -358,15 +396,15 @@ def loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     del hidden  # frees its (T, H) floats before the indicator is built
     grads["conv_b"] = d_hidden.sum(axis=0)
 
-    # g[t] = onehot[t] @ d_hidden, where onehot[t, k, i] is 1 when token i's
+    # g[t] = onehot[t] @ d_hidden, where onehot[t, k, i] is 1 when cell i's
     # tap-t id is local id k: it sums d_hidden per id. The three taps' rows
     # are one (3K, T) indicator, set through its flat index and multiplied
     # once.
-    k, tokens = len(vocab), len(rows)
-    onehot = np.zeros(3 * k * tokens, dtype=dtype)
-    onehot[(tap_ids + np.arange(0, 3 * k, k)[:, None]) * tokens
-           + np.arange(tokens)] = 1
-    g = (onehot.reshape(3 * k, tokens) @ d_hidden).reshape(3, k, h)
+    k, cells = len(vocab), len(rows)
+    onehot = np.zeros(3 * k * cells, dtype=dtype)
+    onehot[(tap_ids + np.arange(0, 3 * k, k)[:, None]) * cells
+           + np.arange(cells)] = 1
+    g = (onehot.reshape(3 * k, cells) @ d_hidden).reshape(3, k, h)
     grads["conv_w"] = emb.T @ g
     embedding_grad = np.zeros_like(embedding)
     embedding_grad[vocab] = (g @ conv_w.transpose(0, 2, 1)).sum(axis=0)
@@ -685,7 +723,9 @@ def load_model(path: str | Path) -> ClassifierModel:
         dtype = np.dtype(header["dtype"])
         shapes = [(entry["name"], _shape(entry["shape"]))
                   for entry in header["params"]]
-        tokenizer = Tokenizer(tuple(header["chars"]), header["max_len"])
+        chars = header["chars"]
+        require_json("chars", chars, list)
+        tokenizer = Tokenizer(tuple(chars), header["max_len"])
         labels = header["taxonomy"]["labels"]
         taxonomy = register_taxonomy(header["taxonomy"]["name"], labels)
     except KeyError as exc:

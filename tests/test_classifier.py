@@ -481,6 +481,90 @@ def test_loss_and_grads_ignore_trailing_padding(dtype):
         assert np.array_equal(grads[key], wide_grads[key]), key
 
 
+# --- the pooled sum's order ---
+
+def naive_pooled(taps, conv_b, x):
+    """Each row's pooled activations by a plain loop: start at 0, add the
+    ReLU(conv) of each non-pad position in position order, divide by the
+    count. `taps` are the tables the ids of `x` index."""
+    dtype = conv_b.dtype
+    n, width = x.shape
+    pooled = np.zeros((n, len(conv_b)), dtype=dtype)
+    for i in range(n):
+        total, count = np.zeros(len(conv_b), dtype=dtype), 0
+        for j in range(width):
+            if x[i, j] == PAD:
+                continue
+            prev = x[i, j - 1] if j > 0 else PAD
+            nxt = x[i, j + 1] if j + 1 < width else PAD
+            act = taps[0][prev] + taps[1][x[i, j]] + taps[2][nxt] + conv_b
+            total = total + np.maximum(act, 0)
+            count += 1
+        if count:
+            pooled[i] = total / dtype.type(count)
+    return pooled
+
+
+def pooling_batch(rng, vocab, rows, width):
+    """Names of every span from 0 to width, so spans tie, with pads inside
+    some of them (a leading pad among them) and an all-pad row."""
+    x = rng.integers(UNK, vocab, size=(rows, width)).astype(np.int32)
+    spans = rng.integers(0, width + 1, size=rows)
+    positions = np.arange(width)
+    x[positions >= spans[:, None]] = PAD
+    inside = positions < spans[:, None] - 1
+    x[inside & (rng.random((rows, width)) < 0.2)] = PAD
+    x[0] = PAD
+    x[1, 0] = PAD
+    return x
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("width, hidden", [
+    (1, 1), (1, 2), (9, 1), (9, 2), (9, 12), (140, 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pooled_rows_sum_from_zero_in_position_order(monkeypatch, dtype,
+                                                     width, hidden):
+    """score_batch's pooled rows, and the forward pass of loss_and_grads
+    over its per-batch vocabulary, are the naive loop's bit for bit, past
+    one scoring block and at widths where numpy's pairwise sums would
+    recurse; and a row scored alone scores as it does in the batch."""
+    rng = np.random.default_rng(width * 100 + hidden)
+    vocab, classes = 9, 3
+    params = init_params(vocab, classes, ModelConfig(3, hidden), seed=hidden,
+                         dtype=dtype)
+    params["conv_b"] = rng.normal(0.0, 0.3, hidden).astype(dtype)
+    x = pooling_batch(rng, vocab, SCORE_BLOCK_ROWS + 9, width)
+    pools = []
+    conv_pool = classifier._conv_pool
+
+    def recording(*args):
+        result = conv_pool(*args)
+        pools.append(args[-1].copy())  # the pooled rows it wrote
+        return result
+
+    monkeypatch.setattr(classifier, "_conv_pool", recording)
+    taps = taps_of(params)
+    probs = score_batch(params, x, taps=taps)
+    assert_bitwise(np.concatenate(pools)[:len(x)],
+                   naive_pooled(taps, params["conv_b"], x))
+
+    pools.clear()
+    loss_and_grads(params, x, rng.integers(0, classes, size=len(x)))
+    ids = np.unique(np.append(x, PAD))  # the batch's vocabulary
+    local_taps = tap_tables(params["embedding"][ids], params["conv_w"])
+    assert_bitwise(pools[0], naive_pooled(local_taps, params["conv_b"],
+                                          np.searchsorted(ids, x)))
+
+    for row in range(len(x)):
+        assert_bitwise(score_batch(params, x[row:row + 1], taps=taps)[0],
+                       probs[row])
+
+
 def test_loss_decreases_under_adamw():
     params = init_params(9, 2, ModelConfig(6, 8), seed=1, dtype=np.float64)
     rng = np.random.default_rng(3)

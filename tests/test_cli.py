@@ -1456,17 +1456,22 @@ def test_evaluate_fuzzed_checkpoint_exits_cleanly(fuzz_checkpoint, edit):
     ("shape", (2, [0, 10**30]), "conv_w has shape"),
     ("shape", (1, [3, -1, 4]), "dimension -1 is negative"),
     ("chars", list(" ABCab") + ["ab"],
-     "malformed header (tokenizer entry 'ab' is not one character)")])
+     "malformed header (tokenizer entry 'ab' is not one character)"),
+    ("chars", " ABCabc",
+     "malformed header (chars must be an array, not a string)"),
+    ("chars", dict.fromkeys(" ABCabc", 1),
+     "malformed header (chars must be an array, not an object)")])
 def test_evaluate_refuses_checkpoint_header(fuzz_checkpoint, tmp_path, capsys,
                                             kind, edit, message):
     """Header labels go through register_taxonomy's checks and must already
-    be in its normal form; max_len is bounded by MAX_LEN_LIMIT; each chars
-    entry is one character (one that is not would never be encoded, and
-    save_model writes none; here the vocabulary size still fits); the taxonomy
-    name, which names evaluate's manifest, is one file name component; a
-    parameter shape is an array of non-negative JSON integers (Infinity,
-    9.0, "9" and true are not), checked against the header before any
-    parameter is read, however large. A refused checkpoint writes nothing,
+    be in its normal form; max_len is bounded by MAX_LEN_LIMIT; chars is
+    an array (a string or object of the saved characters would load as
+    them) and each entry is one character (one that is not would never be
+    encoded, and save_model writes none; here the vocabulary size still
+    fits); the taxonomy name, which names evaluate's manifest, is one file
+    name component; a parameter shape is an array of non-negative JSON
+    integers (Infinity, 9.0, "9" and true are not), checked against the
+    header before any parameter is read, however large. A refused checkpoint writes nothing,
     inside the out directory or out of it."""
     blob, records = fuzz_checkpoint
     model = tmp_path / "model.bin"
