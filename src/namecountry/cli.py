@@ -4,11 +4,12 @@ bias, and audit.
 Every command writes a manifest (config hash, seed, input/output digests,
 no timestamps) so identical inputs and seed reproduce identical digests.
 Outputs are written atomically; a failing command leaves no partial files.
-Exit codes: 0 success, 1 audit failure, 2 bad input: an error's class alone
-decides. Every exception the package defines is a ValueError, so `main`
-turns any ValueError, or any OSError (a file a command cannot read or
-write), into one `error:` line and exit 2; anything else is a fault in the
-program and keeps its traceback.
+Exit codes: 0 success, 1 audit failure, 2 bad input, decided in `main` by
+the class of what a handler raises; a handler returns nothing. `main` prints
+an UncleanSplitsError's violations and exits 1. Every exception the package
+defines is a ValueError: `main` turns any other one, or any OSError (a file
+a command cannot read or write), into one `error:` line and exit 2; anything
+else is a fault in the program and keeps its traceback.
 
 A command's handler runs with the cyclic garbage collector off, and `main`
 puts back the state it found. The data stages hold hundreds of thousands of
@@ -160,14 +161,14 @@ def _manifest_key(role: str, path: Path, out_dir: Path) -> str:
         return f"{role}:{path.name}"
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
+def _write_manifest(out_dir: Path, command: str, config: dict,
                     inputs: Files, outputs: Files) -> Path:
     """Digests of a command's inputs and outputs, as (role, path) pairs; a
     missing optional input (None, or a file that is not there) is left out."""
     manifest = {
         "command": command,
         "config_hash": config_hash(config),
-        "seed": seed,
+        "seed": config["seed"],
         "inputs": {_manifest_key(role, p, out_dir): _sha256_file(p)
                    for role, p in inputs if p is not None and p.exists()},
         "outputs": {_manifest_key(role, p, out_dir): _sha256_file(p)
@@ -210,11 +211,11 @@ def _make_validator(config: dict, labels) -> enrichment.ValidationOracle:
         lenient_fraction=oracle["lenient_fraction"])
 
 
-def _make_generator(config: dict, seed: int) -> enrichment.GeneratorOracle:
+def _make_generator(config: dict) -> enrichment.GeneratorOracle:
     oracle = config["oracle"]
     if oracle["kind"] == "http":
         return _http_oracle(oracle)
-    return enrichment.StubNameGenerator(seed=seed)
+    return enrichment.StubNameGenerator(seed=config["seed"])
 
 
 def _http_oracle(oracle: dict) -> enrichment.HttpChatOracle:
@@ -242,7 +243,7 @@ def _split_files(splits_dir: Path) -> corpus_mod.SplitFiles:
 
 # --- commands -------------------------------------------------------------
 
-def cmd_extract(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_extract(args, config: dict, out_dir: Path) -> None:
     output = args.output or out_dir / "corpus.jsonl"
     stats_path = args.stats or out_dir / "extract_stats.json"
     taxonomy = load_taxonomy(args.taxonomy)
@@ -251,45 +252,40 @@ def cmd_extract(args, config: dict, seed: int, out_dir: Path) -> int:
     labeled, stats = extraction.build_labeled_corpus(records, table, taxonomy)
     write_records(output, labeled)
     write_json(stats_path, stats)
-    _write_manifest(out_dir, "extract", config, seed,
+    _write_manifest(out_dir, "extract", config,
                     [("input", args.input), ("taxonomy", args.taxonomy),
                      ("aliases", args.aliases)],
                     [("output", output), ("stats", stats_path)])
     print(f"extract: {stats.retained} records retained of {stats.raw} "
           f"({stats.ambiguous} ambiguous, {stats.unresolved} unresolved, "
           f"{stats.deduplicated} duplicates)")
-    return 0
 
 
-def cmd_split(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_split(args, config: dict, out_dir: Path) -> None:
     split_cfg = config["split"]
     ratios = tuple(split_cfg["ratios"])
     split_dir = args.output_dir or out_dir / "splits"
 
     records = read_records(args.input, real_only=True)
     train, val, test = corpus_mod.split_corpus(
-        records, corpus_mod.SplitConfig(ratios=ratios, seed=seed))
+        records, corpus_mod.SplitConfig(ratios=ratios, seed=config["seed"]))
     train, removed = corpus_mod.enforce_no_leakage(train, val, test)
     splits = corpus_mod.CorpusSplits(train_oag=train, val_oag=val,
                                      test_oag=test)
     if not args.no_filter:
         splits.test_filter = corpus_mod.build_filtered_test(
             test, _make_validator(config, {r.label for r in test}),
-            cap=split_cfg["filter_cap"], seed=seed)
-    violations, written = splits.save(split_dir, seed=seed)
-    if not written:
-        _print_violations(violations)
-        return 1
-    _write_manifest(out_dir, "split", config, seed, [("input", args.input)],
+            cap=split_cfg["filter_cap"], seed=config["seed"])
+    written = splits.save(split_dir, seed=config["seed"])
+    _write_manifest(out_dir, "split", config, [("input", args.input)],
                     [("output_dir", p) for p in written])
     sizes = splits.sizes()
     print(f"split: train={sizes['train_oag']} val={sizes['val_oag']} "
           f"test={sizes['test_oag']} test_filter={sizes['test_filter']} "
           f"(leakage removals: {removed})")
-    return 0
 
 
-def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_augment(args, config: dict, out_dir: Path) -> None:
     aug_cfg = config["augment"]
     ratios = tuple(aug_cfg["ratios"])
     if aug_cfg["gold_per_country"] <= 0:
@@ -312,7 +308,7 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     # paper shape) is dropped, so the records reuse its memory: augment's
     # peak is the draws, 76.8 MiB at paper shape against 91.9 MiB with the
     # base records held through them.
-    generator = _make_generator(config, seed)
+    generator = _make_generator(config)
     synthetic = enrichment.collect_synthetic(
         budgets, generator, taken, chunk_size=aug_cfg["chunk_size"])
     gold = enrichment.collect_synthetic(
@@ -331,16 +327,13 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
     n_synthetic = sum(map(len, synthetic.values()))
     base.test_gold = corpus_mod.Concatenated(*gold.values())
     synth_parts = corpus_mod.split_synthetic(
-        synthetic, corpus_mod.SplitConfig(ratios=ratios, seed=seed))
+        synthetic, corpus_mod.SplitConfig(ratios=ratios, seed=config["seed"]))
     del synthetic, gold
     splits = corpus_mod.assemble_augmented_splits(base, *synth_parts)
     del synth_parts, base
 
-    violations, written = splits.save(output_dir, seed=seed)
-    if not written:
-        _print_violations(violations)
-        return 1
-    _write_manifest(out_dir, "augment", config, seed,
+    written = splits.save(output_dir, seed=config["seed"])
+    _write_manifest(out_dir, "augment", config,
                     [("splits_dir", files.path(split))
                      for split in corpus_mod.BASE_SPLITS],
                     [("output_dir", p) for p in written])
@@ -350,7 +343,6 @@ def cmd_augment(args, config: dict, seed: int, out_dir: Path) -> int:
           f"test_filter_aug={sizes['test_filter_aug']} "
           f"test_gold={sizes['test_gold']} "
           f"(short: {len(missing)} countries, {missing.total()} names)")
-    return 0
 
 
 def _scan_base_splits(files: corpus_mod.SplitFiles
@@ -373,10 +365,10 @@ def _scan_base_splits(files: corpus_mod.SplitFiles
     return counts, labels, keys
 
 
-def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_train(args, config: dict, out_dir: Path) -> None:
     from . import classifier
     train_cfg = config["train"]
-    files = corpus_mod.SplitFiles(args.splits_dir or out_dir / "splits")
+    files = _split_files(args.splits_dir or out_dir / "splits")
     model_out = args.model_out or out_dir / "model.bin"
     log_out = args.log_out or out_dir / "train_log.jsonl"
     train_path = files.path(args.train_split)
@@ -396,7 +388,7 @@ def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
             warmup_fraction=train_cfg["warmup_fraction"],
             patience=train_cfg["patience"],
             weight_decay=train_cfg["weight_decay"],
-            seed=seed),
+            seed=config["seed"]),
         model_config=classifier.ModelConfig(
             embedding_dim=train_cfg["embedding_dim"],
             hidden_dim=train_cfg["hidden_dim"]),
@@ -404,7 +396,7 @@ def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
     classifier.save_model(model, model_out)
     with atomic_open(log_out) as fh:
         fh.write(train_log.to_jsonl())
-    _write_manifest(out_dir, "train", config, seed,
+    _write_manifest(out_dir, "train", config,
                     [("splits_dir", train_path), ("splits_dir", val_path),
                      ("taxonomy", args.taxonomy)],
                     [("model_out", model_out), ("log_out", log_out)])
@@ -413,10 +405,9 @@ def cmd_train(args, config: dict, seed: int, out_dir: Path) -> int:
     print(f"train: {len(train_log.epochs)} epochs, best val macro-F1 "
           f"{best.val_macro_f1:.4f} at epoch {best.epoch} "
           f"(last train loss {last.train_loss:.4f})")
-    return 0
 
 
-def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_evaluate(args, config: dict, out_dir: Path) -> None:
     from . import classifier, evaluation
     if args.mapping and not args.target_taxonomy:
         raise CommandError("--mapping requires --target-taxonomy")
@@ -445,7 +436,7 @@ def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
             fh.write(evaluation.render_eval_table(
                 [(args.model_name, taxonomy.name, report)]))
         outputs.append(("table", args.table))
-    _write_manifest(out_dir, f"evaluate_{taxonomy.name}", config, seed,
+    _write_manifest(out_dir, f"evaluate_{taxonomy.name}", config,
                     [("model", args.model), ("input", args.input),
                      ("mapping", args.mapping),
                      ("target_taxonomy", args.target_taxonomy),
@@ -454,10 +445,9 @@ def cmd_evaluate(args, config: dict, seed: int, out_dir: Path) -> int:
     print(f"evaluate[{taxonomy.name}]: accuracy={report.accuracy:.4f} "
           f"weighted_f1={report.weighted_f1:.4f} "
           f"macro_f1={report.macro_f1:.4f} n={report.n_records}")
-    return 0
 
 
-def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_bench(args, config: dict, out_dir: Path) -> None:
     from . import classifier, engine
     bench_cfg = config["bench"]
     output = args.output or out_dir / "bench_report.json"
@@ -468,7 +458,7 @@ def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
         engine.BenchConfig(batch_sizes=tuple(bench_cfg["batch_sizes"]),
                            warmup_batches=bench_cfg["warmup_batches"],
                            repetitions=bench_cfg["repetitions"],
-                           seed=seed),
+                           seed=config["seed"]),
         names, model_name=bench_cfg["model_name"],
         model_type=bench_cfg["model_type"],
         cost_per_million=bench_cfg["cost_per_million"])
@@ -478,16 +468,15 @@ def cmd_bench(args, config: dict, seed: int, out_dir: Path) -> int:
         with atomic_open(args.table) as fh:
             fh.write(engine.render_throughput_table(report))
         outputs.append(("table", args.table))
-    _write_manifest(out_dir, "bench", config, seed,
+    _write_manifest(out_dir, "bench", config,
                     [("model", args.model), ("names", args.names)], outputs)
     for row in report.rows:
         print(f"bench: batch={row.batch_size} "
               f"throughput={row.throughput_names_per_second:.1f} names/s "
               f"latency={row.latency_ms_per_name:.4f} ms/name")
-    return 0
 
 
-def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_bias(args, config: dict, out_dir: Path) -> None:
     from . import classifier, evaluation
     output = args.output or out_dir / "bias_report.json"
     model = classifier.load_model(args.model)
@@ -496,14 +485,13 @@ def cmd_bias(args, config: dict, seed: int, out_dir: Path) -> int:
     records = _read_bias_records(args.records)
     report = evaluation.bias_report(records, model, mapping)
     write_json(output, report)
-    _write_manifest(out_dir, "bias", config, seed,
+    _write_manifest(out_dir, "bias", config,
                     [("model", args.model), ("records", args.records),
                      ("mapping", args.mapping),
                      ("target_taxonomy", args.target_taxonomy)],
                     [("output", output)])
     print(f"bias: {len(report.groups)} groups over {report.n_records} "
           f"records ({report.n_incorrect} incorrect)")
-    return 0
 
 
 def _bias_record(obj) -> tuple[str, str, bool]:
@@ -521,22 +509,20 @@ def _read_bias_records(path: Path) -> list[tuple[str, str, bool]]:
                                                _bias_record)]
 
 
-def cmd_audit(args, config: dict, seed: int, out_dir: Path) -> int:
+def cmd_audit(args, config: dict, out_dir: Path) -> None:
     output = args.output or out_dir / "audit_report.json"
     splits = _split_files(args.splits_dir or out_dir / "splits")
     violations = corpus_mod.audit_splits(splits)
     clean = corpus_mod.audit_is_clean(violations)
     write_json(output, {"clean": clean, "violations": violations,
                          "sizes": splits.sizes})
-    _write_manifest(out_dir, "audit", config, seed,
+    _write_manifest(out_dir, "audit", config,
                     [("splits_dir", splits.path(split))
                      for split in corpus_mod.SPLIT_NAMES],
                     [("output", output)])
-    if clean:
-        print("audit: clean")
-        return 0
-    _print_violations(violations)
-    return 1
+    if not clean:
+        raise corpus_mod.UncleanSplitsError(violations)
+    print("audit: clean")
 
 
 def _print_violations(violations: dict[str, list[str]]) -> None:
@@ -638,8 +624,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         config = load_config(args.config)
-        seed = args.seed if args.seed is not None else config["seed"]
-        config["seed"] = seed
+        if args.seed is not None:
+            config["seed"] = args.seed
         out_dir = args.out_dir
         # The first file written into --out-dir makes it; one that cannot be
         # made (a file is in its path) fails here, with mkdir's own error.
@@ -649,10 +635,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return args.handler(args, config, seed, out_dir)
+            args.handler(args, config, out_dir)
         finally:
             if gc_was_enabled:
                 gc.enable()
+        return 0
+    except corpus_mod.UncleanSplitsError as exc:
+        _print_violations(exc.violations)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

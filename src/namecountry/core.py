@@ -37,13 +37,13 @@ class RecordError(ValueError):
 
 
 class InputFormatError(ValueError):
-    """Malformed input file; carries the offending line number."""
+    """Malformed input file; carries its path and any offending line."""
 
-    def __init__(self, message: str, path: str | Path | None = None,
+    def __init__(self, message: str, path: str | Path,
                  line: int | None = None):
-        self.path = str(path) if path is not None else None
+        self.path = str(path)
         self.line = line
-        where = f"{self.path or '<input>'}:{line}" if line is not None else (self.path or "<input>")
+        where = self.path if line is None else f"{self.path}:{line}"
         super().__init__(f"{where}: {message}")
 
 

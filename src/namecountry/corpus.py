@@ -45,6 +45,14 @@ class EmptyCorpusError(ValueError):
     """split_corpus requires at least one record."""
 
 
+class UncleanSplitsError(ValueError):
+    """Splits that fail audit_splits; `.violations` is its result."""
+
+    def __init__(self, violations: dict[str, list[str]]) -> None:
+        super().__init__("the splits fail the leakage audit")
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class SplitConfig:
     """Ratio weights and seed for splitting."""
@@ -225,17 +233,16 @@ class CorpusSplits:
     def sizes(self) -> dict[str, int]:
         return {name: len(self[name]) for name in SPLIT_NAMES}
 
-    def save(self, out_dir: str | Path, *, seed: int
-             ) -> tuple[dict[str, list[str]], list[Path]]:
+    def save(self, out_dir: str | Path, *, seed: int) -> list[Path]:
         """Audit the bundle and, only if it is clean, write each non-empty
         split and then `manifest.json` (the seed and each split's size)
         under out_dir, removing the file of each empty split, so the
         directory holds exactly the bundle its manifest describes. Return
-        the violations and the paths written, in that order: none for an
-        unclean bundle."""
+        the paths written. An unclean bundle raises UncleanSplitsError
+        carrying the violations, and nothing is written or removed."""
         violations = audit_splits(self)
         if not audit_is_clean(violations):
-            return violations, []
+            raise UncleanSplitsError(violations)
         files = SplitFiles(out_dir)
         written = []
         for split in SPLIT_NAMES:
@@ -247,7 +254,7 @@ class CorpusSplits:
                 path.unlink(missing_ok=True)
         manifest = files.splits_dir / "manifest.json"
         write_json(manifest, {"seed": seed, "sizes": self.sizes()})
-        return violations, written + [manifest]
+        return written + [manifest]
 
     @staticmethod
     def load(in_dir: str | Path, names: Sequence[str]) -> "CorpusSplits":

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from namecountry import cli, enrichment, fixtures
+from namecountry import cli, corpus, enrichment, fixtures
 from namecountry.classifier import (
     ClassifierModel, ModelConfig, Tokenizer, init_params, save_model,
 )
@@ -293,13 +293,14 @@ def test_refused_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["augment", "audit"])
+@pytest.mark.parametrize("command", ["augment", "train", "audit"])
 @pytest.mark.parametrize("is_file", [False, True], ids=["absent", "file"])
 def test_splits_dir_that_is_not_a_directory_exits_2(tmp_path, capsys,
                                                     monkeypatch, command,
                                                     is_file):
     """A --splits-dir that is absent or names a file is refused with one
-    line, before augment asks for a name and before anything is written."""
+    line, before augment asks for a name, before train reads its taxonomy
+    and before anything is written."""
     splits = tmp_path / "splits"
     if is_file:
         splits.write_text("keep", encoding="utf-8")
@@ -310,7 +311,9 @@ def test_splits_dir_that_is_not_a_directory_exits_2(tmp_path, capsys,
         raise AssertionError("generate called")
 
     monkeypatch.setattr(enrichment.StubNameGenerator, "generate", generate)
-    code = main(["--out-dir", str(out), command, "--splits-dir", str(splits)])
+    taxonomy = ["--taxonomy", str(tmp_path / "nope.txt")]
+    code = main(["--out-dir", str(out), command, "--splits-dir", str(splits),
+                 *(taxonomy if command == "train" else [])])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {splits}: not a directory"]
@@ -498,7 +501,7 @@ def test_augment_keeps_each_name_under_one_label(chain, tmp_path, monkeypatch,
     out = tmp_path / "out"
     shutil.copytree(chain.out / "splits", out / "splits")
     monkeypatch.setattr("namecountry.cli._make_generator",
-                        lambda config, seed: same_names_generator(seed))
+                        lambda config: same_names_generator(config["seed"]))
     assert main(["--config", str(chain.fx / "pipeline.json"),
                  "--out-dir", str(out), "augment"]) == 0
     labels = {}
@@ -526,7 +529,7 @@ def test_augment_summary_counts_the_shortfall(chain, tmp_path, monkeypatch,
     assert capsys.readouterr().out.endswith(
         " test_gold=80 (short: 0 countries, 0 names)\n")
     monkeypatch.setattr("namecountry.cli._make_generator",
-                        lambda config, seed: same_names_generator(seed))
+                        lambda config: same_names_generator(config["seed"]))
     assert main(argv) == 0
     assert capsys.readouterr().out == (
         "augment: +240 synthetic -> train_aug=624 val_aug=108 "
@@ -895,17 +898,17 @@ def test_free_form_config_objects_take_any_key(tmp_path):
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("result, code", [
-    (0, 0), (1, 1), (cli.CommandError("bad input"), 2),
-    (RuntimeError("escapes"), None)], ids=["exit0", "exit1", "exit2", "raises"])
+    (None, 0), (corpus.UncleanSplitsError({}), 1),
+    (cli.CommandError("bad input"), 2), (RuntimeError("escapes"), None)],
+    ids=["exit0", "exit1", "exit2", "raises"])
 def test_main_runs_handler_without_gc_and_restores_it(
         tmp_path, monkeypatch, enabled, result, code):
     inside = []
 
-    def handler(args, config, seed, out_dir):
+    def handler(args, config, out_dir):
         inside.append(gc.isenabled())
         if isinstance(result, Exception):
             raise result
-        return result
 
     monkeypatch.setattr(cli, "cmd_audit", handler)
     was = gc.isenabled()

@@ -18,6 +18,7 @@ from namecountry.corpus import (
     CorpusSplits,
     EmptyCorpusError,
     SplitConfig,
+    UncleanSplitsError,
     assemble_augmented_splits,
     audit_is_clean,
     audit_splits,
@@ -247,7 +248,7 @@ def test_corpus_splits_save_load_round_trip(tmp_path):
     splits = CorpusSplits(train_oag=make_records("alfa", 8),
                           val_oag=make_records("bravo", 2))
     (tmp_path / "test_oag.jsonl").write_text("stale\n", encoding="utf-8")
-    _, written = splits.save(tmp_path, seed=0)
+    written = splits.save(tmp_path, seed=0)
     assert written == [tmp_path / "train_oag.jsonl",
                        tmp_path / "val_oag.jsonl", tmp_path / "manifest.json"]
     assert not (tmp_path / "test_oag.jsonl").exists()  # empty split: removed
@@ -258,16 +259,18 @@ def test_corpus_splits_save_load_round_trip(tmp_path):
 
 
 def test_save_refuses_an_unclean_bundle(tmp_path):
-    """save audits the bundle first: an unclean one is returned with its
-    violations, and nothing is written or removed, not even manifest.json."""
+    """save audits the bundle first: an unclean one raises
+    UncleanSplitsError with its violations, and nothing is written or
+    removed, not even manifest.json."""
     bundle = clean_bundle()
     leaked = bundle.val_oag[0]
     bundle.train_oag.append(leaked)
     (tmp_path / "train_oag.jsonl").write_text("stale\n", encoding="utf-8")
-    violations, written = bundle.save(tmp_path, seed=0)
+    with pytest.raises(UncleanSplitsError) as refused:
+        bundle.save(tmp_path, seed=0)
+    violations = refused.value.violations
     assert violations == audit_splits(bundle)
     assert violations["train_oag_vs_val_oag"] == [leaked.key]
-    assert written == []
     assert [p.name for p in tmp_path.iterdir()] == ["train_oag.jsonl"]
     assert (tmp_path / "train_oag.jsonl").read_text(encoding="utf-8") == (
         "stale\n")
@@ -612,7 +615,7 @@ def test_write_split_manifest(tmp_path):
     and each split's size. save writes it only for a clean bundle, so the
     audit report, not the manifest, records `clean`."""
     bundle = clean_bundle()
-    _, written = bundle.save(tmp_path, seed=7)
+    written = bundle.save(tmp_path, seed=7)
     path = written[-1]
     assert path == tmp_path / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))

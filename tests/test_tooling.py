@@ -72,9 +72,30 @@ def test_one_collector_switch():
 
 
 def test_one_exit_rule():
-    # cli.main turns an OSError or ValueError into exit 2 by its class
-    # alone, so every exception the package defines is a ValueError and no
-    # other module catches that pair.
+    # cli.main decides every exit code by the class of what a handler
+    # raises: an UncleanSplitsError is exit 1, after main prints its
+    # violations, and any other OSError or ValueError exit 2. So every
+    # exception the package defines is a ValueError, no other module catches
+    # that pair, and no handler returns a value.
+    functions = {node.name: node for node in ast.parse(SOURCES["cli.py"]).body
+                 if isinstance(node, ast.FunctionDef)}
+    handlers = [name for name in functions if name.startswith("cmd_")]
+    assert len(handlers) == 8
+    for name in handlers:
+        assert not [node for node in ast.walk(functions[name])
+                    if isinstance(node, ast.Return) and node.value], name
+    assert [name for name, function in functions.items()
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_print_violations"] == [
+        "main"]
+    exits = {ast.unparse(node.type): ret.value.value
+             for node in ast.walk(functions["main"])
+             if isinstance(node, ast.ExceptHandler)
+             for ret in node.body if isinstance(ret, ast.Return)}
+    assert exits == {"corpus_mod.UncleanSplitsError": 1,
+                     "(OSError, ValueError)": 2}
+    assert where("return 1") == ["cli.py"]  # in main's UncleanSplitsError arm
     errors = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"namecountry.{path.stem}")
