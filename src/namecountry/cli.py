@@ -31,14 +31,14 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-# classifier, engine and evaluation (and with them numpy) are imported by the
+# classifier and evaluation (and with them numpy) are imported by the
 # handlers that use them, so the data stages start without numpy.
 from . import enrichment, extraction
 from . import corpus as corpus_mod
 from .core import (
     atomic_open, iter_records, json_type, load_mapping, load_taxonomy,
-    normalize_label, read_jsonl, read_records, read_text, require_json,
-    write_json, write_records,
+    normalize_label, read_jsonl, read_name_file, read_records, read_text,
+    require_json, write_json, write_records,
 )
 
 log = logging.getLogger(__name__)
@@ -292,7 +292,7 @@ def cmd_augment(args, config: dict, out_dir: Path) -> None:
         raise ValueError("gold_per_country must be positive")
     files = _split_files(args.splits_dir or out_dir / "splits")
     output_dir = args.output_dir or files.splits_dir
-    counts, labels, taken = _scan_base_splits(files)
+    counts, labels, taken = corpus_mod.scan_base_splits(files)
     if not counts:
         raise CommandError(f"{files.splits_dir}: no train_oag split found")
     budgets = enrichment.compute_budgets(
@@ -343,26 +343,6 @@ def cmd_augment(args, config: dict, out_dir: Path) -> None:
           f"test_filter_aug={sizes['test_filter_aug']} "
           f"test_gold={sizes['test_gold']} "
           f"(short: {len(missing)} countries, {missing.total()} names)")
-
-
-def _scan_base_splits(files: corpus_mod.SplitFiles
-                      ) -> tuple[Counter, set[str], set[str]]:
-    """One pass over the base split files, keeping no record: train_oag's
-    records per label, every base label, and every base name's key.
-
-    The files are read in BASE_SPLITS order, as `CorpusSplits.load` reads
-    them, so a malformed line fails with the same `error:` line.
-    """
-    counts: Counter = Counter()
-    labels: set[str] = set()
-    keys: set[str] = set()
-    for split in corpus_mod.BASE_SPLITS:
-        for record in files[split]:
-            keys.add(record.key)
-            labels.add(record.label)
-            if split == "train_oag":
-                counts[record.label] += 1
-    return counts, labels, keys
 
 
 def cmd_train(args, config: dict, out_dir: Path) -> None:
@@ -448,17 +428,17 @@ def cmd_evaluate(args, config: dict, out_dir: Path) -> None:
 
 
 def cmd_bench(args, config: dict, out_dir: Path) -> None:
-    from . import classifier, engine
+    from . import classifier, evaluation
     bench_cfg = config["bench"]
     output = args.output or out_dir / "bench_report.json"
     model = classifier.load_model(args.model)
-    names = engine.read_name_file(args.names)
-    report = engine.benchmark(
+    names = read_name_file(args.names)
+    report = evaluation.benchmark(
         model,
-        engine.BenchConfig(batch_sizes=tuple(bench_cfg["batch_sizes"]),
-                           warmup_batches=bench_cfg["warmup_batches"],
-                           repetitions=bench_cfg["repetitions"],
-                           seed=config["seed"]),
+        evaluation.BenchConfig(batch_sizes=tuple(bench_cfg["batch_sizes"]),
+                               warmup_batches=bench_cfg["warmup_batches"],
+                               repetitions=bench_cfg["repetitions"],
+                               seed=config["seed"]),
         names, model_name=bench_cfg["model_name"],
         model_type=bench_cfg["model_type"],
         cost_per_million=bench_cfg["cost_per_million"])
@@ -466,7 +446,7 @@ def cmd_bench(args, config: dict, out_dir: Path) -> None:
     outputs = [("output", output)]
     if args.table:
         with atomic_open(args.table) as fh:
-            fh.write(engine.render_throughput_table(report))
+            fh.write(evaluation.render_throughput_table(report))
         outputs.append(("table", args.table))
     _write_manifest(out_dir, "bench", config,
                     [("model", args.model), ("names", args.names)], outputs)
@@ -626,6 +606,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
+        if config["seed"] < 0:
+            raise CommandError(f"seed must be a non-negative integer, "
+                               f"not {config['seed']}")
         out_dir = args.out_dir
         # The first file written into --out-dir makes it; one that cannot be
         # made (a file is in its path) fails here, with mkdir's own error.

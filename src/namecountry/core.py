@@ -1,8 +1,11 @@
-"""Core domain vocabulary: country labels, name records, taxonomies, mappings.
+"""Core domain vocabulary: country labels, name records, taxonomies, mappings;
+and the package's file readers and writers.
 
-Everything here is immutable after construction and safe to share across
+The vocabulary is immutable after construction and safe to share across
 threads. Labels are lowercase canonical country names ("china", not "CN");
-the concrete label set is configuration, loaded from a taxonomy file.
+the concrete label set is configuration, loaded from a taxonomy file. Every
+text file the package reads is opened by `open_text` (record, name, table,
+JSONL and config files), and every file it writes by `atomic_open`.
 """
 from __future__ import annotations
 
@@ -459,23 +462,32 @@ def write_records(path: str | Path, records: Iterable[NameRecord]) -> int:
     return count
 
 
-def iter_records(path: str | Path) -> Iterator[NameRecord]:
+def iter_records(path: str | Path, *,
+                 real_only: bool = False) -> Iterator[NameRecord]:
     """Yield the records of a NameRecord JSONL file as its lines are read, so
     a caller that keeps none holds one at a time. Malformed lines raise
-    InputFormatError, as in `read_records`."""
-    for _, record in read_jsonl(path, "record", record_from_dict):
-        yield record
-
-
-def read_records(path: str | Path, *, real_only: bool = False) -> list[NameRecord]:
-    """Read a NameRecord JSONL file. Malformed lines raise InputFormatError.
-
-    With `real_only`, a record tagged synthetic raises InputFormatError too.
-    """
-    records = []
+    InputFormatError; with `real_only`, so does a record tagged synthetic."""
     for lineno, record in read_jsonl(path, "record", record_from_dict):
         if real_only and record.provenance is Provenance.SYNTHETIC:
             raise InputFormatError("record is tagged synthetic; this input "
                                    "takes real names only", path=path, line=lineno)
-        records.append(record)
-    return records
+        yield record
+
+
+def read_records(path: str | Path, *, real_only: bool = False) -> list[NameRecord]:
+    """The records `iter_records` yields, as one list."""
+    return list(iter_records(path, real_only=real_only))
+
+
+def read_name_file(path: str | Path) -> list[str]:
+    """Names from a JSONL record file or a plain one-name-per-line file.
+
+    A plain file's lines end where the file's lines end (LF, CR or CRLF), as
+    `read_table` reads them: a `\x85`, `\x1c` or U+2028 inside a name does
+    not split it. Each line is trimmed, and blank lines are skipped.
+    """
+    path = Path(path)
+    if path.suffix == ".jsonl":
+        return [record.full_name for record in iter_records(path)]
+    with open_text(path) as fh:
+        return [name for name in map(str.strip, fh) if name]

@@ -23,6 +23,7 @@ import itertools
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
@@ -287,6 +288,25 @@ class SplitFiles:
         for record in self.read(split, iter_records):
             self.sizes[split] += 1
             yield record
+
+
+def scan_base_splits(files: SplitFiles) -> tuple[Counter, set[str], set[str]]:
+    """One pass over the base split files, keeping no record: train_oag's
+    records per label, every base label, and every base name's key.
+
+    The files are read in BASE_SPLITS order, as `CorpusSplits.load` reads
+    them for `augment`, so a malformed line fails with the same error.
+    """
+    counts: Counter = Counter()
+    labels: set[str] = set()
+    keys: set[str] = set()
+    for split in BASE_SPLITS:
+        for record in files[split]:
+            keys.add(record.key)
+            labels.add(record.label)
+            if split == "train_oag":
+                counts[record.label] += 1
+    return counts, labels, keys
 
 
 class Concatenated:

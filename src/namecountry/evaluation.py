@@ -1,7 +1,17 @@
 """Measurement machinery: classification metrics, cross-taxonomy evaluation,
-head/tail buckets, and group bias analysis with Wilson confidence intervals.
+head/tail buckets, group bias analysis with Wilson confidence intervals, and
+the scoring throughput benchmark, with the tables they render to.
 The first three read a (K, K) int64 confusion matrix over K labels, rows
-gold and columns predicted, as ClassifierModel.confusion counts it.
+gold and columns predicted, as ClassifierModel.confusion counts it. Bias
+analysis and the benchmark take any model with the one method they call
+(`predict_labels`, `predict_batch`), so this module does not import the
+classifier, which imports it.
+
+Benchmark latency is defined as mean batch runtime divided by names per
+batch, so every report row satisfies throughput * latency_ms = 1000 up to
+floating rounding. Scoring inside the benchmark is the model's ordinary
+prediction call, so benchmarked outputs are bit-identical to unbenchmarked
+ones.
 
 Macro-F1 convention used throughout: classes with zero gold support and zero
 predictions are excluded from the macro mean; classes that do appear but have
@@ -11,7 +21,9 @@ per-class F1 by gold support.
 from __future__ import annotations
 
 import math
+import random
 import statistics
+import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -206,6 +218,99 @@ def bias_report(
     return BiasReport(groups, gold_dist, hall_dist, n, n_incorrect)
 
 
+class InsufficientNamesError(ValueError):
+    """The name pool cannot cover the configured batches."""
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    batch_sizes: tuple[int, ...] = (1, 100, 1000, 10000)
+    warmup_batches: int = 3
+    repetitions: int = 5
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.batch_sizes:
+            raise ValueError("batch_sizes must be non-empty")
+        for size in self.batch_sizes:
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValueError(f"batch size {size!r} is not an integer")
+        if any(b <= 0 for b in self.batch_sizes):
+            raise ValueError("batch sizes must be positive")
+        if list(self.batch_sizes) != sorted(set(self.batch_sizes)):
+            raise ValueError("batch_sizes must be strictly ascending")
+        if self.warmup_batches < 0:
+            raise ValueError("warmup_batches must be non-negative")
+        if self.repetitions <= 0:
+            raise ValueError("repetitions must be positive")
+
+
+def run_batch(model, names: Sequence[str]) -> tuple[np.ndarray, float]:
+    """Score one batch with `model.predict_batch`, timing that call only
+    (tokenization included)."""
+    if not names:
+        raise ValueError("names must be non-empty")
+    start = time.perf_counter()
+    predictions = model.predict_batch(names)
+    runtime = time.perf_counter() - start
+    return predictions, runtime
+
+
+@dataclass(frozen=True)
+class BenchRow:
+    batch_size: int
+    names_per_run: int
+    mean_runtime_seconds: float
+    throughput_names_per_second: float
+    latency_ms_per_name: float
+    runtime_samples: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class ThroughputReport:
+    model_name: str
+    model_type: str
+    rows: tuple[BenchRow, ...]
+    cost_per_million: float = 0.0
+
+
+def benchmark(model, config: BenchConfig,
+              name_source: Sequence[str], model_name: str = "namecountry",
+              model_type: str = "local",
+              cost_per_million: float = 0.0) -> ThroughputReport:
+    """Measure steady-state scoring throughput per batch size of any model
+    with a `predict_batch` method.
+
+    For each batch size the pool is shuffled with a per-size seed and cut
+    into `repetitions` disjoint fresh batches; warmup batches run untimed
+    first.
+    """
+    pool = list(name_source)
+    need = max(config.batch_sizes) * config.repetitions
+    if len(pool) < need:
+        raise InsufficientNamesError(
+            f"need at least {need} names (largest batch x repetitions), "
+            f"got {len(pool)}")
+
+    rows = []
+    for batch_size in config.batch_sizes:
+        rng = random.Random(f"bench:{config.seed}:{batch_size}")
+        shuffled = pool[:]
+        rng.shuffle(shuffled)
+        runs = [shuffled[i * batch_size:(i + 1) * batch_size]
+                for i in range(config.repetitions)]
+        for i in range(config.warmup_batches):
+            model.predict_batch(runs[i % len(runs)])
+        samples = [run_batch(model, run_names)[1] for run_names in runs]
+        mean_runtime = statistics.fmean(samples)
+        throughput = batch_size / mean_runtime
+        latency_ms = mean_runtime / batch_size * 1000.0
+        rows.append(BenchRow(batch_size, batch_size, mean_runtime,
+                             throughput, latency_ms, tuple(samples)))
+    return ThroughputReport(model_name, model_type, tuple(rows),
+                            cost_per_million)
+
+
 def render_table(header: Sequence[str],
                  rows: Sequence[Sequence[str]]) -> str:
     """Plain-text table: left-aligned columns two spaces apart, a dashed rule
@@ -227,3 +332,15 @@ def render_eval_table(rows: Sequence[tuple[str, str, EvalReport]]) -> str:
         ("Model", "Taxonomy", "Acc", "W-F1", "M-F1"),
         [(model, taxonomy, f"{r.accuracy:.4f}", f"{r.weighted_f1:.4f}",
           f"{r.macro_f1:.4f}") for model, taxonomy, r in rows])
+
+
+def render_throughput_table(report: ThroughputReport) -> str:
+    """Plain-text table: Model, Type, Batch, Throughput, Latency, $/1M."""
+    return render_table(
+        ("Model", "Type", "Batch", "Throughput (names/s)",
+         "Latency (ms/name)", "$/1M"),
+        [(report.model_name, report.model_type, str(row.batch_size),
+          f"{row.throughput_names_per_second:.1f}",
+          f"{row.latency_ms_per_name:.4f}",
+          f"{report.cost_per_million:.2f}")
+         for row in report.rows])

@@ -46,15 +46,17 @@ from namecountry.corpus import (
     largest_remainder_allocation,
     split_corpus,
 )
-from namecountry.engine import BenchConfig, benchmark, run_batch
 from namecountry.enrichment import (
     StubNameGenerator,
     collect_synthetic,
     compute_budgets,
 )
 from namecountry.evaluation import (
+    BenchConfig,
+    benchmark,
     evaluate,
     fold,
+    run_batch,
     wilson_interval,
 )
 from namecountry.extraction import NormalizationTable, build_labeled_corpus

@@ -6,8 +6,10 @@ individual tests then assert on the artifacts.
 """
 import contextlib
 import copy
+import dataclasses
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -24,9 +26,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from namecountry import cli, corpus, enrichment, fixtures
+from namecountry import cli, corpus, enrichment, evaluation, fixtures
 from namecountry.classifier import (
-    ClassifierModel, ModelConfig, Tokenizer, init_params, save_model,
+    DEFAULT_MAX_LEN, ClassifierModel, ModelConfig, Tokenizer, TrainConfig,
+    init_params, save_model,
 )
 from namecountry.cli import DEFAULT_CONFIG, load_config, main
 from namecountry.core import (
@@ -321,6 +324,73 @@ def test_splits_dir_that_is_not_a_directory_exits_2(tmp_path, capsys,
         ["out", "splits"] if is_file else ["out"])
     if is_file:
         assert splits.read_text(encoding="utf-8") == "keep"
+
+
+@pytest.mark.parametrize("command", ["split", "train"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_exits_2_before_any_write(chain, tmp_path, capsys,
+                                                command, via):
+    """A negative seed, from --seed or the config, is refused in main with
+    one line naming it, before any handler runs: split would run on it and
+    train would fail inside numpy with a message that names nothing."""
+    args = {"split": ["--input", str(chain.out / "corpus.jsonl")],
+            "train": ["--splits-dir", str(chain.out / "splits"),
+                      "--taxonomy", str(chain.fx / "taxonomy_fixture4.txt")],
+            }[command]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    seed = (["--seed", "-1"] if via == "flag"
+            else ["--config", str(config)])
+    out = tmp_path / "out"
+    code = main([*seed, "--out-dir", str(out), command, *args])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: seed must be a non-negative integer, not -1"]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def _attrs(obj, keys):
+    return {key: getattr(obj, key) for key in keys}
+
+
+def test_default_config_is_the_library_defaults():
+    """DEFAULT_CONFIG runs the CLI on the defaults that callers outside it
+    get by naming nothing: perfbench builds ModelConfig(), Tokenizer(chars)
+    and TrainConfig's warmup and weight decay, and the README example
+    SplitConfig's ratios."""
+    seed, split, augment, train, bench, oracle = (
+        DEFAULT_CONFIG[key] for key in ("seed", "split", "augment", "train",
+                                        "bench", "oracle"))
+    library_train = {**dataclasses.asdict(TrainConfig(train["learning_rate"])),
+                     **dataclasses.asdict(ModelConfig()),
+                     "max_len": DEFAULT_MAX_LEN}
+    assert library_train == {**train, "seed": seed}
+    assert Tokenizer(("a",)).max_len == DEFAULT_MAX_LEN
+
+    split_config = corpus.SplitConfig()
+    assert (list(split_config.ratios), split_config.seed) == (
+        split["ratios"], seed)
+    cap = inspect.signature(corpus.build_filtered_test).parameters["cap"]
+    assert cap.default == split["filter_cap"]
+    assert (enrichment.DEFAULT_THRESHOLD, enrichment.DEFAULT_BUDGET,
+            enrichment.DEFAULT_CHUNK_SIZE) == (
+        augment["threshold"], augment["budget"], augment["chunk_size"])
+
+    assert dataclasses.asdict(evaluation.BenchConfig()) == {
+        "batch_sizes": tuple(bench["batch_sizes"]),
+        "warmup_batches": bench["warmup_batches"],
+        "repetitions": bench["repetitions"], "seed": seed}
+    labels = ("model_name", "model_type", "cost_per_million")
+    parameters = inspect.signature(evaluation.benchmark).parameters
+    assert {key: parameters[key].default for key in labels} == {
+        key: bench[key] for key in labels}
+
+    http = oracle["http"]
+    assert _attrs(enrichment.HttpOracleConfig(http["endpoint"], http["model"]),
+                  http) == http
+    validator = ("strictness", "strict_fraction", "lenient_fraction")
+    assert _attrs(enrichment.StubNameValidator(), validator) == {
+        key: oracle[key] for key in validator}
 
 
 def test_invalid_config_exits_2(chain, tmp_path, capsys):

@@ -18,6 +18,7 @@ from namecountry.core import (
     TaxonomyError,
     UnknownLabelError,
     atomic_open,
+    iter_records,
     load_mapping,
     load_taxonomy,
     name_key,
@@ -30,10 +31,9 @@ from namecountry.core import (
     write_json,
     write_records,
 )
-from namecountry.engine import BenchRow, ThroughputReport
 from namecountry.evaluation import (
-    BiasReport, BucketMetrics, BucketReport, ClassMetrics, EvalReport,
-    GroupStats,
+    BenchRow, BiasReport, BucketMetrics, BucketReport, ClassMetrics,
+    EvalReport, GroupStats, ThroughputReport,
 )
 from namecountry.extraction import ExtractionStats, NormalizationTable
 
@@ -386,6 +386,32 @@ def test_read_records_rejects_missing_fields(tmp_path):
     path.write_text(json.dumps({"name": "A B"}) + "\n", encoding="utf-8")
     with pytest.raises(InputFormatError):
         read_records(path)
+
+
+def test_read_records_is_iter_records_in_a_list(tmp_path):
+    # Record files have one read loop: iter_records refuses a synthetic
+    # record under real_only at its own line, after blank lines, with the
+    # message `split` prints, and read_records lists what it yields.
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(
+        '{"name": "Li Wei", "label": "alfa"}\n\n  \n'
+        '{"name": "Ana Silva", "label": "beta", "provenance": "synthetic"}\n'
+        '{"name": "Bo Li", "label": "alfa", "provenance": "validated", '
+        '"source_id": "s1"}\n', encoding="utf-8")
+    records = iter_records(path, real_only=True)
+    assert next(records) == NameRecord("Li Wei", "alfa")
+    with pytest.raises(InputFormatError) as exc_info:
+        next(records)
+    assert exc_info.value.line == 4
+    assert str(exc_info.value) == (
+        f"{path}:4: record is tagged synthetic; this input takes real names "
+        f"only")
+    with pytest.raises(InputFormatError):
+        read_records(path, real_only=True)
+    assert read_records(path) == list(iter_records(path)) == [
+        NameRecord("Li Wei", "alfa"),
+        NameRecord("Ana Silva", "beta", Provenance.SYNTHETIC),
+        NameRecord("Bo Li", "alfa", Provenance.VALIDATED, "s1")]
 
 
 # --- record codec parity with json.dumps / json.loads ---

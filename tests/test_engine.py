@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from namecountry.core import (
-    NameRecord, register_taxonomy, write_json, write_records,
+    NameRecord, read_name_file, register_taxonomy, write_json, write_records,
 )
 from namecountry.classifier import ClassifierModel, ModelConfig, Tokenizer, init_params
-from namecountry.engine import (
+from namecountry.evaluation import (
     BenchConfig,
     InsufficientNamesError,
     ThroughputReport,
     benchmark,
-    read_name_file,
     render_throughput_table,
     run_batch,
 )

@@ -2,11 +2,12 @@
 encoder, one report serializer, one retry loop, one leakage check, one
 split directory format, one switch of the garbage collector, one exit rule
 for bad input, one classifier forward pass and one scoring walk for
-evaluation in the package, none of the constructs its kernels and bench
-were rid of, every package name the bench's tracer wraps (and every
-wrapper fires on fixture data), the bytes the fixture chain writes,
-no module-level name that only tests use, no private name taken from
-another module, and a README library example that runs."""
+evaluation in the package, no import of the classifier by evaluation,
+none of the constructs its kernels and bench were rid of, every package
+name the bench's tracer wraps (and every wrapper fires on fixture data),
+the bytes the fixture chain writes, no module-level name that only tests
+use, no private name taken from another module, a README layout that lists
+every module, and a README library example that runs."""
 import ast
 import functools
 import hashlib
@@ -38,6 +39,8 @@ def test_one_writer_and_one_retry_loop():
 def test_one_reader_per_input_format():
     assert where("json.loads(line)") == ["core.py"]  # core.read_jsonl's fallback
     assert where('.split("\\t")') == ["core.py"]  # in core.read_table
+    # Every text file is opened by core.open_text, inside core's readers.
+    assert set(where("open_text(")) == {"core.py"}
 
 
 def test_one_record_encoder():
@@ -132,6 +135,27 @@ def test_one_scoring_walk_for_evaluation():
     assert where("predict_labels(") == ["classifier.py", "classifier.py",
                                         "evaluation.py"]
     assert where("evaluate_mapped") == []
+
+
+def test_evaluation_does_not_import_the_classifier():
+    # classifier imports evaluation, so the reports and the benchmark take
+    # any model with the method they call instead.
+    tree = ast.parse(SOURCES["evaluation.py"])
+    imported = [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+    assert [name for name in imported if "classifier" in name] == []
+
+
+def test_readme_layout_lists_every_module():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "\n## Layout\n")[1].split("```")[1]
+    listed = [line.split()[0] for line in block.splitlines()
+              if line.startswith("  ")]
+    assert sorted(listed) == sorted(set(SOURCES) - {"__init__.py"})
 
 
 def _private_imports(path):
