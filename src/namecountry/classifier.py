@@ -28,13 +28,21 @@ rows with no tokens pool to zeros.
 
 Scoring keeps predict_batch([name]) bit-identical to any batched
 evaluation containing the same name. Its tap tables span the whole
-vocabulary and are computed once per model. A BLAS product's low-order
-bits depend on its shape, so scoring runs exactly one BLAS product per
-block of SCORE_BLOCK_ROWS rows, the head, on a block zero-padded to that
-constant shape. Memory is bounded by the block, not the batch. Besides
-the gathers, a block's pool costs one slab add per position up to its
-longest span and a sort of its spans, a fixed cost that batch 1 pays per
-name.
+vocabulary and are computed once per model. Rows are pooled in chunks of
+PREDICT_CHUNK_ROWS. A cell's activation depends only on its (prev, cur,
+nxt) ids, and a chunk of names repeats most of its triples (about one cell
+in five holds a triple new to a 1024-name chunk of the bench pool), so a
+chunk of more than DISTINCT_POOL_ROWS rows finds its distinct triples with
+one sort, computes each one's activation once, and gathers each
+position's slab from those rows. A smaller chunk, batch 1 among them, and
+training compute the activation per cell, since there the sort costs more
+than it saves. Either way every cell's activation and every row's adds
+are the same, in the same order. A BLAS product's low-order bits depend on
+its shape, so scoring runs exactly one BLAS product per block of
+SCORE_BLOCK_ROWS rows, the head, on a block zero-padded to that constant
+shape. Memory is bounded by the chunk, not the batch. Besides the gathers,
+a chunk's pool costs one slab add per position up to its longest span and
+a sort of its spans, a fixed cost that batch 1 pays per name.
 
 Training works in the batch's own vocabulary: its tap tables span the K
 distinct ids of its tokens, plus PAD, and tokens index them by local id.
@@ -98,10 +106,18 @@ PARAM_ORDER = ("embedding", "conv_w", "conv_b", "head_w", "head_b")
 # name about 3x faster than 256 and batch 10000 no slower.
 SCORE_BLOCK_ROWS = 64
 
-# Names per predict_labels chunk and records per confusion chunk: bounds the
-# probability rows (chunk by classes) and the records held, whatever their
-# number. Scores are bit-identical across batch shapes, so results ignore it.
+# Names per predict_labels chunk, records per confusion chunk and rows per
+# score_batch pooling chunk: bounds the probability rows (chunk by classes),
+# the records held and the pool's work arrays, whatever their number. Scores
+# are bit-identical across batch shapes, so results ignore it.
 PREDICT_CHUNK_ROWS = 1024
+
+# score_batch pools a chunk of more rows than this once per distinct (prev,
+# cur, nxt) triple, and a smaller one per cell (see _conv_pool). At bench
+# shape (64/128 model, one BLAS thread) the sort and the gathers cost more
+# than they save below about 160 rows: per cell, a 100-row chunk pooled
+# ~10% faster than per triple and a 256-row chunk ~20% slower.
+DISTINCT_POOL_ROWS = 2 * SCORE_BLOCK_ROWS
 
 
 class TrainingError(ValueError):
@@ -273,9 +289,37 @@ def _token_taps(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order[at % n], cells.sum(axis=1), ids
 
 
+def _distinct_triples(tap_ids: np.ndarray, vocab: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of `tap_ids`, shape (3, distinct), and each
+    column's index among them.
+
+    A column (prev, cur, nxt) packs into the int64 key (prev * vocab + cur)
+    * vocab + nxt: a tokenizer has at most 0x110002 ids, so vocab**3 < 2**63
+    and no key overflows. One argsort finds the runs of equal keys; a run
+    starts where a sorted key differs from the one before, and the running
+    count of starts numbers each run.
+    """
+    prev, cur, nxt = tap_ids.astype(np.int64)
+    keys = prev * vocab
+    keys += cur
+    keys *= vocab
+    keys += nxt
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    first = order[starts]
+    starts[:1] = False  # so the running count numbers the runs from 0
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts)
+    return np.take(tap_ids, first, axis=1), inverse
+
+
 def _conv_pool(taps: np.ndarray, tap_ids: np.ndarray, rows: np.ndarray,
-               active: np.ndarray, conv_b: np.ndarray, pooled: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+               active: np.ndarray, conv_b: np.ndarray, pooled: np.ndarray,
+               distinct: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """ReLU(conv) at each cell, and each row's mean of it into `pooled`.
 
     The cells are _token_taps's: cell i's tap t is row tap_ids[t, i] of
@@ -285,24 +329,38 @@ def _conv_pool(taps: np.ndarray, tap_ids: np.ndarray, rows: np.ndarray,
     non-pad count; rows of `pooled` with no tokens are zeroed. Returns the
     activations, shape (cells, H), and the token count of each row of
     `pooled`.
+
+    With `distinct`, the activation runs once per distinct (prev, cur, nxt)
+    triple instead, and each slab gathers its cells' rows of it; the
+    returned activations are then one row per triple. A cell's activation
+    and the order of the adds are the same either way, so are the bits.
     """
+    pads = tap_ids[1] == PAD
+    counts = np.bincount(rows[~pads], minlength=len(pooled))
+    if distinct:
+        tap_ids, cell_of = _distinct_triples(tap_ids, taps.shape[1])
+        pads = tap_ids[1] == PAD
     hidden = np.take(taps[0], tap_ids[0], axis=0)
     hidden += np.take(taps[1], tap_ids[1], axis=0)
     hidden += np.take(taps[2], tap_ids[2], axis=0)
     hidden += conv_b
     np.maximum(hidden, 0, out=hidden)
-    pads = tap_ids[1] == PAD
     hidden[pads] = 0
-    counts = np.bincount(rows[~pads], minlength=len(pooled))
     spanned = rows[:active[0]]  # position 0 holds every row with a token
     sums = np.zeros((len(spanned), hidden.shape[1]), dtype=hidden.dtype)
+    gathered = np.empty_like(sums) if distinct else None
     total, end = sums, 0
     for lead in active.tolist():
         if not lead:
             break
         if lead < len(total):  # active never rises: one view per height
             total = sums[:lead]
-        np.add(total, hidden[end:end + lead], total)
+        if distinct:  # "clip": the default mode copies `out` through a buffer
+            slab = np.take(hidden, cell_of[end:end + lead], axis=0,
+                           out=gathered[:lead], mode="clip")
+        else:
+            slab = hidden[end:end + lead]
+        np.add(total, slab, total)
         end += lead
     pooled.fill(0)
     pooled[spanned] = sums / counts[spanned, None].astype(pooled.dtype)
@@ -313,24 +371,33 @@ def score_batch(params: dict[str, np.ndarray], x: np.ndarray, *,
                 taps: np.ndarray) -> np.ndarray:
     """Probability rows for encoded names; bit-identical across batch shapes.
 
-    Rows are scored in blocks of SCORE_BLOCK_ROWS (see module docstring).
-    `taps` are tap_tables(params["embedding"], params["conv_w"]). An all-pad
-    row (empty name) pools to zeros and scores as softmax of the head bias;
-    no rows give a (0, classes) array.
+    Rows are pooled PREDICT_CHUNK_ROWS at a time: a chunk of more than
+    DISTINCT_POOL_ROWS rows computes one activation per distinct (prev, cur,
+    nxt) triple, a smaller one one per cell, to the same bits. The head then
+    runs on each block of SCORE_BLOCK_ROWS pooled rows, zero-padded to that
+    shape (see module docstring), so memory is bounded by the chunk. `taps`
+    are tap_tables(params["embedding"], params["conv_w"]). An all-pad row
+    (empty name) pools to zeros and scores as softmax of the head bias; no
+    rows give a (0, classes) array.
     """
     dtype = params["embedding"].dtype
-    pooled = np.empty((SCORE_BLOCK_ROWS, params["conv_b"].shape[0]), dtype=dtype)
     probs = np.empty((x.shape[0], params["head_b"].shape[0]), dtype=dtype)
-    for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
-        block = x[start:start + SCORE_BLOCK_ROWS]
-        rows, active, tap_ids = _token_taps(block)
-        _conv_pool(taps, tap_ids, rows, active, params["conv_b"], pooled)
-        logits = (pooled @ params["head_w"])[:len(block)]
-        logits += params["head_b"]
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        np.divide(logits, logits.sum(axis=1, keepdims=True),
-                  out=probs[start:start + len(block)])
+    for begin in range(0, x.shape[0], PREDICT_CHUNK_ROWS):
+        chunk = x[begin:begin + PREDICT_CHUNK_ROWS]
+        out = probs[begin:begin + len(chunk)]
+        padded = -(-len(chunk) // SCORE_BLOCK_ROWS) * SCORE_BLOCK_ROWS
+        pooled = np.empty((padded, len(params["conv_b"])), dtype=dtype)
+        rows, active, tap_ids = _token_taps(chunk)
+        _conv_pool(taps, tap_ids, rows, active, params["conv_b"], pooled,
+                   distinct=len(chunk) > DISTINCT_POOL_ROWS)
+        for start in range(0, len(chunk), SCORE_BLOCK_ROWS):
+            block = pooled[start:start + SCORE_BLOCK_ROWS]
+            logits = (block @ params["head_w"])[:len(chunk) - start]
+            logits += params["head_b"]
+            logits -= logits.max(axis=1, keepdims=True)
+            np.exp(logits, out=logits)
+            np.divide(logits, logits.sum(axis=1, keepdims=True),
+                      out=out[start:start + SCORE_BLOCK_ROWS])
     return probs
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from namecountry.core import (
     NameRecord, UnknownLabelError, normalize_name, register_taxonomy,
 )
 from namecountry.classifier import (
+    DISTINCT_POOL_ROWS,
     ENCODE_CHUNK_ROWS,
     PAD,
     SCORE_BLOCK_ROWS,
@@ -188,28 +190,78 @@ def test_score_batch_rows_are_distributions():
     assert (probs > 0).all()
 
 
-def test_score_batch_bitwise_batch_invariance():
+def test_score_batch_bitwise_batch_invariance(monkeypatch):
     """The same encoded name must score bit-identically in any batch, at any
-    position, in whichever scoring block it lands."""
+    position, in whichever scoring block and chunk it lands, pooled per cell
+    or per distinct triple, among random names or among names that repeat
+    every (prev, cur, nxt) triple of its own."""
     rng = np.random.default_rng(7)
     params = init_params(30, 5, ModelConfig(8, 12), seed=2)
-    b0 = SCORE_BLOCK_ROWS
+    b0, d0 = SCORE_BLOCK_ROWS, DISTINCT_POOL_ROWS
     target = rng.integers(2, 30, size=(1, 10)).astype(np.int32)
     target[0, 4] = PAD  # a pad inside the name
     taps = taps_of(params)
     alone = score_batch(params, target, taps=taps)[0]
     empty = score_batch(params, np.zeros((1, 10), dtype=np.int32),
                         taps=taps)[0]
-    for batch_size in sorted({2, 17, 64, 301, b0 - 1, b0, b0 + 1, 2 * b0 + 1}):
-        filler = rng.integers(0, 30, size=(batch_size - 1, 10)).astype(np.int32)
-        filler[-1] = PAD  # an all-pad row
-        edges = {0, b0 - 1, b0, 2 * b0, batch_size // 2, batch_size - 1}
-        for position in sorted(p for p in edges if p < batch_size):
-            batch = np.insert(filler, position, target[0], axis=0)
-            scores = score_batch(params, batch, taps=taps)
-            assert np.array_equal(scores[position], alone), (batch_size, position)
-            for row in np.flatnonzero(~batch.any(axis=1)):
-                assert np.array_equal(scores[row], empty), (batch_size, row)
+
+    def random_filler(rows):
+        return rng.integers(0, 30, size=(rows, 10)).astype(np.int32)
+
+    def repeating_filler(rows):
+        # Copies of the target, some with one token changed: every triple
+        # of the target recurs, most of them in every row.
+        filler = np.repeat(target, rows, axis=0)
+        changed = rng.random(rows) < 0.5
+        filler[changed, rng.integers(0, 10, size=changed.sum())] = (
+            rng.integers(2, 30, size=changed.sum()))
+        return filler
+
+    # The default chunk, and a short one that is no multiple of the block.
+    for chunk in (classifier.PREDICT_CHUNK_ROWS, 3 * b0 + 5):
+        monkeypatch.setattr(classifier, "PREDICT_CHUNK_ROWS", chunk)
+        sizes = {2, 17, 64, 301, b0 - 1, b0, b0 + 1, 2 * b0 + 1, d0, d0 + 1,
+                 chunk, chunk + 1, 2 * chunk + d0 + 1}
+        for batch_size, make in itertools.product(
+                sorted(sizes), (random_filler, repeating_filler)):
+            filler = make(batch_size - 1)
+            filler[-1] = PAD  # an all-pad row
+            edges = {0, b0 - 1, b0, 2 * b0, d0, chunk - 1, chunk,
+                     batch_size // 2, batch_size - 1}
+            for position in sorted(p for p in edges if p < batch_size):
+                batch = np.insert(filler, position, target[0], axis=0)
+                scores = score_batch(params, batch, taps=taps)
+                assert np.array_equal(scores[position], alone), (
+                    chunk, batch_size, make.__name__, position)
+                for row in np.flatnonzero(~batch.any(axis=1)):
+                    assert np.array_equal(scores[row], empty), (
+                        chunk, batch_size, row)
+
+
+def test_score_batch_packs_triples_at_the_top_of_the_id_range():
+    """A tokenizer holds at most 0x110002 ids. Near the top of that range
+    (prev, cur, nxt) and (prev, cur + 3855, nxt + 57826) pack to keys that
+    differ by exactly 2**32, so a key packed in 32 bits would merge the two
+    triples; in a batch pooled per distinct triple each row must still
+    score as it does alone."""
+    vocab = 0x110002
+    top = vocab - 1
+    rng = np.random.default_rng(13)
+    params = init_params(vocab, 3, ModelConfig(1, 1), seed=4)
+    params["conv_b"][:] = 1.0  # every cell's ReLU passes
+    taps = taps_of(params)
+    colliding = np.array([[top - 10, top - 4000, top - 60000],
+                          [top - 10, top - 145, top - 2174]], dtype=np.int32)
+    x = np.zeros((DISTINCT_POOL_ROWS + 1, 5), dtype=np.int32)
+    x[:, :3] = rng.integers(top - 70000, vocab, size=(len(x), 3))
+    x[:2, :3] = colliding
+    x[5, 3:] = top  # the largest id, as cur and as nxt
+    probs = score_batch(params, x, taps=taps)
+    for row in range(len(x)):
+        assert_bitwise(score_batch(params, x[row:row + 1], taps=taps)[0],
+                       probs[row])
+    middle = [taps[0][p] + taps[1][c] + taps[2][n] for p, c, n in colliding]
+    assert middle[0] != middle[1]  # merging the two would show in the scores
 
 
 def test_score_batch_all_pad_row_uses_head_bias():
@@ -242,6 +294,33 @@ def test_scoring_memory_is_flat_in_batch_size():
     finally:
         tracemalloc.stop()
     assert peak / len(names) < 2048, peak
+
+
+def test_scoring_temporaries_are_bounded_by_the_chunk():
+    """Besides its (batch, classes) output, score_batch's traced peak at
+    8 chunks of names stays within a fixed margin of its peak at 2: what it
+    allocates for pooling belongs to one chunk, not to the batch."""
+    rng = np.random.default_rng(1)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    tokenizer = Tokenizer(tuple("abcdefghijklmnopqrstuvwxyz "))
+    params = init_params(tokenizer.vocab_size, 99, seed=0)
+    taps = taps_of(params)
+    chunk = classifier.PREDICT_CHUNK_ROWS
+    x = tokenizer.encode_batch(
+        ["".join(rng.choice(letters, size=n)) + " x"
+         for n in rng.integers(3, 20, size=8 * chunk)])
+
+    def temporaries(batch):
+        tracemalloc.start()
+        try:
+            probs = score_batch(params, batch, taps=taps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - probs.nbytes
+
+    small, large = temporaries(x[:2 * chunk]), temporaries(x)
+    assert large - small < 256 * 1024, (small, large)
 
 
 # --- gradients ---
@@ -529,36 +608,42 @@ def assert_bitwise(actual, expected):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pooled_rows_sum_from_zero_in_position_order(monkeypatch, dtype,
                                                      width, hidden):
-    """score_batch's pooled rows, and the forward pass of loss_and_grads
-    over its per-batch vocabulary, are the naive loop's bit for bit, past
-    one scoring block and at widths where numpy's pairwise sums would
-    recurse; and a row scored alone scores as it does in the batch."""
+    """score_batch's pooled rows, per cell and per distinct triple, and the
+    forward pass of loss_and_grads over its per-batch vocabulary, are the
+    naive loop's bit for bit, past one scoring block and at widths where
+    numpy's pairwise sums would recurse; and a row scored alone scores as
+    it does in the batch."""
     rng = np.random.default_rng(width * 100 + hidden)
     vocab, classes = 9, 3
     params = init_params(vocab, classes, ModelConfig(3, hidden), seed=hidden,
                          dtype=dtype)
     params["conv_b"] = rng.normal(0.0, 0.3, hidden).astype(dtype)
-    x = pooling_batch(rng, vocab, SCORE_BLOCK_ROWS + 9, width)
+    x = pooling_batch(rng, vocab, DISTINCT_POOL_ROWS + 9, width)
     pools = []
     conv_pool = classifier._conv_pool
 
-    def recording(*args):
-        result = conv_pool(*args)
-        pools.append(args[-1].copy())  # the pooled rows it wrote
+    def recording(*args, distinct=False):
+        result = conv_pool(*args, distinct=distinct)
+        pools.append((distinct, args[5].copy()))  # the pooled rows it wrote
         return result
 
     monkeypatch.setattr(classifier, "_conv_pool", recording)
     taps = taps_of(params)
-    probs = score_batch(params, x, taps=taps)
-    assert_bitwise(np.concatenate(pools)[:len(x)],
-                   naive_pooled(taps, params["conv_b"], x))
+    # Past one scoring block, per cell; and past the switch, per triple.
+    for rows, distinct in ((SCORE_BLOCK_ROWS + 9, False), (len(x), True)):
+        pools.clear()
+        probs = score_batch(params, x[:rows], taps=taps)
+        assert [d for d, _ in pools] == [distinct]
+        assert_bitwise(pools[0][1][:rows],
+                       naive_pooled(taps, params["conv_b"], x[:rows]))
 
     pools.clear()
     loss_and_grads(params, x, rng.integers(0, classes, size=len(x)))
     ids = np.unique(np.append(x, PAD))  # the batch's vocabulary
     local_taps = tap_tables(params["embedding"][ids], params["conv_w"])
-    assert_bitwise(pools[0], naive_pooled(local_taps, params["conv_b"],
-                                          np.searchsorted(ids, x)))
+    assert [d for d, _ in pools] == [False]
+    assert_bitwise(pools[0][1], naive_pooled(local_taps, params["conv_b"],
+                                             np.searchsorted(ids, x)))
 
     for row in range(len(x)):
         assert_bitwise(score_batch(params, x[row:row + 1], taps=taps)[0],

@@ -122,10 +122,10 @@ def test_no_scatter_add_or_thread_pool():
 def test_one_forward_pass():
     # Training and scoring share one conv-pool (classifier._conv_pool): one
     # ReLU over the convolution and one position-order slab add that sums
-    # each row from zero; no reduceat, whose pairwise order is numpy's.
+    # each row from zero, whether the slab is a run of cells or gathered
+    # from distinct triples; no reduceat, whose pairwise order is numpy's.
     assert where("np.add.reduceat(") == []
-    assert where("np.add(total, hidden[end:end + lead], total)") == [
-        "classifier.py"]
+    assert where("np.add(total, slab, total)") == ["classifier.py"]
     assert where("np.maximum(hidden, 0") == ["classifier.py"]
 
 
